@@ -85,6 +85,10 @@ class _Node:
             raise ConfigError(f"{self.path}.{key}", f"expected a boolean, got {v!r}")
         return v
 
+    def peek(self, key, default=None):
+        """The value under key, left in place for a later take_*."""
+        return self._data.get(key, default)
+
     def take_raw(self, key, required=True, default=None):
         return self._pop(key, required, default)
 
@@ -403,7 +407,7 @@ def parse_config(data, source: str = "config") -> ScenarioConfig:
     if cnode is not None:
         labels = set(traffic.labels())
         # peek: overhead adds the control class, changing the dimensions
-        msg_peek = cnode._data.get("control_message_bytes", 0)
+        msg_peek = cnode.peek("control_message_bytes", 0)
         if isinstance(msg_peek, int) and msg_peek > 0:
             labels.add(CONTROL_LABEL)
         controller = _parse_controller(cnode, len(labels))

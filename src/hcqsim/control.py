@@ -6,6 +6,12 @@ performance/effort criterion, exhaustive receding-horizon bandwidth
 allocation over a discretized share simplex, and a power-iteration
 spectral-radius stability check.
 
+The allocation is condensed (Maciejowski, Predictive Control with
+Constraints, 2002): with u held over the horizon, the horizon cost of every
+candidate is c(x) + 2 u' g(x) + u' P u. MpcController builds the feasible
+share grid, P and each candidate's u' P u once; a decision computes c(x)
+and g(x) and takes one m x K product over the K candidates.
+
 State convention: the first m components of x are per-class backlog
 fractions, the rest are per-class utilizations. Control u holds per-class
 bandwidth shares constrained to 0 <= u_i <= 1 with sum(u) <= 1.
@@ -309,49 +315,8 @@ def allocate_control(
     grid: int,
     epoch_index: int = 0,
 ) -> ControlDecision:
-    """Pick the share vector minimizing the predicted horizon cost.
-
-    The search is exhaustive over the feasible grid of the control set with
-    u held constant over the horizon; prediction uses step_state. Costs
-    within COST_TIE_REL/COST_TIE_ABS of the minimum count as tied and the
-    lexicographically smallest share vector wins. The priority order ranks
-    classes by descending predicted backlog (first m state components) at
-    the horizon end, ties broken by class index.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
-    xv = _as_vector(x, model.n, "x")
-    if weights.n != model.n or weights.m != model.m:
-        raise ValueError("weights dimensions do not match model")
-    levels = _feasible_levels(model.control_bounds, grid)
-    if not levels:
-        raise InfeasibleControlSetError(
-            f"no feasible grid point in control set lo={model.control_bounds.lo} "
-            f"hi={model.control_bounds.hi} with sum(u) <= 1"
-        )
-    denom = grid - 1
-    U = np.array(levels, dtype=float).T / denom  # m x K
-    K = U.shape[1]
-    effort = np.einsum("ik,ij,jk->k", U, weights.R, U)
-    X = np.repeat(xv[:, None], K, axis=1)
-    cost = np.zeros(K)
-    for _ in range(horizon):
-        D = X - weights.x_ref[:, None]
-        cost += np.einsum("ik,ij,jk->k", D, weights.Q, D) + effort
-        X = model.A @ X + model.B @ U
-    c_min = float(cost.min())
-    tie = cost <= c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min)
-    best = int(np.argmax(tie))  # first tied index == lexicographic smallest u
-    u_star = tuple(j / denom for j in levels[best])
-
-    backlog_end = X[: model.m, best]  # state after `horizon` steps under u*
-    order = sorted(range(model.m), key=lambda i: (-backlog_end[i], i))
-    decision = ControlDecision(u=u_star, priority_order=tuple(order), epoch_index=epoch_index)
-    if not model.control_bounds.contains(decision.u, tol=1e-12):
-        raise AssertionError(f"allocated shares violate the control set: {decision.u}")
-    return decision
+    """One decision of a freshly built MpcController; see MpcController."""
+    return MpcController(model, weights, horizon, grid).decide(x, epoch_index)
 
 
 @dataclass(frozen=True)
@@ -477,22 +442,93 @@ def load_model_csv(path) -> StateSpaceModel:
 
 
 class MpcController:
-    """Receding-horizon controller: re-solves allocate_control each epoch."""
+    """Receding-horizon controller over the feasible share grid, condensed.
+
+    With u held constant over the horizon H, the predicted state is
+    x_h = A^h x + G_h u with G_h = sum_{j<h} A^j B (G_0 = 0), and the
+    horizon cost sum_{h<H} (x_h - x_ref)' Q (x_h - x_ref) + u' R u is
+
+        cost(u) = c(x) + 2 u' g(x) + u' P u,
+
+    where e_h = A^h x - x_ref, c(x) = sum_h e_h' Q e_h,
+    g(x) = sum_h G_h' Q e_h and P = sum_h G_h' Q G_h + H R.
+
+    Everything that does not depend on x is built once here: the level
+    tuples of the feasible grid (u_i = level_i / (grid-1), lexicographic
+    order), U (m x K, one column per candidate), quad_k = u_k' P u_k, and
+    the stacked maps x -> (e_0 .. e_{H-1}) and x -> g. A decision is then a
+    few small products plus one m x K product.
+
+    Costs within COST_TIE_REL/COST_TIE_ABS of the minimum full cost count
+    as tied and the first tied candidate, the lexicographically smallest
+    share vector, wins. The priority order ranks classes by descending
+    predicted backlog (first m state components) after H plain steps
+    A x + B u* under the chosen shares, ties broken by class index.
+    """
 
     def __init__(self, model: StateSpaceModel, weights: CostWeights, horizon: int, grid: int):
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if grid < 2:
+            raise ValueError(f"grid must be >= 2, got {grid}")
         if weights.n != model.n or weights.m != model.m:
             raise ValueError("weights dimensions do not match model")
+        if model.n < model.m:
+            raise ValueError(f"the priority order needs m={model.m} backlog states, "
+                             f"the model has n={model.n}")
+        levels = _feasible_levels(model.control_bounds, grid)
+        if not levels:
+            raise InfeasibleControlSetError(
+                f"no feasible grid point in control set lo={model.control_bounds.lo} "
+                f"hi={model.control_bounds.hi} with sum(u) <= 1"
+            )
         self.model = model
         self.weights = weights
         self.horizon = horizon
         self.grid = grid
+        self._U = np.array(levels, dtype=float).T / (grid - 1)  # m x K
+
+        A, B, Q = model.A, model.B, weights.Q
+        powers = [np.eye(model.n)]  # A^h
+        gains = [np.zeros((model.n, model.m))]  # G_h
+        for _ in range(1, horizon):
+            gains.append(gains[-1] + powers[-1] @ B)
+            powers.append(A @ powers[-1])
+        P = horizon * weights.R
+        for G in gains:
+            P = P + G.T @ Q @ G
+        self._quad = np.einsum("ik,ij,jk->k", self._U, P, self._U)
+        self._E = np.vstack(powers)  # (H n) x n: x -> stacked A^h x
+        self._E_ref = np.tile(weights.x_ref, horizon)
+        self._GQ = np.hstack([G.T @ Q for G in gains])  # m x (H n): e -> g
 
     @property
     def m(self) -> int:
         return self.model.m
 
     def decide(self, x, epoch_index: int) -> ControlDecision:
-        return allocate_control(self.model, self.weights, x, self.horizon, self.grid, epoch_index)
+        model = self.model
+        xv = _as_vector(x, model.n, "x")
+        e = self._E @ xv - self._E_ref
+        eh = e.reshape(self.horizon, model.n)
+        c = float(np.einsum("hi,ij,hj->", eh, self.weights.Q, eh))
+        g = self._GQ @ e
+        cost = c + 2.0 * (g @ self._U) + self._quad
+        c_min = float(cost.min())
+        tie = cost <= c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min)
+        best = int(np.argmax(tie))  # first tied index == lexicographic smallest u
+        u = self._U[:, best]
+        u_star = tuple(u.tolist())
+
+        xh = xv
+        for _ in range(self.horizon):
+            xh = model.A @ xh + model.B @ u
+        backlog_end = xh[: model.m]
+        order = sorted(range(model.m), key=lambda i: (-backlog_end[i], i))
+        decision = ControlDecision(u=u_star, priority_order=tuple(order), epoch_index=epoch_index)
+        if not model.control_bounds.contains(decision.u, tol=1e-12):
+            raise AssertionError(f"allocated shares violate the control set: {decision.u}")
+        return decision
 
 
 class ExcitationController:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .metrics import quantile_nearest_rank
 from .netsim import FeedbackMode, LinkSimulator, LinkSpec
 from .traffic import AppKind, TrafficClassLabel, ZoneClass, canonical_class_order, classify
 
@@ -353,15 +354,6 @@ class ExperimentResult:
                                 "%.9g" % r.transfer_s, "%.9g" % r.queue_s])
 
 
-def _nearest_rank(sorted_vals, p: float) -> float:
-    import math as _math
-
-    if not sorted_vals:
-        return float("nan")
-    k = max(1, _math.ceil(p * len(sorted_vals)))
-    return sorted_vals[k - 1]
-
-
 def run_experiment(
     corpus: Corpus,
     authors,
@@ -431,8 +423,8 @@ def run_experiment(
         vals = sorted(r.latency_s for r in results)
         summary[proto.value] = {
             "mean": sum(vals) / len(vals) if vals else float("nan"),
-            "p50": _nearest_rank(vals, 0.50),
-            "p95": _nearest_rank(vals, 0.95),
+            "p50": quantile_nearest_rank(vals, 0.50),
+            "p95": quantile_nearest_rank(vals, 0.95),
         }
     return ExperimentResult(scenario_id=scenario_id, rows=rows, summary=summary,
                             sim_metrics=metrics)

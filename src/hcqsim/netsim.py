@@ -163,11 +163,25 @@ class SimMetrics:
         return self.dropped_bytes() / arrived if arrived else 0.0
 
     def assert_conservation(self) -> None:
-        for label, c in self.totals.items():
+        """Per class: arrived == delivered + dropped + queued, and the epoch
+        rows' arrived/delivered/dropped sum to the totals."""
+        k = len(self.classes)
+        for i, label in enumerate(self.classes):
+            c = self.totals[label]
             if not c.conserved():
                 raise SimulationError(
                     f"byte conservation violated for {label}: arrived={c.arrived} "
                     f"delivered={c.delivered} dropped={c.dropped} queued={c.queued}"
+                )
+            rows = self.epochs[i::k]  # each epoch appends one row per class, in class order
+            arrived = sum(r.arrived for r in rows)
+            delivered = sum(r.delivered for r in rows)
+            dropped = sum(r.dropped for r in rows)
+            if (arrived, delivered, dropped) != (c.arrived, c.delivered, c.dropped):
+                raise SimulationError(
+                    f"epoch rows disagree with the totals for {label}: rows sum to "
+                    f"arrived={arrived} delivered={delivered} dropped={dropped}, totals are "
+                    f"arrived={c.arrived} delivered={c.delivered} dropped={c.dropped}"
                 )
 
     def write_epochs_csv(self, path) -> None:
@@ -524,7 +538,7 @@ class LinkSimulator:
 
     # -- run loops ----------------------------------------------------------
 
-    def _pop_loop(self, until: Optional[float], n_epochs: Optional[int], max_epochs: int) -> None:
+    def _pop_loop(self, n_epochs: Optional[int], max_epochs: int) -> None:
         eps = self.link.epoch_s
         if n_epochs is not None:
             for e in range(n_epochs + 1):
@@ -532,10 +546,7 @@ class LinkSimulator:
         else:
             self._push(0.0, EventKind.EPOCH_BOUNDARY, 0)
         while self._heap:
-            time, kind, _, payload = self._heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._heap)
+            time, kind, _, payload = heapq.heappop(self._heap)
             if kind in (int(EventKind.FLOW_ARRIVAL), int(EventKind.QUERY_STEP)):
                 self._pending_external -= 1
             self.now = time
@@ -547,8 +558,9 @@ class LinkSimulator:
                 if e > 0:
                     self._finalize_epoch(e - 1)
                 if n_epochs is not None:
-                    if e < n_epochs:
-                        self._begin_epoch(time, e)
+                    if e == n_epochs:
+                        break  # the horizon: later events belong to no epoch
+                    self._begin_epoch(time, e)
                 else:
                     if self._active():
                         self._begin_epoch(time, e)
@@ -564,16 +576,20 @@ class LinkSimulator:
                 self._replan(time)
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
-        """Run exactly n_epochs control epochs, then stop."""
+        """Run exactly n_epochs control epochs, then stop.
+
+        Arrivals at or after the horizon n_epochs * epoch_s are not offered,
+        as generate_trace emits none.
+        """
         if n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
-        self._pop_loop(until=n_epochs * self.link.epoch_s, n_epochs=n_epochs, max_epochs=n_epochs)
+        self._pop_loop(n_epochs=n_epochs, max_epochs=n_epochs)
         self.metrics.assert_conservation()
         return self.metrics
 
     def run_until_idle(self, max_epochs: int = 1_000_000) -> SimMetrics:
         """Run epoch by epoch until no backlog or pending events remain."""
-        self._pop_loop(until=None, n_epochs=None, max_epochs=max_epochs)
+        self._pop_loop(n_epochs=None, max_epochs=max_epochs)
         self.metrics.assert_conservation()
         return self.metrics
 

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v` (each test prints a
 [PASS]/[FAIL] line and its runtime).
 """
 
+import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -286,6 +288,37 @@ def test_criterion_6_determinism(tmp_path, s1_outcome, s2_outcome):
     elapsed = time.perf_counter() - t0
     _report("determinism (same-seed reruns byte-identical)", not mismatched,
             f"mismatched: {mismatched or 'none'}", elapsed)
+
+
+GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden_digests.json")
+
+
+def run_digests(s1_outcome, s2_outcome, out_dir) -> dict:
+    """SHA-256 of every file in the canned scenarios' run directories."""
+    s2 = s2_outcome[0].result
+    runs = (("s1-histogram", s1_outcome[0].result), ("s2-congested", s2.congested),
+            ("s2-idle", s2.idle))
+    return {
+        name: {rel: hashlib.sha256(blob).hexdigest()
+               for rel, blob in sorted(_run_files(result, out_dir / name).items())}
+        for name, result in runs
+    }
+
+
+def test_golden_digests(tmp_path, s1_outcome, s2_outcome):
+    t0 = time.perf_counter()
+    with open(GOLDEN_DIGESTS) as fh:
+        want = json.load(fh)
+    got = run_digests(s1_outcome, s2_outcome, tmp_path)
+    differing = sorted(
+        f"{name}/{rel}"
+        for name in set(want) | set(got)
+        for rel in set(want.get(name, {})) | set(got.get(name, {}))
+        if want.get(name, {}).get(rel) != got.get(name, {}).get(rel)
+    )
+    elapsed = time.perf_counter() - t0
+    _report("golden run-directory digests", not differing,
+            f"differing files: {differing or 'none'}", elapsed)
 
 
 def test_criterion_7_stability_oracle():

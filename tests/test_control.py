@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcqsim.control import (
     COST_TIE_ABS,
@@ -14,6 +15,7 @@ from hcqsim.control import (
     ExcitationController,
     IdentifiabilityError,
     InfeasibleControlSetError,
+    MpcController,
     StateSpaceModel,
     allocate_control,
     check_stability,
@@ -57,9 +59,9 @@ def cost_term_by_term(Q, R, x_ref, trajectory, horizon):
     return total
 
 
-def brute_force_allocate(model, weights, x, horizon, grid):
-    """Exhaustive plain-python enumeration over the share grid; same
-    documented tie-break (tolerance band, lexicographic smallest)."""
+def brute_force_costs(model, weights, x, horizon, grid):
+    """Exhaustive plain-python enumeration over the share grid: every
+    feasible (levels, u, horizon cost) in lexicographic level order."""
     m = model.m
     denom = grid - 1
     A = model.A.tolist()
@@ -87,6 +89,13 @@ def brute_force_allocate(model, weights, x, horizon, grid):
                     total += u[i] * R[i][j] * u[j]
             xs = naive_matmul_step(A, B, xs, u)
         candidates.append((levels, u, total))
+    return candidates
+
+
+def brute_force_allocate(model, weights, x, horizon, grid):
+    """The brute-force argmin with the documented tie-break (tolerance band,
+    lexicographic smallest)."""
+    candidates = brute_force_costs(model, weights, x, horizon, grid)
     if not candidates:
         raise ValueError("infeasible")
     c_min = min(c[2] for c in candidates)
@@ -349,6 +358,122 @@ class TestAllocateControl:
             allocate_control(model, w, np.zeros(2), horizon=0, grid=11)
         with pytest.raises(ValueError):
             allocate_control(model, w, np.zeros(2), horizon=1, grid=1)
+        # fewer states than shares: no backlog state for the priority order
+        narrow = StateSpaceModel(np.eye(1), np.ones((1, 2)))
+        w1 = CostWeights(Q=np.eye(1), R=np.eye(2), x_ref=np.zeros(1))
+        with pytest.raises(ValueError, match="backlog states"):
+            MpcController(narrow, w1, horizon=1, grid=3)
+
+
+# ------------------------------------------------- condensed controller
+
+# The brute force sums in another order than the controller; a candidate
+# this close (relative to the minimum) to the edge of the tie band may fall
+# on either side of it.
+REASSOCIATION_SLACK = 1e-12
+
+
+def assert_in_oracle_band(decision, model, weights, x, horizon, grid):
+    """The chosen u lies in the brute-force tie band widened by the slack,
+    and no lexicographically smaller candidate lies in the band narrowed by
+    it; the priority order sorts the oracle's horizon-end backlog."""
+    candidates = brute_force_costs(model, weights, x, horizon, grid)
+    c_min = min(c[2] for c in candidates)
+    band = COST_TIE_ABS + COST_TIE_REL * abs(c_min)
+    slack = REASSOCIATION_SLACK * max(1.0, abs(c_min))
+    k = [tuple(c[1]) for c in candidates].index(decision.u)
+    assert candidates[k][2] <= c_min + band + slack
+    earlier = [c[0] for c in candidates[:k] if c[2] <= c_min + band - slack]
+    assert not earlier, f"{earlier[0]} ties the minimum and precedes {candidates[k][0]}"
+    xs = list(x)
+    for _ in range(horizon):
+        xs = naive_matmul_step(model.A.tolist(), model.B.tolist(), xs, decision.u)
+    backlog = xs[: model.m]
+    scale = 1e-9 * max(1.0, max(abs(v) for v in backlog))
+    for a, b in zip(decision.priority_order, decision.priority_order[1:]):
+        assert backlog[a] >= backlog[b] - scale
+
+
+QUARTERS = st.integers(-4, 4).map(lambda v: v / 4)
+
+
+def quarter_matrix(rows, cols):
+    return st.lists(QUARTERS, min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.array(v, dtype=float).reshape(rows, cols))
+
+
+@st.composite
+def controller_cases(draw):
+    """Small models with box-bounded shares (lo > 0), weighted toward ties:
+    quarter-integer entries, B = 0, identical classes whose shares compete
+    for the whole link, zero backlog, and share effects so small that some
+    or all candidates fall inside the tie band."""
+    m = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 4))
+    grid = draw(st.integers(3, 11))
+    kind = draw(st.sampled_from(["generic", "zero_b", "identical", "near_tie"]))
+    if kind == "identical":
+        # Every class wants full utilization; when m does not divide the
+        # level total the best splits are permutations of one another.
+        n = 2 * m
+        a, b1 = draw(QUARTERS), draw(QUARTERS)
+        b2, q = (draw(st.integers(1, 4)) / 4 for _ in range(2))
+        A = a * np.eye(n)
+        B = np.zeros((n, m))
+        for i in range(m):
+            B[i, i], B[m + i, i] = b1, b2
+        Q = q * np.eye(n)
+        R = draw(st.integers(1, 4)) / 64 * np.eye(m)
+        x_ref = np.repeat([0.0, 1.0], m)
+        x = np.repeat([abs(draw(QUARTERS)), abs(draw(QUARTERS))], m)
+        lo = (draw(st.integers(1, 10)) / 100,) * m
+        hi = (max(lo[0], draw(st.integers(50, 100)) / 100),) * m
+    else:
+        n = draw(st.integers(m, 4))  # the first m states are backlogs
+        A = draw(quarter_matrix(n, n)) / n
+        B = np.zeros((n, m)) if kind == "zero_b" else draw(quarter_matrix(n, m))
+        Mq = draw(quarter_matrix(n, n))
+        Mr = draw(quarter_matrix(m, m))
+        Q = Mq.T @ Mq
+        R = (Mr.T @ Mr + 0.25 * np.eye(m)) / 16
+        x_ref = draw(quarter_matrix(1, n))[0]
+        x = draw(quarter_matrix(1, n))[0]
+        if kind == "near_tie":
+            # shares move the cost by ~1e-11..1e-8 of c(x), around the
+            # relative tie band
+            scale = 10.0 ** -draw(st.integers(6, 9))
+            B, R, x = scale * B, scale * R, 4 * x + 1
+        lo = tuple(draw(st.integers(1, 10)) / 100 for _ in range(m))
+        hi = tuple(max(v, draw(st.integers(25, 100)) / 100) for v in lo)
+    if draw(st.booleans()):
+        x[:m] = 0.0  # zero backlog
+    model = StateSpaceModel(A, B, control_bounds=ControlBounds(lo, hi))
+    return model, CostWeights(Q=Q, R=R, x_ref=x_ref), x, horizon, grid
+
+
+class TestCondensedController:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(controller_cases())
+    def test_matches_brute_force_band(self, case):
+        model, weights, x, horizon, grid = case
+        if not brute_force_costs(model, weights, x, horizon, grid):
+            with pytest.raises(InfeasibleControlSetError):
+                MpcController(model, weights, horizon, grid)
+            return
+        decision = MpcController(model, weights, horizon, grid).decide(x, 0)
+        assert_in_oracle_band(decision, model, weights, x, horizon, grid)
+
+    def test_nine_classes_grid_5(self):
+        rng = np.random.default_rng(1402)
+        n, m, horizon, grid = 18, 9, 3, 5
+        model = random_stable_model(rng, n, m)
+        weights = random_weights(rng, n, m)
+        controller = MpcController(model, weights, horizon, grid)
+        states = [rng.uniform(0.0, 1.0, n), np.zeros(n),
+                  np.concatenate([np.zeros(m), rng.uniform(0.0, 1.0, m)])]
+        for x in states:
+            decision = controller.decide(x, 0)
+            assert_in_oracle_band(decision, model, weights, x, horizon, grid)
 
 
 # ---------------------------------------------------------------- stability

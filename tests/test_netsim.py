@@ -376,6 +376,25 @@ class TestEventOrdering:
         assert arrived[0] == 0
         assert arrived[1] == 1000
 
+    def test_arrival_at_horizon_not_offered(self):
+        # The run covers [0, n_epochs * epoch_s); a flow at exactly the
+        # horizon belongs to no epoch, so it is not counted anywhere.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
+        flows = [make_flow(0, 0.5, 100), make_flow(1, 2.0, 300)]
+        m = run_simulation(flows, link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=2)
+        assert m.arrived_bytes() == 100
+        assert sum(r.arrived for r in m.epochs) == 100
+        assert m.flows_offered == 1
+        m.assert_conservation()
+
+    def test_conservation_checks_epoch_rows(self):
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
+        m = run_simulation([make_flow(0, 0.5, 100)], link, FeedbackMode.OPEN,
+                           classes=[A_WEB], n_epochs=2)
+        m.epochs[0].arrived += 1
+        with pytest.raises(SimulationError, match="epoch rows disagree"):
+            m.assert_conservation()
+
     def test_debug_event_log(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN, debug=True)
