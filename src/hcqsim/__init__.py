@@ -31,14 +31,12 @@ from .hybriddb import (
     QueryPlan,
     QueryResult,
     build_corpus,
-    execute_query,
     plan_query,
     run_experiment,
 )
 from .metrics import (
     ComparisonReport,
     Histogram,
-    LoadSample,
     build_histogram,
     compare_modes,
     export_report,
@@ -48,7 +46,6 @@ from .netsim import (
     LinkSimulator,
     LinkSpec,
     SimMetrics,
-    feedback_overhead,
     observe_state,
     run_simulation,
 )

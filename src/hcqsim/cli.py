@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from .config import ConfigError, load_config
 from .control import identify_model, save_model_csv
 from .metrics import fmt
 from .runner import run_scenario, write_outputs
-from .scenarios import SCENARIOS
+from .scenarios import SCENARIOS, S2Runs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -135,17 +136,12 @@ def _cmd_scenario(args) -> int:
     for line in outcome.lines():
         print(line)
     if args.out is not None:
-        from .runner import write_outputs as _wo
-
-        results = []
-        if hasattr(outcome.result, "congested"):
+        if isinstance(outcome.result, S2Runs):
             results = [("congested", outcome.result.congested), ("idle", outcome.result.idle)]
         else:
             results = [("", outcome.result)]
-        import os
-
         for sub, res in results:
-            _wo(res, os.path.join(args.out, sub) if sub else args.out)
+            write_outputs(res, os.path.join(args.out, sub))
         print(f"outputs written under {args.out}")
     print(f"{args.name}: {'PASS' if outcome.passed else 'FAIL'}")
     return EXIT_OK if outcome.passed else EXIT_RUNTIME

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .control import ControlBounds, CostWeights, StateSpaceModel
-from .hybriddb import FULL_CORPUS_BYTES, BackendLatency, CorpusSpec
+from .hybriddb import BackendLatency, CorpusSpec, body_bytes_target
 from .netsim import CONTROL_LABEL, LinkSpec
 from .traffic import (
     AppKind,
@@ -146,7 +146,6 @@ class HybridDbConfig:
     query_seed: int
     query_start_s: float
     parallel_fetch: bool
-    scale: float
 
 
 @dataclass
@@ -186,11 +185,13 @@ class ScenarioConfig:
                 raise ConfigError("hybrid_db", "--scale given but config has no hybrid_db section")
             if scale <= 0:
                 raise ConfigError("hybrid_db.scale", f"must be > 0, got {scale}")
-            spec = replace(
-                cfg.hybrid_db.corpus_spec,
-                total_body_bytes_target=max(1, round(FULL_CORPUS_BYTES * scale)),
-            )
-            cfg = replace(cfg, hybrid_db=replace(cfg.hybrid_db, corpus_spec=spec, scale=scale))
+            spec = cfg.hybrid_db.corpus_spec
+            if spec.article_count is not None:
+                raise ConfigError("hybrid_db.article_count",
+                                  f"--scale {scale} cannot resize a corpus with an explicit "
+                                  f"article_count ({spec.article_count})")
+            spec = replace(spec, total_body_bytes_target=body_bytes_target(scale))
+            cfg = replace(cfg, hybrid_db=replace(cfg.hybrid_db, corpus_spec=spec))
         return cfg
 
 
@@ -357,7 +358,7 @@ def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
         raise ConfigError(f"{node.path}.backends", str(exc)) from None
     try:
         spec = CorpusSpec(
-            total_body_bytes_target=max(1, round(FULL_CORPUS_BYTES * scale)),
+            total_body_bytes_target=body_bytes_target(scale),
             metadata_bytes_per_article=meta_bytes,
             seed=corpus_seed,
             article_count=article_count,
@@ -371,7 +372,6 @@ def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
         query_seed=query_seed,
         query_start_s=query_start,
         parallel_fetch=parallel,
-        scale=scale,
     )
 
 
@@ -442,11 +442,3 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(str(path), f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                                      f"{exc.msg}") from None
     return parse_config(data, source=str(path))
-
-
-def model_to_config(model: StateSpaceModel) -> dict:
-    return {"A": model.A.tolist(), "B": model.B.tolist()}
-
-
-def weights_to_config(weights: CostWeights) -> dict:
-    return {"Q": weights.Q.tolist(), "R": weights.R.tolist(), "x_ref": weights.x_ref.tolist()}

@@ -70,6 +70,14 @@ class ArticleRecord:
             raise ValueError("duplicate coauthors")
 
 
+def body_bytes_target(scale: float) -> int:
+    """The body-bytes target of a corpus at `scale` times the full corpus,
+    never below one article's minimum body."""
+    if scale <= 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
+    return max(MIN_BODY_BYTES, round(FULL_CORPUS_BYTES * scale))
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Corpus sizing: give article_count explicitly or let it derive from
@@ -91,10 +99,8 @@ class CorpusSpec:
     @staticmethod
     def desk_scale(scale: float = DEFAULT_DESK_SCALE, seed: int = 0,
                    metadata_bytes_per_article: int = DEFAULT_METADATA_BYTES) -> "CorpusSpec":
-        if scale <= 0:
-            raise ValueError("scale must be > 0")
         return CorpusSpec(
-            total_body_bytes_target=max(MIN_BODY_BYTES, round(FULL_CORPUS_BYTES * scale)),
+            total_body_bytes_target=body_bytes_target(scale),
             metadata_bytes_per_article=metadata_bytes_per_article,
             seed=seed,
         )
@@ -314,27 +320,6 @@ class HybridQueryDriver:
             self.sim.schedule_at(t, lambda sim, tt, qi=nxt: self._submit(qi, tt))
 
 
-def execute_query(plan: QueryPlan, corpus: Corpus, backends: BackendLatency,
-                  sim: Optional[LinkSimulator] = None,
-                  label: TrafficClassLabel = QUERY_LABEL,
-                  start_time: float = 0.0) -> QueryResult:
-    """Execute one query. Local queries are closed-form; hybrid queries need
-    the link simulation they will run inside (the sim is run to idle)."""
-    if plan.protocol is Protocol.LOCAL_4STEP:
-        return execute_local(plan, corpus, backends)
-    if sim is None:
-        raise ValueError("hybrid queries need a link simulator")
-    driver = HybridQueryDriver(sim, corpus, backends, [plan], label=label)
-    driver.start(start_time)
-    sim.run_until_idle()
-    if len(driver.results) != 1:
-        raise ExperimentError(
-            f"query {plan.query_id} did not complete; dropped fetch bytes? "
-            f"failed flows: {sim.metrics.failed_flow_ids}"
-        )
-    return driver.results[0]
-
-
 @dataclass
 class ExperimentResult:
     scenario_id: str
@@ -370,15 +355,20 @@ def run_experiment(
     """Run every author query under both protocols and pair the results.
 
     The hybrid side shares one open-mode simulation with the background
-    trace; fetch bytes are reconciled against the link's per-class delivered
-    counters and any dropped fetch byte is an error (size the class queue
-    above the largest article).
+    trace, which must not use the query class; this is checked before
+    anything is simulated. Fetch bytes are reconciled against the link's
+    per-class delivered counters and any dropped fetch byte is an error
+    (size the queue above the largest article).
     """
     plans_local = [plan_query(corpus, i, a, Protocol.LOCAL_4STEP) for i, a in enumerate(authors)]
     plans_hybrid = [plan_query(corpus, i, a, Protocol.HYBRID_5STEP) for i, a in enumerate(authors)]
     local_results = [execute_local(p, corpus, backends) for p in plans_local]
 
-    classes = set(classify(f) for f in background)
+    classes = {classify(f) for f in background}
+    if label in classes:
+        raise ExperimentError(
+            f"background traffic uses the query class {label}; reserve it for fetches"
+        )
     classes.add(label)
     sim = LinkSimulator(link, canonical_class_order(classes), FeedbackMode.OPEN,
                         scenario_id=scenario_id, seed=seed)
@@ -393,12 +383,6 @@ def run_experiment(
             f"failed flow ids: {metrics.failed_flow_ids}"
         )
     hybrid_results = sorted(driver.results, key=lambda r: r.query_id)
-
-    background_bytes = sum(f.size for f in background if classify(f) == label)
-    if background_bytes:
-        raise ExperimentError(
-            f"background traffic uses the query class {label}; reserve it for fetches"
-        )
     fetch_bytes = sum(
         corpus.article(i).body_size for p in plans_hybrid for i in p.article_ids
     )

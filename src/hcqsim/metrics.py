@@ -27,17 +27,6 @@ def fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class LoadSample:
-    epoch: int
-    utilization: float
-
-
-def load_samples(metrics) -> list[LoadSample]:
-    """Per-epoch link-utilization samples of one run."""
-    return [LoadSample(i, u) for i, u in enumerate(metrics.link_utilization)]
-
-
-@dataclass(frozen=True)
 class Histogram:
     edges: tuple[float, ...]
     counts: tuple[int, ...]

@@ -1,11 +1,15 @@
 """Event-driven fluid simulation of one bottleneck link.
 
-The link serves flows byte-by-byte at its full rate, one flow at a time.
-In closed mode each traffic class has its own drop-tail queue and a
-controller re-issues bandwidth shares and a strict priority order at every
-epoch boundary; a class may move at most share * capacity * epoch bytes per
-epoch. In open mode all flows share a single drop-tail FIFO with no shares
-or priorities.
+The link serves flows byte-by-byte at its full rate, one flow at a time,
+under a single discipline: a list of drop-tail queues served in strict
+priority order, each queue at most its byte budget per epoch. In closed
+mode each traffic class has its own queue, and at every epoch boundary a
+controller sets the budgets (share * capacity * epoch bytes) and the
+priority order anew. Open mode is the same rule with one FIFO that every
+class shares and an unlimited budget.
+
+Classes are addressed by their index in the canonical class order; a
+label is turned into its index once, when its flow is offered.
 
 All byte counters are integers, so the conservation identity
 arrived == delivered + dropped + queued holds exactly per class. Service
@@ -22,14 +26,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .control import ControlBounds, ControlDecision, MpcController
 from .traffic import (
     AppKind,
-    FlowEvent,
     TrafficClassLabel,
     ZoneClass,
     canonical_class_order,
@@ -204,53 +207,46 @@ class SimMetrics:
                 )
 
 
-def observe_state(q, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
+def observe_state(counters, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
     """State vector: per-class backlog fractions, then per-class utilization
-    of the just-ended epoch. Iteration order is the mapping's (canonical)
-    key order."""
+    of the just-ended epoch. Both sequences are in class-index order."""
     per_epoch = link.bytes_per_epoch
-    backlog = [q[label].queued / link.queue_capacity_bytes for label in q]
-    util = [last_epoch_delivered[label] / per_epoch for label in q]
+    backlog = [c.queued / link.queue_capacity_bytes for c in counters]
+    util = [d / per_epoch for d in last_epoch_delivered]
     return np.array(backlog + util)
 
 
-def feedback_overhead(mode: FeedbackMode, message_bytes: int, epochs: int) -> int:
-    """Control-plane bytes injected over `epochs` epochs; open mode has no
-    control traffic."""
-    if mode is FeedbackMode.OPEN:
-        return 0
-    return message_bytes * epochs
-
-
 class _QueuedFlow:
-    __slots__ = ("flow_id", "label", "remaining", "accepted", "arrival", "control", "callback")
+    __slots__ = ("flow_id", "cls", "remaining", "arrival", "control", "callback")
 
-    def __init__(self, flow_id, label, accepted, arrival, control, callback):
+    def __init__(self, flow_id, cls, remaining, arrival, control, callback):
         self.flow_id = flow_id
-        self.label = label
-        self.remaining = accepted
-        self.accepted = accepted
+        self.cls = cls
+        self.remaining = remaining
         self.arrival = arrival
         self.control = control
         self.callback = callback
 
 
 class _ServicePlan:
-    __slots__ = ("start", "end", "label", "flow", "limit")
+    __slots__ = ("start", "end", "queue", "flow", "limit")
 
-    def __init__(self, start, end, label, flow, limit):
+    def __init__(self, start, end, queue, flow, limit):
         self.start = start
         self.end = end
-        self.label = label
+        self.queue = queue
         self.flow = flow
         self.limit = limit
 
 
-_OPEN_QUEUE = "fifo"
-
-
 class LinkSimulator:
-    """Deterministic single-link simulator; see module docstring."""
+    """Deterministic single-link simulator; see module docstring.
+
+    One service rule for every mode: drop-tail queues in priority order,
+    each within its byte budget. Closed mode has a queue per class with
+    controller-set budgets; open mode is one FIFO with an unlimited budget.
+    `counters` lists each class's ClassCounters in class-index order.
+    """
 
     def __init__(
         self,
@@ -291,22 +287,27 @@ class LinkSimulator:
         self._pending_external = 0
         self._plan: Optional[_ServicePlan] = None
 
-        self.counters = {label: ClassCounters() for label in self.classes}
-        self._queues = (
-            {_OPEN_QUEUE: deque()}
-            if mode is FeedbackMode.OPEN
-            else {label: deque() for label in self.classes}
-        )
-        self._queued_bytes = {key: 0 for key in self._queues}
-        self._budget = {label: 0 for label in self.classes}
-        self._priority = list(self.classes)
-        self._rank = {label: i for i, label in enumerate(self.classes)}
+        k = len(self.classes)
+        self._index = {label: i for i, label in enumerate(self.classes)}
+        self.counters = [ClassCounters() for _ in range(k)]
+        if mode is FeedbackMode.CLOSED:
+            self._queue_of = list(range(k))
+            self._budget = [0] * k
+        else:
+            self._queue_of = [0] * k
+            self._budget = [math.inf]
+        n_queues = len(self._budget)
+        self._queues = [deque() for _ in range(n_queues)]
+        self._queued_bytes = [0] * n_queues
+        self._priority = list(range(n_queues))
+        self._rank = list(range(n_queues))
         self._shares: Optional[tuple] = None
 
-        self._epoch_arrived = {label: 0 for label in self.classes}
-        self._epoch_delivered = {label: 0 for label in self.classes}
-        self._epoch_dropped = {label: 0 for label in self.classes}
-        self._last_epoch_delivered = {label: 0 for label in self.classes}
+        self._epoch_arrived = [0] * k
+        self._epoch_delivered = [0] * k
+        self._epoch_dropped = [0] * k
+        self._last_epoch_delivered = [0] * k
+        self._latencies = [[] for _ in range(k)]
 
         self._inject_id = -1
 
@@ -316,8 +317,8 @@ class LinkSimulator:
             seed=seed,
             link=link,
             classes=self.classes,
-            totals=self.counters,
-            latencies_s={label: [] for label in self.classes},
+            totals=dict(zip(self.classes, self.counters)),
+            latencies_s=dict(zip(self.classes, self._latencies)),
         )
 
     # -- event plumbing ----------------------------------------------------
@@ -330,21 +331,24 @@ class LinkSimulator:
 
     def add_flows(self, flows) -> None:
         """Schedule trace flows; each is classified on entry."""
+        index = self._index
         for f in flows:
             label = classify(f)
-            if label not in self.counters:
+            i = index.get(label)
+            if i is None:
                 raise ValueError(f"flow {f.id} has class {label} not configured for this run")
-            self._push(f.arrival_time, EventKind.FLOW_ARRIVAL, (label, f.size, False, None, f.id))
+            self._push(f.arrival_time, EventKind.FLOW_ARRIVAL, (i, f.size, False, None, f.id))
 
     def inject_flow(self, time, size, label, control=False, callback=None) -> int:
         """Dynamically offer a flow (control messages, query fetches)."""
-        if label not in self.counters:
+        i = self._index.get(label)
+        if i is None:
             raise ValueError(f"injected flow class {label} not configured for this run")
         if size < 1:
             raise ValueError("injected flow size must be >= 1")
         fid = self._inject_id
         self._inject_id -= 1
-        self._push(time, EventKind.FLOW_ARRIVAL, (label, int(size), control, callback, fid))
+        self._push(time, EventKind.FLOW_ARRIVAL, (i, int(size), control, callback, fid))
         return fid
 
     def schedule_at(self, time, fn) -> None:
@@ -352,51 +356,37 @@ class LinkSimulator:
 
     # -- fluid service -----------------------------------------------------
 
-    def _queue_key(self, label):
-        return _OPEN_QUEUE if self.mode is FeedbackMode.OPEN else label
-
     def _replan(self, now: float) -> None:
         self._plan = None
-        pick = None
-        if self.mode is FeedbackMode.OPEN:
-            q = self._queues[_OPEN_QUEUE]
-            if q:
-                flow = q[0]
-                pick = (flow.label, flow, flow.remaining)
-        else:
-            for label in self._priority:
-                if self._queued_bytes[label] > 0 and self._budget[label] > 0:
-                    flow = self._queues[label][0]
-                    pick = (label, flow, min(flow.remaining, self._budget[label]))
-                    break
-        if pick is None:
-            return
-        label, flow, limit = pick
-        end = now + limit / self.link.byte_rate
-        self._plan = _ServicePlan(now, end, label, flow, limit)
-        self._push(end, EventKind.SERVICE_COMPLETION, None)
+        for q in self._priority:
+            if self._queued_bytes[q] > 0 and self._budget[q] > 0:
+                flow = self._queues[q][0]
+                limit = min(flow.remaining, self._budget[q])
+                end = now + limit / self.link.byte_rate
+                self._plan = _ServicePlan(now, end, q, flow, limit)
+                self._push(end, EventKind.SERVICE_COMPLETION, None)
+                return
 
-    def _serve(self, label, flow, nbytes: int, when: float) -> None:
-        key = self._queue_key(label)
+    def _serve(self, q: int, flow, nbytes: int, when: float) -> None:
         flow.remaining -= nbytes
-        self._queued_bytes[key] -= nbytes
-        c = self.counters[flow.label]
+        self._queued_bytes[q] -= nbytes
+        self._budget[q] -= nbytes
+        i = flow.cls
+        c = self.counters[i]
         c.delivered += nbytes
         c.queued -= nbytes
         if flow.control:
             c.control_delivered += nbytes
-        self._epoch_delivered[flow.label] += nbytes
-        if self.mode is FeedbackMode.CLOSED:
-            self._budget[label] -= nbytes
+        self._epoch_delivered[i] += nbytes
         if self.debug:
-            self.event_log.append((when, "serve", str(flow.label), flow.flow_id, nbytes))
+            self.event_log.append((when, "serve", str(self.classes[i]), flow.flow_id, nbytes))
             self._assert_conserved()
         if flow.remaining == 0:
-            q = self._queues[key]
-            assert q[0] is flow
-            q.popleft()
+            queue = self._queues[q]
+            assert queue[0] is flow
+            queue.popleft()
             delivery = when + self.link.propagation_delay_s
-            self.metrics.latencies_s[flow.label].append(delivery - flow.arrival)
+            self._latencies[i].append(delivery - flow.arrival)
             self.metrics.flows_completed += 1
             if flow.callback is not None:
                 flow.callback(self, delivery)
@@ -411,7 +401,7 @@ class LinkSimulator:
         """
         while self._plan is not None and self._plan.end <= t:
             plan = self._plan
-            self._serve(plan.label, plan.flow, plan.limit, plan.end)
+            self._serve(plan.queue, plan.flow, plan.limit, plan.end)
             self._replan(plan.end)
         plan = self._plan
         if plan is not None and t > plan.start:
@@ -419,47 +409,41 @@ class LinkSimulator:
             # is always transferred by the completion branch above.
             nbytes = min(plan.limit - 1, int(self.link.byte_rate * (t - plan.start)))
             if nbytes > 0:
-                self._serve(plan.label, plan.flow, nbytes, t)
+                self._serve(plan.queue, plan.flow, nbytes, t)
                 plan.limit -= nbytes
                 plan.start += nbytes / self.link.byte_rate
 
     # -- event handlers ----------------------------------------------------
 
     def _handle_arrival(self, t: float, payload) -> None:
-        label, size, control, callback, fid = payload
-        key = self._queue_key(label)
-        cap = self.link.queue_capacity_bytes
-        free = cap - self._queued_bytes[key]
+        i, size, control, callback, fid = payload
+        q = self._queue_of[i]
+        free = self.link.queue_capacity_bytes - self._queued_bytes[q]
         accepted = min(size, free)
         dropped = size - accepted
-        c = self.counters[label]
+        c = self.counters[i]
         c.arrived += size
         if control:
             c.control_arrived += size
             self.metrics.control_bytes_injected += size
-        self._epoch_arrived[label] += size
+        self._epoch_arrived[i] += size
         self.metrics.flows_offered += 1
         self.metrics.max_flow_size = max(self.metrics.max_flow_size, size)
         if dropped:
             c.dropped += dropped
-            self._epoch_dropped[label] += dropped
+            self._epoch_dropped[i] += dropped
             if self.debug:
-                self.event_log.append((t, "drop", str(label), fid, dropped))
+                self.event_log.append((t, "drop", str(self.classes[i]), fid, dropped))
         if accepted > 0:
-            flow = _QueuedFlow(fid, label, accepted, t, control, callback)
-            self._queues[key].append(flow)
-            self._queued_bytes[key] += accepted
+            self._queues[q].append(_QueuedFlow(fid, i, accepted, t, control, callback))
+            self._queued_bytes[q] += accepted
             c.queued += accepted
             if self.debug:
-                self.event_log.append((t, "arrival", str(label), fid, accepted))
+                self.event_log.append((t, "arrival", str(self.classes[i]), fid, accepted))
             plan = self._plan
             if plan is None:
                 self._replan(t)
-            elif (
-                self.mode is FeedbackMode.CLOSED
-                and self._budget[label] > 0
-                and self._rank[label] < self._rank[plan.label]
-            ):
+            elif self._budget[q] > 0 and self._rank[q] < self._rank[plan.queue]:
                 # Serviceable higher-priority work preempts; the cut
                 # segment's sub-byte progress is dropped.
                 self._replan(t)
@@ -469,7 +453,10 @@ class LinkSimulator:
             self._assert_conserved()
 
     def apply_decision(self, decision: ControlDecision) -> None:
-        """Install shares and priority order for the upcoming epoch."""
+        """Install shares and priority order for the upcoming epoch; closed
+        mode's queue index is the class index."""
+        if self.mode is not FeedbackMode.CLOSED:
+            raise SimulationError("open mode takes no control decisions")
         k = len(self.classes)
         if len(decision.u) != k:
             raise SimulationError(f"decision has {len(decision.u)} shares for {k} classes")
@@ -478,44 +465,43 @@ class LinkSimulator:
         if sorted(decision.priority_order) != list(range(k)):
             raise SimulationError(f"invalid priority order: {decision.priority_order}")
         per_epoch = self.link.bytes_per_epoch
-        for i, label in enumerate(self.classes):
-            # 1e-6-byte nudge absorbs float representation error in u_i.
-            self._budget[label] = int(decision.u[i] * per_epoch + 1e-6)
-        self._priority = [self.classes[i] for i in decision.priority_order]
-        self._rank = {label: pos for pos, label in enumerate(self._priority)}
+        # 1e-6-byte nudge absorbs float representation error in u_i.
+        self._budget = [int(u * per_epoch + 1e-6) for u in decision.u]
+        self._priority = list(decision.priority_order)
+        for pos, q in enumerate(self._priority):
+            self._rank[q] = pos
         self._shares = tuple(decision.u)
 
     def _finalize_epoch(self, index: int) -> None:
         per_epoch = self.link.bytes_per_epoch
-        rank_of = {label: pos for pos, label in enumerate(self._priority)}
         total_delivered = 0
         for i, label in enumerate(self.classes):
-            delivered = self._epoch_delivered[label]
+            delivered = self._epoch_delivered[i]
             total_delivered += delivered
             share = None
             rank = None
-            if self.mode is FeedbackMode.CLOSED and self._shares is not None:
+            if self._shares is not None:
                 share = self._shares[i]
-                rank = rank_of[label]
+                rank = self._rank[i]
             self.metrics.epochs.append(
                 EpochRecord(
                     epoch=index,
                     label=label,
-                    arrived=self._epoch_arrived[label],
+                    arrived=self._epoch_arrived[i],
                     delivered=delivered,
-                    dropped=self._epoch_dropped[label],
-                    queued=self.counters[label].queued,
+                    dropped=self._epoch_dropped[i],
+                    queued=self.counters[i].queued,
                     share=share,
                     priority_rank=rank,
                     utilization=delivered / per_epoch,
                 )
             )
         self.metrics.link_utilization.append(total_delivered / per_epoch)
-        self._last_epoch_delivered = dict(self._epoch_delivered)
-        for label in self.classes:
-            self._epoch_arrived[label] = 0
-            self._epoch_delivered[label] = 0
-            self._epoch_dropped[label] = 0
+        k = len(self.classes)
+        self._last_epoch_delivered = self._epoch_delivered
+        self._epoch_arrived = [0] * k
+        self._epoch_delivered = [0] * k
+        self._epoch_dropped = [0] * k
 
     def _begin_epoch(self, t: float, index: int) -> None:
         if self.mode is not FeedbackMode.CLOSED:
@@ -529,10 +515,10 @@ class LinkSimulator:
         self._replan(t)
 
     def _active(self) -> bool:
-        return self._pending_external > 0 or any(v > 0 for v in self._queued_bytes.values())
+        return self._pending_external > 0 or any(v > 0 for v in self._queued_bytes)
 
     def _assert_conserved(self) -> None:
-        for label, c in self.counters.items():
+        for label, c in zip(self.classes, self.counters):
             if not c.conserved():
                 raise SimulationError(f"conservation violated mid-run for {label}")
 

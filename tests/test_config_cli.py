@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
-from hcqsim.config import ConfigError, load_config, model_to_config, parse_config
+from hcqsim.config import ConfigError, load_config, parse_config
 from hcqsim.control import StateSpaceModel, load_model_csv
+from hcqsim.hybriddb import CorpusSpec
 
 
 def minimal_config(tmp_path=None, **overrides):
@@ -54,6 +55,20 @@ def minimal_config(tmp_path=None, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def minimal_hybrid_db():
+    return {
+        "scale": 1e-3,
+        "n_queries": 3,
+        "backends": {
+            "metadata_lookup_s": 1e-3,
+            "metadata_per_row_s": 1e-4,
+            "blob_first_byte_s": 2e-3,
+            "blob_bytes_per_s": 2.0e8,
+            "local_bytes_per_s": 1.0e8,
+        },
+    }
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -108,7 +123,7 @@ class TestConfigParsing:
             parse_config(raw)
         n, m = 4, 2
         model = StateSpaceModel(0.5 * np.eye(n), np.ones((n, m)))
-        raw["controller"]["model"] = model_to_config(model)
+        raw["controller"]["model"] = {"A": model.A.tolist(), "B": model.B.tolist()}
         raw["controller"]["warmup_epochs"] = 0
         cfg = parse_config(raw)
         assert not cfg.controller.identify
@@ -143,6 +158,22 @@ class TestConfigParsing:
     def test_scale_override_requires_hybrid(self):
         cfg = parse_config(minimal_config())
         with pytest.raises(ConfigError):
+            cfg.with_overrides(scale=0.01)
+
+    def test_scale_override_sizes_like_desk_scale(self):
+        raw = minimal_config()
+        raw["hybrid_db"] = minimal_hybrid_db()
+        spec = parse_config(raw).with_overrides(scale=1e-9).hybrid_db.corpus_spec
+        want = CorpusSpec.desk_scale(scale=1e-9)
+        assert spec.total_body_bytes_target == want.total_body_bytes_target
+        assert spec.derived_count() == want.derived_count() == 1
+
+    def test_scale_override_rejects_explicit_article_count(self):
+        raw = minimal_config()
+        raw["hybrid_db"] = dict(minimal_hybrid_db(), article_count=4)
+        cfg = parse_config(raw)
+        assert cfg.hybrid_db.corpus_spec.derived_count() == 4
+        with pytest.raises(ConfigError, match="article_count"):
             cfg.with_overrides(scale=0.01)
 
 
@@ -257,22 +288,19 @@ class TestCliScenarioRun:
         assert "s2-hybrid-db: PASS" in out
         assert out.count("[PASS]") == 3
 
+    def test_s2_scenario_out_writes_both_runs(self, tmp_path, capsys):
+        code = main(["scenario", "s2-hybrid-db", "--out", str(tmp_path)])
+        assert code == 0
+        for sub in ("congested", "idle"):
+            for name in ("corpus.csv", "experiment.csv", os.path.join("open", "epochs.csv")):
+                assert (tmp_path / sub / name).is_file()
+
     def test_scale_override_shrinks_corpus(self, tmp_path, capsys):
         raw = minimal_config()
         raw["mode"] = "open"
         del raw["controller"]
         raw["n_epochs"] = 5
-        raw["hybrid_db"] = {
-            "scale": 1e-3,
-            "n_queries": 3,
-            "backends": {
-                "metadata_lookup_s": 1e-3,
-                "metadata_per_row_s": 1e-4,
-                "blob_first_byte_s": 2e-3,
-                "blob_bytes_per_s": 2.0e8,
-                "local_bytes_per_s": 1.0e8,
-            },
-        }
+        raw["hybrid_db"] = minimal_hybrid_db()
         raw["link"]["queue_capacity_bytes"] = 16_000_000
         path = write_config(tmp_path, raw)
         small = tmp_path / "small"

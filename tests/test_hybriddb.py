@@ -12,10 +12,10 @@ from hcqsim.hybriddb import (
     BackendLatency,
     CorpusSpec,
     ExperimentError,
+    HybridQueryDriver,
     Protocol,
     build_corpus,
     execute_local,
-    execute_query,
     plan_query,
     run_experiment,
     sample_query_authors,
@@ -24,9 +24,11 @@ from hcqsim.netsim import FeedbackMode, LinkSimulator, LinkSpec
 from hcqsim.traffic import (
     AppKind,
     ClassProfile,
+    FlowEvent,
     SizeDistribution,
     TrafficClassLabel,
     TrafficProfile,
+    Zone,
     ZoneClass,
     generate_trace,
 )
@@ -159,13 +161,20 @@ class TestHybridQuery:
                                 propagation_delay_s=1e-3, epoch_s=10_000.0)
         return LinkSimulator(link, [QUERY_LABEL], FeedbackMode.OPEN, scenario_id="idle")
 
+    def run_alone(self, plan, corpus, parallel=False):
+        """One hybrid query on an idle link; returns (result, sim)."""
+        sim = self.idle_sim()
+        driver = HybridQueryDriver(sim, corpus, BACKENDS, [plan], parallel=parallel)
+        driver.start(0.0)
+        sim.run_until_idle()
+        return driver.results[0], sim
+
     def test_idle_link_matches_closed_form_oracle(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
         author = max(corpus.author_index, key=lambda a: len(corpus.author_index[a]))
         plan = plan_query(corpus, 0, author, Protocol.HYBRID_5STEP)
         assert len(plan.article_ids) >= 2
-        sim = self.idle_sim()
-        res = execute_query(plan, corpus, BACKENDS, sim=sim)
+        res, sim = self.run_alone(plan, corpus)
         want = hybrid_closed_form(plan, corpus, BACKENDS, sim.link)
         assert res.latency_s == pytest.approx(want, abs=1e-9)
         assert res.queue_s == pytest.approx(0.0, abs=1e-9)
@@ -177,31 +186,15 @@ class TestHybridQuery:
         lp = plan_query(corpus, 0, missing, Protocol.LOCAL_4STEP)
         hp = plan_query(corpus, 0, missing, Protocol.HYBRID_5STEP)
         lres = execute_local(lp, corpus, BACKENDS)
-        hres = execute_query(hp, corpus, BACKENDS, sim=self.idle_sim())
+        hres, _ = self.run_alone(hp, corpus)
         assert lres.latency_s == hres.latency_s == BACKENDS.metadata_lookup_s
-
-    def test_hybrid_needs_sim(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
-        plan = plan_query(corpus, 0, 0, Protocol.HYBRID_5STEP)
-        with pytest.raises(ValueError):
-            execute_query(plan, corpus, BACKENDS)
 
     def test_parallel_fetch_not_slower(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
         author = max(corpus.author_index, key=lambda a: len(corpus.author_index[a]))
-        res = {}
-        for parallel in (False, True):
-            from hcqsim.hybriddb import HybridQueryDriver
-
-            sim = self.idle_sim()
-            driver = HybridQueryDriver(
-                sim, corpus, BACKENDS,
-                [plan_query(corpus, 0, author, Protocol.HYBRID_5STEP)],
-                parallel=parallel,
-            )
-            driver.start(0.0)
-            sim.run_until_idle()
-            res[parallel] = driver.results[0].latency_s
+        plan = plan_query(corpus, 0, author, Protocol.HYBRID_5STEP)
+        res = {parallel: self.run_alone(plan, corpus, parallel)[0].latency_s
+               for parallel in (False, True)}
         assert res[True] < res[False]
 
 
@@ -277,6 +270,18 @@ class TestExperiment:
         authors = sample_query_authors(corpus, 2, seed=1)
         with pytest.raises(ExperimentError):
             run_experiment(corpus, authors, BACKENDS, link, background=trace)
+
+    def test_query_class_clash_rejected_before_simulating(self):
+        # The background B:Database flow fills the 1 B/s link's queue at t=0,
+        # so the fetch behind it is dropped whole; the clash must be named
+        # rather than the query that never completed.
+        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        link = LinkSpec(capacity_bps=8.0, queue_capacity_bytes=1000, epoch_s=10_000.0)
+        flood = FlowEvent(id=0, arrival_time=0.0, size=2000, src=Zone.PRIVATE_CLOUD,
+                          dst=Zone.PUBLIC_CLOUD, app=AppKind.DATABASE)
+        author = corpus.articles[0].main_author
+        with pytest.raises(ExperimentError, match="reserve it for fetches"):
+            run_experiment(corpus, [author], BACKENDS, link, background=[flood])
 
     def test_dropped_fetch_bytes_surface_as_error(self):
         # Queue smaller than the largest article: the fetch cannot fit.

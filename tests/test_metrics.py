@@ -12,7 +12,6 @@ from hcqsim.metrics import (
     default_utilization_edges,
     export_report,
     fmt,
-    load_samples,
     parse_report_csv,
     quantile_nearest_rank,
     report_rows,
@@ -147,12 +146,6 @@ class TestCompare:
         b = small_run(scenario_id="y")
         with pytest.raises(ValueError):
             compare_modes(a, b)
-
-    def test_load_samples(self):
-        m = small_run()
-        samples = load_samples(m)
-        assert [s.utilization for s in samples] == m.link_utilization
-        assert [s.epoch for s in samples] == list(range(m.n_epochs))
 
 
 class TestExport:

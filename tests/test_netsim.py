@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcqsim.control import (
+    ControlDecision,
     CostWeights,
     ExcitationController,
     FixedShareController,
@@ -15,7 +17,6 @@ from hcqsim.netsim import (
     LinkSimulator,
     LinkSpec,
     SimulationError,
-    feedback_overhead,
     observe_state,
     run_simulation,
 )
@@ -214,7 +215,7 @@ class TestObserveState:
     def test_zero_state_when_idle(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         sim = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-        x = observe_state(sim.counters, link, {A_WEB: 0, B_FILE: 0})
+        x = observe_state(sim.counters, link, [0, 0])
         assert x.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_full_queue_saturated_class(self):
@@ -270,6 +271,9 @@ class TestmodeAndDims:
         with pytest.raises(ValueError):
             LinkSimulator(link, [A_WEB], FeedbackMode.OPEN,
                           controller=FixedShareController((1.0,)))
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        with pytest.raises(SimulationError, match="open mode"):
+            sim.apply_decision(ControlDecision(u=(1.0,), priority_order=(0,), epoch_index=0))
 
     def test_unknown_class_rejected(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
@@ -279,19 +283,13 @@ class TestmodeAndDims:
 
 
 class TestFeedbackOverhead:
-    def test_open_mode_zero(self):
-        assert feedback_overhead(FeedbackMode.OPEN, 1024, 100) == 0
-
-    def test_closed_mode_arithmetic(self):
-        assert feedback_overhead(FeedbackMode.CLOSED, 1024, 100) == 102_400
-
     def test_messages_become_service_arrivals(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         controller = FixedShareController((0.5, 0.5))
         sim = LinkSimulator(link, [A_WEB, CONTROL_LABEL], FeedbackMode.CLOSED,
                             controller=controller, control_message_bytes=1024)
         sim.run_epochs(100)
-        c = sim.counters[CONTROL_LABEL]
+        c = sim.metrics.totals[CONTROL_LABEL]
         assert c.control_arrived == 102_400
         assert sim.metrics.control_bytes_injected == 102_400
 
@@ -364,6 +362,50 @@ class TestConservationRandomized:
         for r in m.epochs:
             by_epoch[r.epoch] = by_epoch.get(r.epoch, 0) + r.delivered
         assert all(v <= per_epoch_cap for v in by_epoch.values())
+
+
+@st.composite
+def lattice_runs(draw):
+    """A small random run: up to three classes, a drop-prone link, and a
+    trace whose arrivals sit on a quarter-epoch lattice that includes every
+    epoch boundary and the horizon. Open mode, or closed under fixed random
+    feasible shares and a random priority order."""
+    labels = [A_WEB, B_FILE, TrafficClassLabel(ZoneClass.B, AppKind.DATABASE)]
+    labels = labels[: draw(st.integers(1, 3))]
+    k = len(labels)
+    epoch_s = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    link = LinkSpec(capacity_bps=draw(st.sampled_from([8e3, 2.4e4, 8e4])),
+                    queue_capacity_bytes=draw(st.integers(500, 20_000)),
+                    propagation_delay_s=draw(st.sampled_from([0.0, 0.003])),
+                    epoch_s=epoch_s)
+    n_epochs = draw(st.integers(1, 6))
+    arrivals = draw(st.lists(st.tuples(st.integers(0, 4 * n_epochs), st.integers(1, 6000),
+                                       st.integers(0, k - 1)), max_size=40))
+    trace = [make_flow(fid, q * epoch_s / 4, size, labels[c])
+             for fid, (q, size, c) in enumerate(arrivals)]
+    controller = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k))
+        total = max(20, sum(weights))
+        controller = FixedShareController([w / total for w in weights],
+                                          draw(st.permutations(range(k))))
+    return link, labels, n_epochs, trace, controller
+
+
+class TestPropertyRandomLattice:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lattice_runs())
+    def test_conservation_and_budgets(self, case):
+        link, labels, n_epochs, trace, controller = case
+        mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+        sim = LinkSimulator(link, labels, mode, controller=controller, debug=True)
+        sim.add_flows(trace)
+        m = sim.run_epochs(n_epochs)
+        m.assert_conservation()
+        if controller is not None:
+            for r in m.epochs:
+                u = controller.u[m.classes.index(r.label)]
+                assert r.delivered <= int(u * link.bytes_per_epoch + 1e-6)
 
 
 class TestEventOrdering:
