@@ -54,6 +54,7 @@ from .traffic import (
     ClassProfile,
     FlowEvent,
     SizeDistribution,
+    Trace,
     TrafficClassLabel,
     TrafficProfile,
     Zone,

@@ -276,35 +276,24 @@ def evaluate_cost(weights: CostWeights, trajectory: Sequence[tuple], horizon: in
     return total
 
 
-def _feasible_levels(bounds: ControlBounds, grid: int) -> list[tuple[int, ...]]:
-    """Integer level tuples (u_i = level_i / (grid-1)) inside the bounded
-    simplex, generated in lexicographic order."""
-    m = len(bounds.lo)
+def _feasible_levels(bounds: ControlBounds, grid: int) -> np.ndarray:
+    """Integer levels (u_i = level_i / (grid-1)) of the grid points inside the
+    bounded simplex: an m x K array, one column per point, the columns in
+    lexicographic order."""
     denom = grid - 1
-    per_comp = []
-    for i in range(m):
-        levels = [
-            j
-            for j in range(grid)
-            if bounds.lo[i] - 1e-12 <= j / denom <= bounds.hi[i] + 1e-12
-        ]
-        per_comp.append(levels)
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def rec(i: int, level_sum: int):
-        if i == m:
-            out.append(tuple(stack))
-            return
-        for j in per_comp[i]:
-            if level_sum + j > denom:  # sum(u) <= 1 exactly, in level units
-                break
-            stack.append(j)
-            rec(i + 1, level_sum + j)
-            stack.pop()
-
-    rec(0, 0)
-    return out
+    steps = np.arange(grid)
+    levels = np.zeros((0, 1), dtype=np.int64)  # the one empty prefix
+    sums = np.zeros(1, dtype=np.int64)
+    for lo, hi in zip(bounds.lo, bounds.hi):
+        allowed = steps[(lo - 1e-12 <= steps / denom) & (steps / denom <= hi + 1e-12)]
+        # Each prefix, in order, extends by the allowed levels that keep
+        # sum(u) <= 1 exactly, in level units, smallest first.
+        counts = np.searchsorted(allowed, denom - sums, side="right")
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        new = allowed[np.arange(len(starts)) - starts]
+        levels = np.vstack([np.repeat(levels, counts, axis=1), new])
+        sums = np.repeat(sums, counts) + new
+    return levels
 
 
 def allocate_control(
@@ -477,7 +466,7 @@ class MpcController:
             raise ValueError(f"the priority order needs m={model.m} backlog states, "
                              f"the model has n={model.n}")
         levels = _feasible_levels(model.control_bounds, grid)
-        if not levels:
+        if levels.shape[1] == 0:
             raise InfeasibleControlSetError(
                 f"no feasible grid point in control set lo={model.control_bounds.lo} "
                 f"hi={model.control_bounds.hi} with sum(u) <= 1"
@@ -486,7 +475,7 @@ class MpcController:
         self.weights = weights
         self.horizon = horizon
         self.grid = grid
-        self._U = np.array(levels, dtype=float).T / (grid - 1)  # m x K
+        self._U = levels / (grid - 1)  # m x K
 
         A, B, Q = model.A, model.B, weights.Q
         powers = [np.eye(model.n)]  # A^h

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .metrics import quantile_nearest_rank
 from .netsim import FeedbackMode, LinkSimulator, LinkSpec
-from .traffic import AppKind, TrafficClassLabel, ZoneClass, canonical_class_order, classify
+from .traffic import AppKind, Trace, TrafficClassLabel, ZoneClass, canonical_class_order
 
 MIN_BODY_BYTES = 100 * 1024
 MAX_BODY_BYTES = 3 * 1024 * 1024
@@ -280,7 +280,7 @@ class HybridQueryDriver:
         b = self.backends
         size = self.corpus.article(plan.article_ids[idx]).body_size
         blob_stage = b.blob_first_byte_s + size / b.blob_bytes_per_s
-        ideal_link = size / self.sim.link.byte_rate + self.sim.link.propagation_delay_s
+        ideal_link = size / self.sim.byte_rate + self.sim.link.propagation_delay_s
         state["transfer_s"] += blob_stage + ideal_link
 
         def on_delivered(sim, delivery, state=state, idx=idx):
@@ -355,23 +355,22 @@ def run_experiment(
     """Run every author query under both protocols and pair the results.
 
     The hybrid side shares one open-mode simulation with the background
-    trace, which must not use the query class; this is checked before
-    anything is simulated. Fetch bytes are reconciled against the link's
-    per-class delivered counters and any dropped fetch byte is an error
-    (size the queue above the largest article).
+    trace (a Trace, or FlowEvents), which must not use the query class; this
+    is checked before anything is simulated. Fetch bytes are reconciled
+    against the link's per-class delivered counters and any dropped fetch
+    byte is an error (size the queue above the largest article).
     """
     plans_local = [plan_query(corpus, i, a, Protocol.LOCAL_4STEP) for i, a in enumerate(authors)]
     plans_hybrid = [plan_query(corpus, i, a, Protocol.HYBRID_5STEP) for i, a in enumerate(authors)]
     local_results = [execute_local(p, corpus, backends) for p in plans_local]
 
-    classes = {classify(f) for f in background}
-    if label in classes:
+    background = Trace.from_flows(background)
+    if label in background.labels:
         raise ExperimentError(
             f"background traffic uses the query class {label}; reserve it for fetches"
         )
-    classes.add(label)
-    sim = LinkSimulator(link, canonical_class_order(classes), FeedbackMode.OPEN,
-                        scenario_id=scenario_id, seed=seed)
+    sim = LinkSimulator(link, canonical_class_order((*background.labels, label)),
+                        FeedbackMode.OPEN, scenario_id=scenario_id, seed=seed)
     sim.add_flows(background)
     driver = HybridQueryDriver(sim, corpus, backends, plans_hybrid, label=label, parallel=parallel)
     driver.start(start_time)

@@ -9,13 +9,20 @@ priority order anew. Open mode is the same rule with one FIFO that every
 class shares and an unlimited budget.
 
 Classes are addressed by their index in the canonical class order; a
-label is turned into its index once, when its flow is offered.
+label is turned into its index once, when its flow is offered, and a
+trace's labels once per trace.
 
 All byte counters are integers, so the conservation identity
 arrived == delivered + dropped + queued holds exactly per class. Service
 interrupted mid-flow rounds down to whole bytes (the sub-byte remainder
 stays queued). Event ties are broken by kind (epoch boundary, then service
 completion, then flow arrival, then query step), then insertion order.
+
+Trace arrivals never enter the event heap. They are read from a cursor
+over the trace's columns, and each step takes the next event from
+whichever of the cursor and the heap holds the smaller (time, kind, seq).
+A trace flow takes its seq when the trace is added, in trace order, so the
+merge breaks ties exactly as one heap holding every event would.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -33,10 +41,10 @@ import numpy as np
 from .control import ControlBounds, ControlDecision, MpcController
 from .traffic import (
     AppKind,
+    Trace,
     TrafficClassLabel,
     ZoneClass,
     canonical_class_order,
-    classify,
 )
 
 # Control messages ride the link as class-A service traffic.
@@ -52,11 +60,8 @@ class FeedbackMode(Enum):
     CLOSED = "closed"
 
 
-class EventKind(IntEnum):
-    EPOCH_BOUNDARY = 0
-    SERVICE_COMPLETION = 1
-    FLOW_ARRIVAL = 2
-    QUERY_STEP = 3
+# Event kinds, in tie-break order.
+EPOCH_BOUNDARY, SERVICE_COMPLETION, FLOW_ARRIVAL, QUERY_STEP = range(4)
 
 
 @dataclass(frozen=True)
@@ -278,14 +283,21 @@ class LinkSimulator:
                 raise ValueError(f"control overhead needs {CONTROL_LABEL} among the classes")
         elif controller is not None:
             raise ValueError("open mode takes no controller")
+        elif self.control_message_bytes > 0:
+            raise ValueError("open mode sends no control messages")
         self.debug = debug
         self.event_log: list[tuple] = []
 
+        self.byte_rate = link.byte_rate
         self.now = 0.0
         self._heap: list[tuple] = []
         self._seq = 0
         self._pending_external = 0
         self._plan: Optional[_ServicePlan] = None
+        # Unread trace arrivals: columns (time, seq, class, size, id) and the
+        # position of the next one.
+        self._cursor: tuple = ((), (), (), (), ())
+        self._pos = 0
 
         k = len(self.classes)
         self._index = {label: i for i, label in enumerate(self.classes)}
@@ -323,21 +335,38 @@ class LinkSimulator:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: EventKind, payload) -> None:
+    def _push(self, time: float, kind: int, payload) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, int(kind), self._seq, payload))
-        if kind in (EventKind.FLOW_ARRIVAL, EventKind.QUERY_STEP):
+        heapq.heappush(self._heap, (time, kind, self._seq, payload))
+        if kind == FLOW_ARRIVAL or kind == QUERY_STEP:
             self._pending_external += 1
 
     def add_flows(self, flows) -> None:
-        """Schedule trace flows; each is classified on entry."""
-        index = self._index
-        for f in flows:
-            label = classify(f)
-            i = index.get(label)
-            if i is None:
-                raise ValueError(f"flow {f.id} has class {label} not configured for this run")
-            self._push(f.arrival_time, EventKind.FLOW_ARRIVAL, (i, f.size, False, None, f.id))
+        """Offer a Trace, or an iterable of FlowEvents through Trace.from_flows.
+
+        The trace's labels are mapped to class indices once. Its flows take
+        their seqs now, in trace order, and join the unread rest of the
+        cursor in (time, seq) order.
+        """
+        trace = Trace.from_flows(flows)
+        n = len(trace)
+        to_index = [self._index.get(label) for label in trace.labels]
+        if None in to_index:
+            j = min(trace.cls.index(c) for c, i in enumerate(to_index) if i is None)
+            raise ValueError(f"flow {trace.ids[j]} has class {trace.labels[trace.cls[j]]} "
+                             f"not configured for this run")
+        table = bytes(to_index).ljust(256, b"\0")
+        cls = array("B", trace.cls.tobytes().translate(table))
+        seqs = range(self._seq + 1, self._seq + 1 + n)
+        self._seq += n
+        cols = (trace.time, seqs, cls, trace.size, trace.ids)
+        rest = tuple(col[self._pos:] for col in self._cursor)
+        if rest[0] or (np.diff(np.frombuffer(trace.time)) < 0).any():
+            cols = tuple([*a, *b] for a, b in zip(rest, cols))
+            order = sorted(range(len(cols[0])), key=lambda j: (cols[0][j], cols[1][j]))
+            cols = tuple([col[j] for j in order] for col in cols)
+        self._cursor = cols
+        self._pos = 0
 
     def inject_flow(self, time, size, label, control=False, callback=None) -> int:
         """Dynamically offer a flow (control messages, query fetches)."""
@@ -348,11 +377,11 @@ class LinkSimulator:
             raise ValueError("injected flow size must be >= 1")
         fid = self._inject_id
         self._inject_id -= 1
-        self._push(time, EventKind.FLOW_ARRIVAL, (i, int(size), control, callback, fid))
+        self._push(time, FLOW_ARRIVAL, (i, int(size), fid, control, callback))
         return fid
 
     def schedule_at(self, time, fn) -> None:
-        self._push(time, EventKind.QUERY_STEP, fn)
+        self._push(time, QUERY_STEP, fn)
 
     # -- fluid service -----------------------------------------------------
 
@@ -362,9 +391,9 @@ class LinkSimulator:
             if self._queued_bytes[q] > 0 and self._budget[q] > 0:
                 flow = self._queues[q][0]
                 limit = min(flow.remaining, self._budget[q])
-                end = now + limit / self.link.byte_rate
+                end = now + limit / self.byte_rate
                 self._plan = _ServicePlan(now, end, q, flow, limit)
-                self._push(end, EventKind.SERVICE_COMPLETION, None)
+                self._push(end, SERVICE_COMPLETION, None)
                 return
 
     def _serve(self, q: int, flow, nbytes: int, when: float) -> None:
@@ -407,16 +436,16 @@ class LinkSimulator:
         if plan is not None and t > plan.start:
             # A partial segment never finishes the plan; the exact last byte
             # is always transferred by the completion branch above.
-            nbytes = min(plan.limit - 1, int(self.link.byte_rate * (t - plan.start)))
+            nbytes = min(plan.limit - 1, int(self.byte_rate * (t - plan.start)))
             if nbytes > 0:
                 self._serve(plan.queue, plan.flow, nbytes, t)
                 plan.limit -= nbytes
-                plan.start += nbytes / self.link.byte_rate
+                plan.start += nbytes / self.byte_rate
 
     # -- event handlers ----------------------------------------------------
 
-    def _handle_arrival(self, t: float, payload) -> None:
-        i, size, control, callback, fid = payload
+    def _handle_arrival(self, t: float, i: int, size: int, fid: int,
+                        control: bool = False, callback=None) -> None:
         q = self._queue_of[i]
         free = self.link.queue_capacity_bytes - self._queued_bytes[q]
         accepted = min(size, free)
@@ -515,7 +544,8 @@ class LinkSimulator:
         self._replan(t)
 
     def _active(self) -> bool:
-        return self._pending_external > 0 or any(v > 0 for v in self._queued_bytes)
+        return (self._pending_external > 0 or self._pos < len(self._cursor[0])
+                or any(v > 0 for v in self._queued_bytes))
 
     def _assert_conserved(self) -> None:
         for label, c in zip(self.classes, self.counters):
@@ -525,40 +555,49 @@ class LinkSimulator:
     # -- run loops ----------------------------------------------------------
 
     def _pop_loop(self, n_epochs: Optional[int], max_epochs: int) -> None:
+        """Handle events in (time, kind, seq) order. Epoch boundary e+1 is
+        scheduled when e is handled: always with n_epochs, which stops at
+        boundary n_epochs, and while the link is active without it."""
         eps = self.link.epoch_s
-        if n_epochs is not None:
-            for e in range(n_epochs + 1):
-                self._push(e * eps, EventKind.EPOCH_BOUNDARY, e)
-        else:
-            self._push(0.0, EventKind.EPOCH_BOUNDARY, 0)
-        while self._heap:
-            time, kind, _, payload = heapq.heappop(self._heap)
-            if kind in (int(EventKind.FLOW_ARRIVAL), int(EventKind.QUERY_STEP)):
+        heap = self._heap
+        self._push(0.0, EPOCH_BOUNDARY, 0)
+        while True:
+            pos = self._pos
+            times, seqs, cls, sizes, ids = self._cursor
+            if pos < len(times) and not (heap and heap[0] < (times[pos], FLOW_ARRIVAL,
+                                                              seqs[pos])):
+                time = times[pos]
+                self._pos = pos + 1
+                self.now = time
+                self._advance(time)
+                self._handle_arrival(time, cls[pos], sizes[pos], ids[pos])
+                continue
+            if not heap:
+                break
+            time, kind, _, payload = heapq.heappop(heap)
+            if kind == FLOW_ARRIVAL or kind == QUERY_STEP:
                 self._pending_external -= 1
             self.now = time
             self._advance(time)
-            if kind == int(EventKind.EPOCH_BOUNDARY):
+            if kind == EPOCH_BOUNDARY:
                 e = payload
                 if e > max_epochs:
                     raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
                 if e > 0:
                     self._finalize_epoch(e - 1)
-                if n_epochs is not None:
-                    if e == n_epochs:
-                        break  # the horizon: later events belong to no epoch
+                if e == n_epochs:
+                    break  # the horizon: later events belong to no epoch
+                if n_epochs is not None or self._active():
                     self._begin_epoch(time, e)
-                else:
-                    if self._active():
-                        self._begin_epoch(time, e)
-                        self._push((e + 1) * eps, EventKind.EPOCH_BOUNDARY, e + 1)
-            elif kind == int(EventKind.FLOW_ARRIVAL):
-                self._handle_arrival(time, payload)
-            elif kind == int(EventKind.QUERY_STEP):
+                    self._push((e + 1) * eps, EPOCH_BOUNDARY, e + 1)
+            elif kind == FLOW_ARRIVAL:
+                self._handle_arrival(time, *payload)
+            elif kind == QUERY_STEP:
                 payload(self, time)
                 if self._plan is None:
                     self._replan(time)
-            # SERVICE_COMPLETION is a pure wake-up: _advance did the work.
-            if kind == int(EventKind.SERVICE_COMPLETION) and self._plan is None:
+            elif self._plan is None:
+                # SERVICE_COMPLETION is a pure wake-up: _advance did the work.
                 self._replan(time)
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
@@ -610,8 +649,9 @@ def run_simulation(
     unless an explicit controller is given; the model must match the class
     count (n = 2k states, m = k shares). n_epochs=None runs until idle.
     """
+    trace = Trace.from_flows(trace)
     if classes is None:
-        labels = {classify(f) for f in trace}
+        labels = set(trace.labels)
         if mode is FeedbackMode.CLOSED and control_message_bytes > 0:
             labels.add(CONTROL_LABEL)
         classes = canonical_class_order(labels)

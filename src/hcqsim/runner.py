@@ -19,7 +19,7 @@ from .control import (
 from .hybriddb import ExperimentResult, build_corpus, run_experiment, sample_query_authors
 from .metrics import ComparisonReport, compare_modes, export_report, fmt
 from .netsim import FeedbackMode, LinkSimulator, SimMetrics
-from .traffic import generate_trace, write_trace_csv
+from .traffic import generate_trace
 
 
 @dataclass
@@ -42,7 +42,8 @@ def identify_from_warmup(trace, link, classes, warmup_epochs: int, excitation_se
                          control_message_bytes: int = 0, scenario_id: str = "warmup",
                          control_bounds=None):
     """Drive the link with random feasible shares and fit (A, B) to the
-    observed per-epoch (state, shares) pairs."""
+    observed per-epoch (state, shares) pairs. The warmup offers the trace
+    up to its horizon, as run_epochs offers nothing at or after it."""
     k = len(classes)
     sim = LinkSimulator(
         link,
@@ -52,8 +53,7 @@ def identify_from_warmup(trace, link, classes, warmup_epochs: int, excitation_se
         scenario_id=f"{scenario_id}-warmup",
         control_message_bytes=control_message_bytes,
     )
-    horizon_s = warmup_epochs * link.epoch_s
-    sim.add_flows([f for f in trace if f.arrival_time < horizon_s])
+    sim.add_flows(trace)
     sim.run_epochs(warmup_epochs)
     return identify_model(sim.metrics.state_history, n=2 * k, m=k,
                           control_bounds=control_bounds)

@@ -8,6 +8,14 @@ kind (web / database / file / service) for classes A and B only.
 Synthetic traces come from independent on/off-modulated Poisson sources,
 one per (zone class, app kind) pair, each driven by its own seeded
 substream so traces are bit-identical for identical inputs.
+
+A trace is a `Trace`: columns of arrival time, size, endpoint and id, one
+entry per flow, classified once when it is made. The endpoint column holds
+each flow's (src, dst, app) as an index into the fixed table `ENDPOINTS`;
+`cls` holds each flow's index into `labels`, the distinct classes of the
+trace in canonical order. `FlowEvent` is the per-flow view at the edges:
+`Trace.from_flows` builds a trace from FlowEvents, and indexing or
+iterating a trace yields them.
 """
 
 from __future__ import annotations
@@ -15,8 +23,11 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from operator import itemgetter
 from typing import Optional
 
 
@@ -127,6 +138,81 @@ def classify_stage2(flow: FlowEvent, stage1: ZoneClass) -> TrafficClassLabel:
 
 def classify(flow: FlowEvent) -> TrafficClassLabel:
     return classify_stage2(flow, classify_stage1(flow))
+
+
+# Every (src, dst, app) triple, so that a trace stores a flow's endpoint as
+# one byte, and the class of each triple, found by the classifier once.
+ENDPOINTS: tuple[tuple[Zone, Zone, AppKind], ...] = tuple(product(Zone, Zone, AppKind))
+_ENDPOINT_CODE = {e: code for code, e in enumerate(ENDPOINTS)}
+_ENDPOINT_LABEL = tuple(classify(FlowEvent(0, 0.0, 1, *e)) for e in ENDPOINTS)
+
+
+class Trace:
+    """A flow trace as columns, one entry per flow, classified once.
+
+    time (array 'd') and size (array 'q') are arrival times and byte sizes;
+    endpoint (array 'B') indexes ENDPOINTS; ids is a range for generated
+    traces. labels is the set of classes the flows fall into, in canonical
+    order, and cls (array 'B') each flow's index into it. The constructor
+    checks what FlowEvent checks per flow: sizes >= 1, times finite and >= 0.
+    """
+
+    __slots__ = ("time", "size", "endpoint", "ids", "labels", "cls")
+
+    def __init__(self, time: array, size: array, endpoint: array, ids=None):
+        n = len(time)
+        self.ids = range(n) if ids is None else ids
+        if not len(size) == len(endpoint) == len(self.ids) == n:
+            raise ValueError(
+                f"trace columns differ in length: time {n}, size {len(size)}, "
+                f"endpoint {len(endpoint)}, ids {len(self.ids)}"
+            )
+        if n and min(size) < 1:
+            raise ValueError(f"flow size must be >= 1 byte, got {min(size)}")
+        inf = math.inf
+        for t in time:
+            if not 0.0 <= t < inf:
+                raise ValueError(f"arrival_time must be finite and >= 0, got {t}")
+        self.time = time
+        self.size = size
+        self.endpoint = endpoint
+        codes = set(endpoint)
+        self.labels = canonical_class_order({_ENDPOINT_LABEL[c] for c in codes})
+        table = bytearray(256)
+        for c in codes:
+            table[c] = self.labels.index(_ENDPOINT_LABEL[c])
+        self.cls = array("B", endpoint.tobytes().translate(table))
+
+    @classmethod
+    def from_flows(cls, flows) -> "Trace":
+        """The trace of an iterable of FlowEvents, in its order; a Trace is
+        returned as it is."""
+        if isinstance(flows, Trace):
+            return flows
+        time, size, endpoint, ids = array("d"), array("q"), array("B"), array("q")
+        code = _ENDPOINT_CODE
+        for f in flows:
+            time.append(f.arrival_time)
+            size.append(f.size)
+            endpoint.append(code[f.src, f.dst, f.app])
+            ids.append(f.id)
+        return cls(time, size, endpoint, ids)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, j: int) -> FlowEvent:
+        return FlowEvent(self.ids[j], self.time[j], self.size[j], *ENDPOINTS[self.endpoint[j]])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.time == other.time and self.size == other.size
+                and self.endpoint == other.endpoint
+                and array("q", self.ids) == array("q", other.ids))
 
 
 @dataclass(frozen=True)
@@ -252,15 +338,19 @@ class TrafficProfile:
 
 
 def _class_arrivals(cp: ClassProfile, duration_s: float, rng: random.Random):
-    """Yield (time, size, src, dst, app) tuples for one class, time-ordered."""
-    pairs = _ZONE_PAIRS[cp.label.zone_class]
-    kinds = tuple(AppKind)
+    """(time, class sort key, size, endpoint code) per flow of one class,
+    time-ordered."""
+    key = cp.label.sort_key()
+    codes = [[_ENDPOINT_CODE[src, dst, app] for app in AppKind]
+             for src, dst in _ZONE_PAIRS[cp.label.zone_class]]
+    n_kinds = len(AppKind)
+    fixed_kind = None if cp.label.app_kind is None else list(AppKind).index(cp.label.app_kind)
 
     def emit(t):
         size = cp.size_dist.sample(rng)
-        src, dst = pairs[rng.randrange(len(pairs))]
-        app = cp.label.app_kind if cp.label.app_kind is not None else kinds[rng.randrange(len(kinds))]
-        return (t, size, src, dst, app)
+        pair = codes[rng.randrange(len(codes))]
+        kind = fixed_kind if fixed_kind is not None else rng.randrange(n_kinds)
+        return (t, key, size, pair[kind])
 
     out = []
     if cp.idle_s == 0:
@@ -290,54 +380,48 @@ def _class_arrivals(cp: ClassProfile, duration_s: float, rng: random.Random):
     return out
 
 
-def generate_trace(profile: TrafficProfile, duration_s: float, seed: int) -> list[FlowEvent]:
-    """Generate a time-sorted synthetic trace.
+def generate_trace(profile: TrafficProfile, duration_s: float, seed: int) -> Trace:
+    """Generate a time-sorted synthetic trace with ids 0..n-1.
 
     Each class draws from its own substream derived from (seed, label), so
     adding a class never perturbs the others. Identical inputs produce a
-    bit-identical trace.
+    bit-identical trace. Simultaneous arrivals are ordered by class.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be > 0, got {duration_s}")
     merged = []
     for cp in profile.classes:
         rng = random.Random(f"{seed}/{cp.label}")
-        for tup in _class_arrivals(cp, duration_s, rng):
-            merged.append((tup[0], cp.label.sort_key(), tup))
-    merged.sort(key=lambda rec: (rec[0], rec[1]))
-    flows = []
-    for fid, (_, _, (t, size, src, dst, app)) in enumerate(merged):
-        flows.append(FlowEvent(id=fid, arrival_time=t, size=size, src=src, dst=dst, app=app))
-    return flows
+        merged.extend(_class_arrivals(cp, duration_s, rng))
+    merged.sort(key=itemgetter(0, 1))
+    return Trace(array("d", map(itemgetter(0), merged)), array("q", map(itemgetter(2), merged)),
+                 array("B", map(itemgetter(3), merged)))
 
 
 TRACE_CSV_HEADER = ["id", "arrival_time", "size", "src", "dst", "app"]
 
 
 def write_trace_csv(flows, path) -> None:
+    """Write a Trace, or an iterable of FlowEvents, one row per flow."""
+    trace = Trace.from_flows(flows)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_CSV_HEADER)
-        for f in flows:
-            w.writerow([f.id, "%.17g" % f.arrival_time, f.size, f.src.value, f.dst.value, f.app.value])
+        for fid, t, size, code in zip(trace.ids, trace.time, trace.size, trace.endpoint):
+            src, dst, app = ENDPOINTS[code]
+            w.writerow([fid, "%.17g" % t, size, src.value, dst.value, app.value])
 
 
-def read_trace_csv(path) -> list[FlowEvent]:
-    flows = []
+def read_trace_csv(path) -> Trace:
+    time, size, endpoint, ids = array("d"), array("q"), array("B"), array("q")
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
         if header != TRACE_CSV_HEADER:
             raise ValueError(f"unexpected trace header {header!r} in {path}")
         for row in r:
-            flows.append(
-                FlowEvent(
-                    id=int(row[0]),
-                    arrival_time=float(row[1]),
-                    size=int(row[2]),
-                    src=Zone(row[3]),
-                    dst=Zone(row[4]),
-                    app=AppKind(row[5]),
-                )
-            )
-    return flows
+            ids.append(int(row[0]))
+            time.append(float(row[1]))
+            size.append(int(row[2]))
+            endpoint.append(_ENDPOINT_CODE[Zone(row[3]), Zone(row[4]), AppKind(row[5])])
+    return Trace(time, size, endpoint, ids)

@@ -17,6 +17,7 @@ from hcqsim.control import (
     InfeasibleControlSetError,
     MpcController,
     StateSpaceModel,
+    _feasible_levels,
     allocate_control,
     check_stability,
     evaluate_cost,
@@ -477,6 +478,49 @@ class TestCondensedController:
 
 
 # ---------------------------------------------------------------- stability
+
+
+def brute_force_levels(bounds, grid):
+    """Level tuples of the grid inside the box, sum <= grid-1, by filtering
+    the full product (lexicographic)."""
+    d = grid - 1
+    per = [[j for j in range(grid) if lo - 1e-12 <= j / d <= hi + 1e-12]
+           for lo, hi in zip(bounds.lo, bounds.hi)]
+    return [list(t) for t in itertools.product(*per) if sum(t) <= d]
+
+
+class TestFeasibleLevels:
+    @pytest.mark.parametrize("m, grid", [(1, 2), (1, 7), (2, 41), (3, 11), (4, 6), (5, 5)])
+    def test_simplex_matches_product_filter(self, m, grid):
+        levels = _feasible_levels(ControlBounds.simplex(m), grid)
+        assert levels.shape[0] == m
+        assert levels.T.tolist() == brute_force_levels(ControlBounds.simplex(m), grid)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=m, max_size=m),
+        st.integers(2, 12))))
+    def test_boxes_match_product_filter(self, case):
+        # Random boxes, off the grid or on it (to within the 1e-12 slack).
+        pairs, grid = case
+        bounds = ControlBounds(tuple(min(p) for p in pairs), tuple(max(p) for p in pairs))
+        levels = _feasible_levels(bounds, grid)
+        assert levels.T.tolist() == brute_force_levels(bounds, grid)
+
+    @pytest.mark.parametrize("lo, hi, grid", [
+        ((0.6, 0.6), (1.0, 1.0), 11),   # the box lies above the simplex
+        ((0.3, 0.0), (0.36, 1.0), 3),   # no grid level in the first component's range
+    ])
+    def test_empty(self, lo, hi, grid):
+        levels = _feasible_levels(ControlBounds(lo, hi), grid)
+        assert levels.shape == (2, 0)
+        assert brute_force_levels(ControlBounds(lo, hi), grid) == []
+
+    def test_on_grid_bounds_keep_their_level(self):
+        bounds = ControlBounds((0.1, 0.2), (0.3, 0.7))
+        levels = _feasible_levels(bounds, 11)
+        assert levels.T.tolist() == brute_force_levels(bounds, 11)
+        assert levels[:, 0].tolist() == [1, 2] and levels[:, -1].tolist() == [3, 7]
 
 
 class TestStability:

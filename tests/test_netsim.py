@@ -25,6 +25,7 @@ from hcqsim.traffic import (
     ClassProfile,
     FlowEvent,
     SizeDistribution,
+    Trace,
     TrafficClassLabel,
     TrafficProfile,
     Zone,
@@ -275,11 +276,28 @@ class TestmodeAndDims:
         with pytest.raises(SimulationError, match="open mode"):
             sim.apply_decision(ControlDecision(u=(1.0,), priority_order=(0,), epoch_index=0))
 
+    def test_open_rejects_control_messages(self):
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        with pytest.raises(ValueError, match="open mode sends no control messages"):
+            LinkSimulator(link, [A_WEB], FeedbackMode.OPEN, control_message_bytes=1024)
+        # run_simulation drops the option for open mode, as before
+        m = run_simulation([], link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=5,
+                           control_message_bytes=1024)
+        assert m.control_bytes_injected == 0
+
     def test_unknown_class_rejected(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
         with pytest.raises(ValueError):
             sim.add_flows([make_flow(0, 0.0, 1000, B_FILE)])
+
+    def test_unknown_class_names_its_first_flow(self):
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        flows = [make_flow(3, 0.0, 10), make_flow(9, 0.5, 10, B_FILE),
+                 make_flow(5, 0.2, 10, B_FILE)]
+        with pytest.raises(ValueError, match="flow 9 has class B:File not configured"):
+            sim.add_flows(flows)
 
 
 class TestFeedbackOverhead:
@@ -444,6 +462,158 @@ class TestEventOrdering:
         sim.run_epochs(1)
         kinds = [row[1] for row in sim.event_log]
         assert kinds == ["arrival", "serve"]
+
+
+class _RecordingSim(LinkSimulator):
+    """Logs each event the loop takes (one _advance per event) and the
+    handlers it runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def _advance(self, t):
+        self.log.append((t, "event"))
+        super()._advance(t)
+
+    def _finalize_epoch(self, index):
+        self.log.append((self.now, f"epoch {index}"))
+        super()._finalize_epoch(index)
+
+    def _handle_arrival(self, t, i, size, fid, control=False, callback=None):
+        self.log.append((t, f"arrival {fid}"))
+        super()._handle_arrival(t, i, size, fid, control, callback)
+
+
+class TestTraceCursor:
+    def test_tie_rule_at_one_instant(self):
+        # At t = 1.0 meet: epoch boundary 1, the service completion of a flow
+        # injected at t = 0 (1e6 B at 1e6 B/s), a flow injected before the
+        # trace was added, a trace flow, a flow injected after it, and a
+        # query step.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
+        sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
+        sim.inject_flow(0.0, 10**6, A_WEB,
+                        callback=lambda s, t: s.log.append((s.now, "served -1")))
+        sim.inject_flow(1.0, 10, A_WEB)  # id -2
+        sim.add_flows([make_flow(7, 1.0, 10)])
+        sim.inject_flow(1.0, 10, A_WEB)  # id -3
+        sim.schedule_at(1.0, lambda s, t: s.log.append((t, "query")))
+        m = sim.run_epochs(2)
+        assert [what for t, what in sim.log if t == 1.0] == [
+            "event", "served -1", "epoch 0",  # boundary; its _advance ends the service
+            "event",                          # the service completion wake-up
+            "event", "arrival -2",            # injected before add_flows: smaller seq
+            "event", "arrival 7",             # the trace flow
+            "event", "arrival -3",            # injected after add_flows
+            "event", "query",
+        ]
+        assert m.epochs[0].delivered == 10**6  # service ending on the boundary
+        assert m.epochs[1].arrived == 30
+
+    def test_second_add_flows_keeps_seq_order_on_ties(self):
+        # Flows of the first call come first at a shared instant, as they
+        # did when each flow took a heap entry; the queue holds only one.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=1000, epoch_s=1.0)
+        sim = _RecordingSim(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        sim.add_flows([make_flow(1, 0.5, 800), make_flow(2, 0.75, 10)])
+        sim.add_flows([make_flow(3, 0.5, 800, B_FILE), make_flow(4, 0.25, 10, B_FILE)])
+        m = sim.run_epochs(2)
+        assert [what for t, what in sim.log if what.startswith("arrival")] == [
+            "arrival 4", "arrival 1", "arrival 3", "arrival 2"]
+        assert m.totals[A_WEB].dropped == 0
+        assert m.totals[B_FILE].dropped > 0
+
+    def test_trace_flows_never_enter_the_heap(self):
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        flows = regular_flows(A_WEB, 100.0, 1000, 50.0)
+        sim.add_flows(flows)
+        heap_sizes = []
+        for t in (0.5, 10.5, 40.5):
+            sim.schedule_at(t, lambda s, now: heap_sizes.append(len(s._heap)))
+        m = sim.run_epochs(50)
+        assert m.flows_offered == len(flows) > 4000
+        # the next epoch boundary, a service wake-up, the pending query steps
+        assert max(heap_sizes) <= 5
+
+    def test_unread_trace_keeps_run_until_idle_going(self):
+        # The link is idle at boundaries 1..3; the flow at t = 3.25 is
+        # still in the cursor, so the run goes on.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
+        m = run_simulation([make_flow(0, 0.1, 100), make_flow(1, 3.25, 200)], link,
+                           FeedbackMode.OPEN, classes=[A_WEB])
+        assert m.delivered_bytes() == 300
+        assert m.n_epochs == 4
+
+    def test_add_flows_mid_run_merges_with_the_cursor(self):
+        link = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
+        early = regular_flows(A_WEB, 7.0, 900, 6.0)
+        late = regular_flows(B_FILE, 5.0, 1100, 6.0, start=2.01, fid0=1000)
+        whole = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        whole.add_flows(sorted(early + late, key=lambda f: f.arrival_time))
+        split = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        split.add_flows(early)
+        split.schedule_at(2.0, lambda s, t: s.add_flows(late))
+        assert _outcome(whole.run_epochs(12)) == _outcome(split.run_epochs(12))
+
+
+def _outcome(m):
+    return (m.epochs, m.totals, m.latencies_s, m.link_utilization, m.flows_offered,
+            m.flows_completed, m.failed_flow_ids)
+
+
+@st.composite
+def three_inputs(draw):
+    """A small run and one set of flows with distinct arrival times, given
+    three ways: as a Trace, as a shuffled FlowEvent list, and as two
+    shuffled lists that split the flows at random."""
+    labels = [A_WEB, B_FILE, TrafficClassLabel(ZoneClass.C)][: draw(st.integers(1, 3))]
+    k = len(labels)
+    epoch_s = draw(st.sampled_from([0.25, 0.5]))
+    link = LinkSpec(capacity_bps=draw(st.sampled_from([8e3, 2.4e4, 8e4])),
+                    queue_capacity_bytes=draw(st.integers(500, 20_000)),
+                    propagation_delay_s=draw(st.sampled_from([0.0, 0.003])),
+                    epoch_s=epoch_s)
+    n_epochs = draw(st.integers(1, 5))
+    slots = draw(st.lists(st.integers(0, 100 * n_epochs), unique=True, max_size=30))
+    flows = []
+    for fid, q in enumerate(sorted(slots)):
+        label = labels[draw(st.integers(0, k - 1))]
+        src, dst = {ZoneClass.A: A_ENDPOINTS, ZoneClass.B: B_ENDPOINTS,
+                    ZoneClass.C: (Zone.INTERNET, Zone.INTERNET)}[label.zone_class]
+        flows.append(FlowEvent(id=fid, arrival_time=q * epoch_s / 100,
+                               size=draw(st.integers(1, 6000)), src=src, dst=dst,
+                               app=label.app_kind or draw(st.sampled_from(list(AppKind)))))
+    shuffled = [flows[j] for j in draw(st.permutations(range(len(flows))))]
+    first = draw(st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)))
+    parts = ([f for f, b in zip(shuffled, first) if b],
+             [f for f, b in zip(shuffled, first) if not b])
+    controller = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k))
+        total = max(20, sum(weights))
+        controller = FixedShareController([w / total for w in weights],
+                                          draw(st.permutations(range(k))))
+    # run_until_idle only open: a zero share can starve a class until max_epochs
+    idle = controller is None and draw(st.booleans())
+    return link, labels, n_epochs, idle, controller, Trace.from_flows(flows), shuffled, parts
+
+
+class TestPropertyThreeInputs:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(three_inputs())
+    def test_trace_list_and_split_agree(self, case):
+        link, labels, n_epochs, idle, controller, trace, shuffled, parts = case
+        mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+        outcomes = []
+        for batches in ([trace], [shuffled], list(parts)):
+            sim = LinkSimulator(link, labels, mode, controller=controller, debug=True)
+            for batch in batches:
+                sim.add_flows(batch)
+            m = sim.run_until_idle() if idle else sim.run_epochs(n_epochs)
+            outcomes.append(_outcome(m))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestEventCsv:

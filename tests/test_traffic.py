@@ -1,12 +1,18 @@
+import hashlib
 import math
+from array import array
 
 import pytest
 
+from hcqsim.runner import build_trace
+from hcqsim.scenarios import S1_SEED, S2_SEED, s1_config, s2_congested_config
 from hcqsim.traffic import (
+    ENDPOINTS,
     AppKind,
     ClassProfile,
     FlowEvent,
     SizeDistribution,
+    Trace,
     TrafficClassLabel,
     TrafficProfile,
     Zone,
@@ -200,6 +206,78 @@ class TestGenerateTrace:
         assert rate == pytest.approx(8.0, rel=0.08)
 
 
+def mixed_flows():
+    """Unsorted flows with scattered ids over three classes."""
+    return [
+        flow(Zone.PUBLIC_CLOUD, Zone.LOCAL_SERVER, AppKind.FILE, fid=40, t=2.5, size=7),
+        flow(Zone.LOCAL_SERVER, Zone.NETWORK_CORE, AppKind.WEB, fid=3, t=0.0, size=1),
+        flow(Zone.INTERNET, Zone.INTERNET, AppKind.SERVICE, fid=-8, t=1.25, size=90_000),
+        flow(Zone.PRIVATE_CLOUD, Zone.LOCAL_SERVER, AppKind.WEB, fid=11, t=1.25, size=3),
+    ]
+
+
+class TestTrace:
+    def test_generated_trace_is_columns(self):
+        trace = generate_trace(single_class_profile(rate=5.0), 20.0, seed=1)
+        assert isinstance(trace, Trace)
+        assert (trace.time.typecode, trace.size.typecode) == ("d", "q")
+        assert trace.ids == range(len(trace))
+        assert trace.labels == (TrafficClassLabel(ZoneClass.A, AppKind.WEB),)
+        assert set(trace.cls) == {0}
+
+    def test_generate_trace_creates_no_flow_event(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("generate_trace built a FlowEvent")
+        monkeypatch.setattr(FlowEvent, "__post_init__", refuse)
+        assert len(generate_trace(single_class_profile(rate=5.0), 20.0, seed=1)) > 50
+
+    def test_labels_are_the_classes_that_drew_flows(self):
+        # C's source is too slow to draw a flow in 5 s: no C label, so a run
+        # built from the labels gets no C class.
+        label_c = TrafficClassLabel(ZoneClass.C)
+        profile = TrafficProfile((
+            ClassProfile(TrafficClassLabel(ZoneClass.B, AppKind.FILE), 20.0,
+                         SizeDistribution(family="fixed", size_bytes=500.0)),
+            ClassProfile(label_c, 1e-9, SizeDistribution(family="fixed", size_bytes=500.0)),
+            ClassProfile(TrafficClassLabel(ZoneClass.A, AppKind.SERVICE), 20.0,
+                         SizeDistribution(family="fixed", size_bytes=500.0)),
+        ))
+        trace = generate_trace(profile, 5.0, seed=2)
+        assert set(trace.labels) == {classify(f) for f in trace}
+        assert label_c not in trace.labels
+        assert trace.labels == canonical_class_order(trace.labels)
+        assert [trace.labels[c] for c in trace.cls] == [classify(f) for f in trace]
+
+    def test_from_flows_keeps_order_ids_and_endpoints(self):
+        flows = mixed_flows()
+        trace = Trace.from_flows(flows)
+        assert list(trace) == flows
+        assert trace[0] == flows[0] and trace[-1] == flows[-1]
+        assert [str(lab) for lab in trace.labels] == ["A:Web", "B:File", "C"]
+        assert [trace.labels[c] for c in trace.cls] == [classify(f) for f in flows]
+        assert Trace.from_flows(trace) is trace
+        assert Trace.from_flows(flows) == trace
+        assert Trace.from_flows(flows[1:]) != trace
+
+    def test_empty(self):
+        trace = Trace.from_flows([])
+        assert len(trace) == 0 and trace.labels == () and list(trace) == []
+
+    def test_endpoint_table_covers_every_triple_once(self):
+        assert len(ENDPOINTS) == len(set(ENDPOINTS)) == len(Zone) ** 2 * len(AppKind)
+
+    @pytest.mark.parametrize("time, size, endpoint, match", [
+        ([0.0, 1.0], [5], [0, 0], "differ in length"),
+        ([0.0], [0], [0], "flow size must be >= 1 byte, got 0"),
+        ([0.5, -1.0], [5, 5], [0, 0], "arrival_time must be finite and >= 0, got -1.0"),
+        ([math.nan], [5], [0], "got nan"),
+        ([math.inf], [5], [0], "got inf"),
+    ])
+    def test_constructor_checks_columns(self, time, size, endpoint, match):
+        with pytest.raises(ValueError, match=match):
+            Trace(array("d", time), array("q", size), array("B", endpoint))
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         profile = single_class_profile(rate=5.0)
@@ -207,6 +285,38 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         assert read_trace_csv(path) == trace
+
+    def test_read_gives_a_trace_with_the_written_flows(self, tmp_path):
+        flows = mixed_flows()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(flows, path)
+        trace = read_trace_csv(path)
+        assert isinstance(trace, Trace)
+        assert list(trace) == flows
+        assert trace == Trace.from_flows(flows)
+        assert trace.labels == Trace.from_flows(flows).labels
+
+    # SHA-256 of write_trace_csv for the canned traces. Flow ids and
+    # endpoints reach no run directory, so the golden run digests cannot
+    # see them; these can.
+    @pytest.mark.parametrize("make_cfg, seed, n, sha256", [
+        (s1_config, S1_SEED, 51003,
+         "de84f025ac376c7d96baaeef7c3ebb0ffe39dd44a5b22298e4209e89dd5f1f32"),
+        (s2_congested_config, S2_SEED, 5962,
+         "e6c664f2477630f6b7a0cbe1e41ecd04932fb2143a09f6cca931b7771f8eb62e"),
+    ])
+    def test_canned_trace_csv_digest(self, tmp_path, make_cfg, seed, n, sha256):
+        trace = build_trace(make_cfg(seed))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert len(trace) == n
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_bad_zone_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,arrival_time,size,src,dst,app\n0,0.5,10,Mars,Internet,Web\n")
+        with pytest.raises(ValueError):
+            read_trace_csv(path)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
