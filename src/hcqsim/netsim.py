@@ -13,16 +13,25 @@ label is turned into its index once, when its flow is offered, and a
 trace's labels once per trace.
 
 All byte counters are integers, so the conservation identity
-arrived == delivered + dropped + queued holds exactly per class. Service
-interrupted mid-flow rounds down to whole bytes (the sub-byte remainder
-stays queued). Event ties are broken by kind (epoch boundary, then service
-completion, then flow arrival, then query step), then insertion order.
+arrived == delivered + dropped + queued holds exactly per class. The live
+service plan serves `limit` bytes of the flow at the head of one queue
+from its `start`: by time t it has served min(limit - 1,
+floor(byte_rate * (t - start))) bytes, and the last one at its `end`. The
+count depends on t alone, not on the instants at which service was
+brought up to date, so service is advanced lazily: at completions, epoch
+boundaries and query steps, and at an arrival only when a drop or a
+preemption depends on it (the arrival joins the queue in service and may
+overflow it, or it preempts a lower-priority queue). A replan cuts the
+segment's sub-byte progress (the remainder stays queued). Event ties are
+broken by kind (epoch boundary, then service completion, then flow
+arrival, then query step), then insertion order.
 
-Trace arrivals never enter the event heap. They are read from a cursor
-over the trace's columns, and each step takes the next event from
-whichever of the cursor and the heap holds the smaller (time, kind, seq).
-A trace flow takes its seq when the trace is added, in trace order, so the
-merge breaks ties exactly as one heap holding every event would.
+Only epoch boundaries, injected flows and query steps enter the event
+heap. Trace arrivals are read from a cursor over the trace's columns, and
+service completions from the live plan's end; each step takes whichever
+of the three comes first in (time, kind, seq) order. A trace flow takes
+its seq when the trace is added, in trace order, so the merge breaks ties
+exactly as one heap holding every event would.
 """
 
 from __future__ import annotations
@@ -130,9 +139,6 @@ EPOCH_CSV_HEADER = [
     "utilization",
 ]
 
-EVENT_CSV_HEADER = ["time", "event", "class", "flow_id", "bytes"]
-
-
 @dataclass
 class SimMetrics:
     """Everything one run produced, sufficient to rebuild every report."""
@@ -234,7 +240,10 @@ class _QueuedFlow:
 
 
 class _ServicePlan:
-    __slots__ = ("start", "end", "queue", "flow", "limit")
+    """Serve `limit` bytes of `flow` from `queue` over [start, end]; `done`
+    of them have been served so far."""
+
+    __slots__ = ("start", "end", "queue", "flow", "limit", "done")
 
     def __init__(self, start, end, queue, flow, limit):
         self.start = start
@@ -242,6 +251,7 @@ class _ServicePlan:
         self.queue = queue
         self.flow = flow
         self.limit = limit
+        self.done = 0
 
 
 class LinkSimulator:
@@ -286,7 +296,6 @@ class LinkSimulator:
         elif self.control_message_bytes > 0:
             raise ValueError("open mode sends no control messages")
         self.debug = debug
-        self.event_log: list[tuple] = []
 
         self.byte_rate = link.byte_rate
         self.now = 0.0
@@ -301,6 +310,7 @@ class LinkSimulator:
 
         k = len(self.classes)
         self._index = {label: i for i, label in enumerate(self.classes)}
+        self._control_set = ControlBounds.simplex(k)
         self.counters = [ClassCounters() for _ in range(k)]
         if mode is FeedbackMode.CLOSED:
             self._queue_of = list(range(k))
@@ -387,13 +397,12 @@ class LinkSimulator:
 
     def _replan(self, now: float) -> None:
         self._plan = None
+        queued, budget = self._queued_bytes, self._budget
         for q in self._priority:
-            if self._queued_bytes[q] > 0 and self._budget[q] > 0:
+            if queued[q] > 0 and budget[q] > 0:
                 flow = self._queues[q][0]
-                limit = min(flow.remaining, self._budget[q])
-                end = now + limit / self.byte_rate
-                self._plan = _ServicePlan(now, end, q, flow, limit)
-                self._push(end, SERVICE_COMPLETION, None)
+                limit = flow.remaining if flow.remaining <= budget[q] else budget[q]
+                self._plan = _ServicePlan(now, now + limit / self.byte_rate, q, flow, limit)
                 return
 
     def _serve(self, q: int, flow, nbytes: int, when: float) -> None:
@@ -408,7 +417,6 @@ class LinkSimulator:
             c.control_delivered += nbytes
         self._epoch_delivered[i] += nbytes
         if self.debug:
-            self.event_log.append((when, "serve", str(self.classes[i]), flow.flow_id, nbytes))
             self._assert_conserved()
         if flow.remaining == 0:
             queue = self._queues[q]
@@ -420,64 +428,71 @@ class LinkSimulator:
             if flow.callback is not None:
                 flow.callback(self, delivery)
 
-    def _advance(self, t: float) -> None:
-        """Apply continuous service from the plan's start up to time t.
+    def _complete(self) -> None:
+        """Serve the live plan's remaining bytes at its end, then replan."""
+        plan = self._plan
+        self._serve(plan.queue, plan.flow, plan.limit - plan.done, plan.end)
+        self._replan(plan.end)
 
-        Whole segments (flow completion or budget exhaustion) transfer their
-        exact integer byte count; a partially elapsed segment moves whole
-        bytes and keeps the sub-byte remainder in the plan, so nothing is
-        lost unless a replan cuts the segment short.
+    def _advance(self, t: float) -> None:
+        """Bring service up to time t.
+
+        Plans that end by t serve their remaining bytes and are replanned at
+        their end. The live plan then stands at min(limit - 1,
+        floor(byte_rate * (t - start))) bytes served, whatever instants it
+        was advanced at before; its last byte is served only at its end.
         """
         while self._plan is not None and self._plan.end <= t:
-            plan = self._plan
-            self._serve(plan.queue, plan.flow, plan.limit, plan.end)
-            self._replan(plan.end)
+            self._complete()
         plan = self._plan
         if plan is not None and t > plan.start:
-            # A partial segment never finishes the plan; the exact last byte
-            # is always transferred by the completion branch above.
-            nbytes = min(plan.limit - 1, int(self.byte_rate * (t - plan.start)))
+            nbytes = min(plan.limit - 1, int(self.byte_rate * (t - plan.start))) - plan.done
             if nbytes > 0:
                 self._serve(plan.queue, plan.flow, nbytes, t)
-                plan.limit -= nbytes
-                plan.start += nbytes / self.byte_rate
+                plan.done += nbytes
 
     # -- event handlers ----------------------------------------------------
 
     def _handle_arrival(self, t: float, i: int, size: int, fid: int,
                         control: bool = False, callback=None) -> None:
+        """Offer a flow at t. Service is brought up to t only when the answer
+        depends on it: the drop test on the queue in service, or a preemption.
+        """
         q = self._queue_of[i]
-        free = self.link.queue_capacity_bytes - self._queued_bytes[q]
-        accepted = min(size, free)
+        queued = self._queued_bytes
+        free = self.link.queue_capacity_bytes - queued[q]
+        plan = self._plan
+        if size > free and plan is not None and plan.queue == q:
+            self._advance(t)
+            free = self.link.queue_capacity_bytes - queued[q]
+        accepted = size if size <= free else free
         dropped = size - accepted
         c = self.counters[i]
         c.arrived += size
+        m = self.metrics
         if control:
             c.control_arrived += size
-            self.metrics.control_bytes_injected += size
+            m.control_bytes_injected += size
         self._epoch_arrived[i] += size
-        self.metrics.flows_offered += 1
-        self.metrics.max_flow_size = max(self.metrics.max_flow_size, size)
+        m.flows_offered += 1
+        if size > m.max_flow_size:
+            m.max_flow_size = size
         if dropped:
             c.dropped += dropped
             self._epoch_dropped[i] += dropped
-            if self.debug:
-                self.event_log.append((t, "drop", str(self.classes[i]), fid, dropped))
         if accepted > 0:
             self._queues[q].append(_QueuedFlow(fid, i, accepted, t, control, callback))
-            self._queued_bytes[q] += accepted
+            queued[q] += accepted
             c.queued += accepted
-            if self.debug:
-                self.event_log.append((t, "arrival", str(self.classes[i]), fid, accepted))
-            plan = self._plan
             if plan is None:
                 self._replan(t)
             elif self._budget[q] > 0 and self._rank[q] < self._rank[plan.queue]:
                 # Serviceable higher-priority work preempts; the cut
                 # segment's sub-byte progress is dropped.
+                self._advance(t)
                 self._replan(t)
         else:
-            self.metrics.failed_flow_ids.append(fid)
+            m.failed_flow_ids.append(fid)
         if self.debug:
             self._assert_conserved()
 
@@ -489,7 +504,7 @@ class LinkSimulator:
         k = len(self.classes)
         if len(decision.u) != k:
             raise SimulationError(f"decision has {len(decision.u)} shares for {k} classes")
-        if not ControlBounds.simplex(k).contains(decision.u, tol=1e-9):
+        if not self._control_set.contains(decision.u, tol=1e-9):
             raise SimulationError(f"decision shares outside the control set: {decision.u}")
         if sorted(decision.priority_order) != list(range(k)):
             raise SimulationError(f"invalid priority order: {decision.priority_order}")
@@ -555,50 +570,57 @@ class LinkSimulator:
     # -- run loops ----------------------------------------------------------
 
     def _pop_loop(self, n_epochs: Optional[int], max_epochs: int) -> None:
-        """Handle events in (time, kind, seq) order. Epoch boundary e+1 is
-        scheduled when e is handled: always with n_epochs, which stops at
-        boundary n_epochs, and while the link is active without it."""
+        """Handle events in (time, kind, seq) order, each taken from the trace
+        cursor, the heap or the live plan's end, whichever comes first.
+        Epoch boundary e+1 is scheduled when e is handled: always with
+        n_epochs, which stops at boundary n_epochs, and while the link is
+        active without it."""
         eps = self.link.epoch_s
         heap = self._heap
         self._push(0.0, EPOCH_BOUNDARY, 0)
         while True:
-            pos = self._pos
+            plan = self._plan
+            top = heap[0] if heap else None
             times, seqs, cls, sizes, ids = self._cursor
-            if pos < len(times) and not (heap and heap[0] < (times[pos], FLOW_ARRIVAL,
-                                                              seqs[pos])):
-                time = times[pos]
-                self._pos = pos + 1
+            pos = self._pos
+            if pos < len(times) and (top is None or top > (times[pos], FLOW_ARRIVAL, seqs[pos])):
+                if plan is None or plan.end > times[pos]:  # else the completion comes first
+                    time = times[pos]
+                    self._pos = pos + 1
+                    self.now = time
+                    self._handle_arrival(time, cls[pos], sizes[pos], ids[pos])
+                    continue
+            elif top is None:
+                if plan is None:
+                    break
+            elif plan is None or (plan.end, SERVICE_COMPLETION) > top[:2]:
+                time, kind, _, payload = heapq.heappop(heap)
                 self.now = time
+                if kind == FLOW_ARRIVAL:
+                    self._pending_external -= 1
+                    self._handle_arrival(time, *payload)
+                    continue
                 self._advance(time)
-                self._handle_arrival(time, cls[pos], sizes[pos], ids[pos])
+                if kind == EPOCH_BOUNDARY:
+                    e = payload
+                    if e > max_epochs:
+                        raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
+                    if e > 0:
+                        self._finalize_epoch(e - 1)
+                    if e == n_epochs:
+                        break  # the horizon: later events belong to no epoch
+                    if n_epochs is not None or self._active():
+                        self._begin_epoch(time, e)
+                        self._push((e + 1) * eps, EPOCH_BOUNDARY, e + 1)
+                else:  # QUERY_STEP
+                    self._pending_external -= 1
+                    payload(self, time)
+                    if self._plan is None:
+                        self._replan(time)
                 continue
-            if not heap:
-                break
-            time, kind, _, payload = heapq.heappop(heap)
-            if kind == FLOW_ARRIVAL or kind == QUERY_STEP:
-                self._pending_external -= 1
-            self.now = time
-            self._advance(time)
-            if kind == EPOCH_BOUNDARY:
-                e = payload
-                if e > max_epochs:
-                    raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
-                if e > 0:
-                    self._finalize_epoch(e - 1)
-                if e == n_epochs:
-                    break  # the horizon: later events belong to no epoch
-                if n_epochs is not None or self._active():
-                    self._begin_epoch(time, e)
-                    self._push((e + 1) * eps, EPOCH_BOUNDARY, e + 1)
-            elif kind == FLOW_ARRIVAL:
-                self._handle_arrival(time, *payload)
-            elif kind == QUERY_STEP:
-                payload(self, time)
-                if self._plan is None:
-                    self._replan(time)
-            elif self._plan is None:
-                # SERVICE_COMPLETION is a pure wake-up: _advance did the work.
-                self._replan(time)
+            # The live plan ends first.
+            self.now = plan.end
+            self._complete()
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run exactly n_epochs control epochs, then stop.
@@ -617,13 +639,6 @@ class LinkSimulator:
         self._pop_loop(n_epochs=None, max_epochs=max_epochs)
         self.metrics.assert_conservation()
         return self.metrics
-
-    def write_event_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(EVENT_CSV_HEADER)
-            for time, event, label, fid, nbytes in self.event_log:
-                w.writerow(["%.9g" % time, event, label, fid, nbytes])
 
 
 def run_simulation(

@@ -246,13 +246,6 @@ class SizeDistribution:
         else:
             raise ValueError(f"unknown size distribution family {self.family!r}")
 
-    def mean(self) -> float:
-        if self.family == "fixed":
-            return self.size_bytes
-        if self.family == "uniform":
-            return 0.5 * (self.low + self.high)
-        return self.mean_bytes
-
     def sample(self, rng: random.Random) -> int:
         if self.family == "fixed":
             raw = self.size_bytes
@@ -317,9 +310,6 @@ class ClassProfile:
             raise ValueError(f"idle_s must be >= 0, got {self.idle_s}")
         if self.burst_dist not in ("exponential", "fixed"):
             raise ValueError(f"burst_dist must be exponential or fixed, got {self.burst_dist!r}")
-
-    def offered_bytes_per_s(self) -> float:
-        return self.rate_per_s * self.size_dist.mean()
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import numpy as np
@@ -13,6 +14,8 @@ from hcqsim.control import (
 )
 from hcqsim.netsim import (
     CONTROL_LABEL,
+    EPOCH_BOUNDARY,
+    SERVICE_COMPLETION,
     FeedbackMode,
     LinkSimulator,
     LinkSpec,
@@ -455,26 +458,15 @@ class TestEventOrdering:
         with pytest.raises(SimulationError, match="epoch rows disagree"):
             m.assert_conservation()
 
-    def test_debug_event_log(self):
-        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
-        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN, debug=True)
-        sim.add_flows([make_flow(0, 0.1, 1000)])
-        sim.run_epochs(1)
-        kinds = [row[1] for row in sim.event_log]
-        assert kinds == ["arrival", "serve"]
-
 
 class _RecordingSim(LinkSimulator):
-    """Logs each event the loop takes (one _advance per event) and the
-    handlers it runs."""
+    """Logs the handlers the loop runs: epoch finalize and arrival here,
+    completion callbacks and query steps through the flows and steps a
+    test offers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
-
-    def _advance(self, t):
-        self.log.append((t, "event"))
-        super()._advance(t)
 
     def _finalize_epoch(self, index):
         self.log.append((self.now, f"epoch {index}"))
@@ -501,15 +493,25 @@ class TestTraceCursor:
         sim.schedule_at(1.0, lambda s, t: s.log.append((t, "query")))
         m = sim.run_epochs(2)
         assert [what for t, what in sim.log if t == 1.0] == [
-            "event", "served -1", "epoch 0",  # boundary; its _advance ends the service
-            "event",                          # the service completion wake-up
-            "event", "arrival -2",            # injected before add_flows: smaller seq
-            "event", "arrival 7",             # the trace flow
-            "event", "arrival -3",            # injected after add_flows
-            "event", "query",
+            "served -1", "epoch 0",  # the boundary brings service up to t first
+            "arrival -2",            # injected before add_flows: smaller seq
+            "arrival 7",             # the trace flow
+            "arrival -3",            # injected after add_flows
+            "query",
         ]
         assert m.epochs[0].delivered == 10**6  # service ending on the boundary
         assert m.epochs[1].arrived == 30
+
+    def test_completion_before_arrival_at_one_instant(self):
+        # 250,000 B injected at t = 0.25 end at 0.5 at 1e6 B/s, where a
+        # trace flow arrives: the completion, taken from the plan, comes first.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
+        sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
+        sim.inject_flow(0.25, 250_000, A_WEB,
+                        callback=lambda s, t: s.log.append((s.now, "served -1")))
+        sim.add_flows([make_flow(7, 0.5, 10)])
+        sim.run_epochs(1)
+        assert [what for t, what in sim.log if t == 0.5] == ["served -1", "arrival 7"]
 
     def test_second_add_flows_keeps_seq_order_on_ties(self):
         # Flows of the first call come first at a shared instant, as they
@@ -524,7 +526,15 @@ class TestTraceCursor:
         assert m.totals[A_WEB].dropped == 0
         assert m.totals[B_FILE].dropped > 0
 
-    def test_trace_flows_never_enter_the_heap(self):
+    def test_trace_flows_never_enter_the_heap(self, monkeypatch):
+        pushed_kinds = []
+        heappush = heapq.heappush
+
+        def recording_push(heap, item):
+            pushed_kinds.append(item[1])
+            heappush(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", recording_push)
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7)
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
         flows = regular_flows(A_WEB, 100.0, 1000, 50.0)
@@ -534,8 +544,11 @@ class TestTraceCursor:
             sim.schedule_at(t, lambda s, now: heap_sizes.append(len(s._heap)))
         m = sim.run_epochs(50)
         assert m.flows_offered == len(flows) > 4000
-        # the next epoch boundary, a service wake-up, the pending query steps
-        assert max(heap_sizes) <= 5
+        # the next epoch boundary and the pending query steps
+        assert max(heap_sizes) <= 3
+        # completions come from the live plan: none is ever pushed
+        assert SERVICE_COMPLETION not in pushed_kinds
+        assert pushed_kinds.count(EPOCH_BOUNDARY) == 51
 
     def test_unread_trace_keeps_run_until_idle_going(self):
         # The link is idle at boundaries 1..3; the flow at t = 3.25 is
@@ -616,15 +629,60 @@ class TestPropertyThreeInputs:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-class TestEventCsv:
-    def test_debug_event_csv_written(self, tmp_path):
-        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
-        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN, debug=True)
-        sim.add_flows([make_flow(0, 0.1, 1000), make_flow(1, 0.2, 2_000_000)])
-        sim.run_epochs(2)
-        path = tmp_path / "events.csv"
-        sim.write_event_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,event,class,flow_id,bytes"
-        kinds = [ln.split(",")[1] for ln in lines[1:]]
-        assert "arrival" in kinds and "serve" in kinds and "drop" in kinds
+def _run_with_steps(link, labels, controller, debug, batches, run, steps):
+    """Run once, with a no-op query step at each of `steps`; each step
+    brings service up to its time before it runs."""
+    mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+    sim = LinkSimulator(link, labels, mode, controller=controller, debug=debug)
+    for batch in batches:
+        sim.add_flows(batch)
+    for t in steps:
+        sim.schedule_at(t, lambda s, now: None)
+    return _outcome(run(sim))
+
+
+def _instants(seed, end):
+    """Up to 30 random instants in [0, end)."""
+    rng = random.Random(seed)
+    return [end * rng.random() for _ in range(rng.randint(1, 30))]
+
+
+class TestPropertyPathIndependence:
+    """Served bytes depend on the time alone, so advancing service at extra
+    instants changes no output."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lattice_runs(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_lattice_runs(self, case, seed, debug):
+        link, labels, n_epochs, trace, controller = case
+        steps = _instants(seed, n_epochs * link.epoch_s)
+        outcomes = [_run_with_steps(link, labels, controller, debug, [trace],
+                                    lambda sim: sim.run_epochs(n_epochs), s)
+                    for s in ([], steps)]
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(three_inputs(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_three_inputs(self, case, seed, debug):
+        link, labels, n_epochs, idle, controller, trace, shuffled, parts = case
+        if idle:
+            # Steps before the last arrival keep no idle run going longer.
+            steps = _instants(seed, trace.time[-1]) if len(trace) else []
+        else:
+            steps = _instants(seed, n_epochs * link.epoch_s)
+        run = LinkSimulator.run_until_idle if idle else (lambda sim: sim.run_epochs(n_epochs))
+        outcomes = [_run_with_steps(link, labels, controller, debug, list(parts), run, s)
+                    for s in ([], steps)]
+        assert outcomes[0] == outcomes[1]
+
+    def test_long_flow_at_an_odd_rate(self):
+        # 10^8 B at 1,234,567.89 B/s spans 81 epochs; bringing its service
+        # up to 30 random instants leaves every epoch row as it was.
+        link = LinkSpec(capacity_bps=8 * 1_234_567.89, queue_capacity_bytes=2 * 10**8)
+        flow = [make_flow(0, 0.1, 10**8)]
+        steps = sorted(random.Random(5).uniform(0.0, 90.0) for _ in range(30))
+        plain, stepped = (_run_with_steps(link, [A_WEB], None, False, [flow],
+                                          lambda sim: sim.run_epochs(90), s)
+                          for s in ([], steps))
+        assert plain == stepped
+        assert plain[1][A_WEB].delivered == 10**8
