@@ -26,8 +26,9 @@ from hcqsim.control import (
     check_stability,
     identify_model,
 )
+from hcqsim.config import load_config
 from hcqsim.netsim import FeedbackMode, run_simulation
-from hcqsim.runner import write_outputs
+from hcqsim.runner import run_scenario, write_outputs
 from hcqsim.scenarios import run_s1, run_s2
 from hcqsim.traffic import (
     AppKind,
@@ -291,13 +292,17 @@ def test_criterion_6_determinism(tmp_path, s1_outcome, s2_outcome):
 
 
 GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden_digests.json")
+# Closed and open at k = 3 with the A:Service control class, an identified
+# model and 512-byte control messages.
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "examples_config", "demo.json")
 
 
 def run_digests(s1_outcome, s2_outcome, out_dir) -> dict:
-    """SHA-256 of every file in the canned scenarios' run directories."""
+    """SHA-256 of every file in the canned scenarios' and the demo config's
+    run directories."""
     s2 = s2_outcome[0].result
     runs = (("s1-histogram", s1_outcome[0].result), ("s2-congested", s2.congested),
-            ("s2-idle", s2.idle))
+            ("s2-idle", s2.idle), ("demo", run_scenario(load_config(DEMO_CONFIG))))
     return {
         name: {rel: hashlib.sha256(blob).hexdigest()
                for rel, blob in sorted(_run_files(result, out_dir / name).items())}
