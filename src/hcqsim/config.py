@@ -135,7 +135,7 @@ class ControllerConfig:
     grid: int
     weights: CostWeights
     control_message_bytes: int
-    control_bounds: Optional[ControlBounds] = None
+    control_bounds: ControlBounds
 
 
 @dataclass

@@ -183,12 +183,11 @@ class QueryPlan:
     query_id: int
     author: int
     article_ids: tuple[int, ...]
-    protocol: Protocol
 
 
-def plan_query(corpus: Corpus, query_id: int, author: int, protocol: Protocol) -> QueryPlan:
+def plan_query(corpus: Corpus, query_id: int, author: int) -> QueryPlan:
     ids = corpus.author_index.get(author, ())
-    return QueryPlan(query_id=query_id, author=author, article_ids=tuple(ids), protocol=protocol)
+    return QueryPlan(query_id=query_id, author=author, article_ids=tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -360,9 +359,8 @@ def run_experiment(
     against the link's per-class delivered counters and any dropped fetch
     byte is an error (size the queue above the largest article).
     """
-    plans_local = [plan_query(corpus, i, a, Protocol.LOCAL_4STEP) for i, a in enumerate(authors)]
-    plans_hybrid = [plan_query(corpus, i, a, Protocol.HYBRID_5STEP) for i, a in enumerate(authors)]
-    local_results = [execute_local(p, corpus, backends) for p in plans_local]
+    plans = [plan_query(corpus, i, a) for i, a in enumerate(authors)]
+    local_results = [execute_local(p, corpus, backends) for p in plans]
 
     background = Trace.from_flows(background)
     if label in background.labels:
@@ -372,18 +370,18 @@ def run_experiment(
     sim = LinkSimulator(link, canonical_class_order((*background.labels, label)),
                         FeedbackMode.OPEN, scenario_id=scenario_id, seed=seed)
     sim.add_flows(background)
-    driver = HybridQueryDriver(sim, corpus, backends, plans_hybrid, label=label, parallel=parallel)
+    driver = HybridQueryDriver(sim, corpus, backends, plans, label=label, parallel=parallel)
     driver.start(start_time)
     metrics = sim.run_until_idle()
 
-    if len(driver.results) != len(plans_hybrid):
+    if len(driver.results) != len(plans):
         raise ExperimentError(
-            f"only {len(driver.results)}/{len(plans_hybrid)} hybrid queries completed; "
+            f"only {len(driver.results)}/{len(plans)} hybrid queries completed; "
             f"failed flow ids: {metrics.failed_flow_ids}"
         )
     hybrid_results = sorted(driver.results, key=lambda r: r.query_id)
     fetch_bytes = sum(
-        corpus.article(i).body_size for p in plans_hybrid for i in p.article_ids
+        corpus.article(i).body_size for p in plans for i in p.article_ids
     )
     tot = metrics.totals[label]
     if tot.dropped or tot.queued or tot.delivered != fetch_bytes:

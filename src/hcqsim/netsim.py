@@ -26,6 +26,11 @@ segment's sub-byte progress (the remainder stays queued). Event ties are
 broken by kind (epoch boundary, then service completion, then flow
 arrival, then query step), then insertion order.
 
+The per-class ClassCounters are the one byte ledger. At each epoch
+boundary the run appends one k-tuple to each of the epoch columns: the
+arrived, delivered and dropped counters differenced against their values
+at the previous boundary, and the queued counter as it stands.
+
 Only epoch boundaries, injected flows and query steps enter the event
 heap. Trace arrivals are read from a cursor over the trace's columns, and
 service completions from the live plan's end; each step takes whichever
@@ -114,19 +119,6 @@ class ClassCounters:
         return self.arrived == self.delivered + self.dropped + self.queued
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    label: TrafficClassLabel
-    arrived: int
-    delivered: int
-    dropped: int
-    queued: int
-    share: Optional[float]
-    priority_rank: Optional[int]
-    utilization: float
-
-
 EPOCH_CSV_HEADER = [
     "epoch",
     "class",
@@ -141,27 +133,46 @@ EPOCH_CSV_HEADER = [
 
 @dataclass
 class SimMetrics:
-    """Everything one run produced, sufficient to rebuild every report."""
+    """Everything one run produced, sufficient to rebuild every report.
+
+    `totals` maps each class to its cumulative ClassCounters. The epoch
+    columns hold one k-tuple per epoch, in class order: `arrived`,
+    `delivered` and `dropped` are the counters differenced at the epoch's
+    two boundaries, `queued` the counter at its end. `shares` and `ranks`
+    are the installed shares and priority ranks, None in open mode.
+    """
 
     scenario_id: str
     mode: FeedbackMode
     seed: int
     link: LinkSpec
     classes: tuple[TrafficClassLabel, ...]
-    epochs: list[EpochRecord] = field(default_factory=list)
     totals: dict = field(default_factory=dict)
     latencies_s: dict = field(default_factory=dict)
-    link_utilization: list[float] = field(default_factory=list)
+    arrived: list[tuple] = field(default_factory=list)
+    delivered: list[tuple] = field(default_factory=list)
+    dropped: list[tuple] = field(default_factory=list)
+    queued: list[tuple] = field(default_factory=list)
+    shares: list[Optional[tuple]] = field(default_factory=list)
+    ranks: list[Optional[tuple]] = field(default_factory=list)
     flows_offered: int = 0
     flows_completed: int = 0
-    control_bytes_injected: int = 0
     failed_flow_ids: list[int] = field(default_factory=list)
     max_flow_size: int = 0
     state_history: list = field(default_factory=list)
 
     @property
     def n_epochs(self) -> int:
-        return len(self.link_utilization)
+        return len(self.delivered)
+
+    @property
+    def link_utilization(self) -> list[float]:
+        per_epoch = self.link.bytes_per_epoch
+        return [sum(row) / per_epoch for row in self.delivered]
+
+    @property
+    def control_bytes_injected(self) -> int:
+        return sum(c.control_arrived for c in self.totals.values())
 
     def arrived_bytes(self) -> int:
         return sum(c.arrived for c in self.totals.values())
@@ -179,7 +190,6 @@ class SimMetrics:
     def assert_conservation(self) -> None:
         """Per class: arrived == delivered + dropped + queued, and the epoch
         rows' arrived/delivered/dropped sum to the totals."""
-        k = len(self.classes)
         for i, label in enumerate(self.classes):
             c = self.totals[label]
             if not c.conserved():
@@ -187,10 +197,8 @@ class SimMetrics:
                     f"byte conservation violated for {label}: arrived={c.arrived} "
                     f"delivered={c.delivered} dropped={c.dropped} queued={c.queued}"
                 )
-            rows = self.epochs[i::k]  # each epoch appends one row per class, in class order
-            arrived = sum(r.arrived for r in rows)
-            delivered = sum(r.delivered for r in rows)
-            dropped = sum(r.dropped for r in rows)
+            arrived, delivered, dropped = (sum(row[i] for row in col)
+                                           for col in (self.arrived, self.delivered, self.dropped))
             if (arrived, delivered, dropped) != (c.arrived, c.delivered, c.dropped):
                 raise SimulationError(
                     f"epoch rows disagree with the totals for {label}: rows sum to "
@@ -199,23 +207,21 @@ class SimMetrics:
                 )
 
     def write_epochs_csv(self, path) -> None:
+        per_epoch = self.link.bytes_per_epoch
+        names = [str(label) for label in self.classes]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(EPOCH_CSV_HEADER)
-            for r in self.epochs:
-                w.writerow(
-                    [
-                        r.epoch,
-                        str(r.label),
-                        r.arrived,
-                        r.delivered,
-                        r.dropped,
-                        r.queued,
-                        "" if r.share is None else "%.9g" % r.share,
-                        "" if r.priority_rank is None else r.priority_rank,
-                        "%.9g" % r.utilization,
-                    ]
-                )
+            columns = zip(self.arrived, self.delivered, self.dropped, self.queued,
+                          self.shares, self.ranks)
+            for e, (arrived, delivered, dropped, queued, shares, ranks) in enumerate(columns):
+                for i, name in enumerate(names):
+                    w.writerow([
+                        e, name, arrived[i], delivered[i], dropped[i], queued[i],
+                        "" if shares is None else "%.9g" % shares[i],
+                        "" if ranks is None else ranks[i],
+                        "%.9g" % (delivered[i] / per_epoch),
+                    ])
 
 
 def observe_state(counters, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
@@ -325,10 +331,8 @@ class LinkSimulator:
         self._rank = list(range(n_queues))
         self._shares: Optional[tuple] = None
 
-        self._epoch_arrived = [0] * k
-        self._epoch_delivered = [0] * k
-        self._epoch_dropped = [0] * k
-        self._last_epoch_delivered = [0] * k
+        # (arrived, delivered, dropped) per class at the last epoch boundary
+        self._at_boundary = ((0,) * k,) * 3
         self._latencies = [[] for _ in range(k)]
 
         self._inject_id = -1
@@ -415,7 +419,6 @@ class LinkSimulator:
         c.queued -= nbytes
         if flow.control:
             c.control_delivered += nbytes
-        self._epoch_delivered[i] += nbytes
         if self.debug:
             self._assert_conserved()
         if flow.remaining == 0:
@@ -472,14 +475,11 @@ class LinkSimulator:
         m = self.metrics
         if control:
             c.control_arrived += size
-            m.control_bytes_injected += size
-        self._epoch_arrived[i] += size
         m.flows_offered += 1
         if size > m.max_flow_size:
             m.max_flow_size = size
         if dropped:
             c.dropped += dropped
-            self._epoch_dropped[i] += dropped
         if accepted > 0:
             self._queues[q].append(_QueuedFlow(fid, i, accepted, t, control, callback))
             queued[q] += accepted
@@ -516,41 +516,25 @@ class LinkSimulator:
             self._rank[q] = pos
         self._shares = tuple(decision.u)
 
-    def _finalize_epoch(self, index: int) -> None:
-        per_epoch = self.link.bytes_per_epoch
-        total_delivered = 0
-        for i, label in enumerate(self.classes):
-            delivered = self._epoch_delivered[i]
-            total_delivered += delivered
-            share = None
-            rank = None
-            if self._shares is not None:
-                share = self._shares[i]
-                rank = self._rank[i]
-            self.metrics.epochs.append(
-                EpochRecord(
-                    epoch=index,
-                    label=label,
-                    arrived=self._epoch_arrived[i],
-                    delivered=delivered,
-                    dropped=self._epoch_dropped[i],
-                    queued=self.counters[i].queued,
-                    share=share,
-                    priority_rank=rank,
-                    utilization=delivered / per_epoch,
-                )
-            )
-        self.metrics.link_utilization.append(total_delivered / per_epoch)
-        k = len(self.classes)
-        self._last_epoch_delivered = self._epoch_delivered
-        self._epoch_arrived = [0] * k
-        self._epoch_delivered = [0] * k
-        self._epoch_dropped = [0] * k
+    def _finalize_epoch(self) -> None:
+        """Append the ending epoch's row to each column of the metrics."""
+        cs = self.counters
+        now = (tuple(c.arrived for c in cs), tuple(c.delivered for c in cs),
+               tuple(c.dropped for c in cs))
+        m = self.metrics
+        for col, cur, prev in zip((m.arrived, m.delivered, m.dropped), now, self._at_boundary):
+            col.append(tuple(a - b for a, b in zip(cur, prev)))
+        self._at_boundary = now
+        m.queued.append(tuple(c.queued for c in cs))
+        m.shares.append(self._shares)
+        m.ranks.append(None if self._shares is None else tuple(self._rank))
 
     def _begin_epoch(self, t: float, index: int) -> None:
         if self.mode is not FeedbackMode.CLOSED:
             return
-        x = observe_state(self.counters, self.link, self._last_epoch_delivered)
+        delivered = self.metrics.delivered
+        x = observe_state(self.counters, self.link,
+                          delivered[-1] if delivered else (0,) * len(self.classes))
         decision = self.controller.decide(x, index)
         self.apply_decision(decision)
         self.metrics.state_history.append((x, np.array(decision.u)))
@@ -606,7 +590,7 @@ class LinkSimulator:
                     if e > max_epochs:
                         raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
                     if e > 0:
-                        self._finalize_epoch(e - 1)
+                        self._finalize_epoch()
                     if e == n_epochs:
                         break  # the horizon: later events belong to no epoch
                     if n_epochs is not None or self._active():

@@ -84,8 +84,7 @@ def run_closed(cfg: ScenarioConfig, trace, classes):
                 f"configured model is {model.n}x{model.m} but {k} classes need "
                 f"n={2 * k}, m={k}"
             )
-        if cc.control_bounds is not None:
-            model = StateSpaceModel(model.A, model.B, model.state_bounds, cc.control_bounds)
+        model = StateSpaceModel(model.A, model.B, model.state_bounds, cc.control_bounds)
     controller = MpcController(model, cc.weights, cc.horizon, cc.grid)
     sim = LinkSimulator(
         cfg.link,

@@ -247,10 +247,7 @@ def test_criterion_5_conservation_suite():
             assert c.arrived == c.delivered + c.dropped + c.queued, \
                 f"conservation violated for {label} in config {seed}"
         per_epoch_cap = link.bytes_per_epoch + m.max_flow_size
-        by_epoch = {}
-        for r in m.epochs:
-            by_epoch[r.epoch] = by_epoch.get(r.epoch, 0) + r.delivered
-        assert all(v <= per_epoch_cap for v in by_epoch.values()), \
+        assert all(sum(row) <= per_epoch_cap for row in m.delivered), \
             f"capacity respect violated in config {seed}"
         checked += 1
     elapsed = time.perf_counter() - t0

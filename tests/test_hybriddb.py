@@ -13,7 +13,6 @@ from hcqsim.hybriddb import (
     CorpusSpec,
     ExperimentError,
     HybridQueryDriver,
-    Protocol,
     build_corpus,
     execute_local,
     plan_query,
@@ -122,7 +121,7 @@ class TestLocalQuery:
     def test_unknown_author_lookup_only(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
         missing = max(corpus.author_index) + 1000
-        plan = plan_query(corpus, 0, missing, Protocol.LOCAL_4STEP)
+        plan = plan_query(corpus, 0, missing)
         res = execute_local(plan, corpus, BACKENDS)
         assert res.article_ids == ()
         assert res.latency_s == BACKENDS.metadata_lookup_s
@@ -133,8 +132,8 @@ class TestLocalQuery:
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6,
                                          article_count=40, seed=11))
         target = next(a for a in corpus.articles)
-        plan = plan_query(corpus, 0, -1, Protocol.LOCAL_4STEP)
-        plan = plan.__class__(0, -1, (target.article_id,), Protocol.LOCAL_4STEP)
+        plan = plan_query(corpus, 0, -1)
+        plan = plan.__class__(0, -1, (target.article_id,))
         backends = BackendLatency(
             metadata_lookup_s=1e-3,
             metadata_per_row_s=1e-12,
@@ -150,7 +149,7 @@ class TestLocalQuery:
     def test_decomposition_sums(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
         for author in sorted(corpus.author_index)[:10]:
-            plan = plan_query(corpus, 0, author, Protocol.LOCAL_4STEP)
+            plan = plan_query(corpus, 0, author)
             res = execute_local(plan, corpus, BACKENDS)
             assert res.latency_s == res.meta_s + res.transfer_s + res.queue_s
 
@@ -172,7 +171,7 @@ class TestHybridQuery:
     def test_idle_link_matches_closed_form_oracle(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
         author = max(corpus.author_index, key=lambda a: len(corpus.author_index[a]))
-        plan = plan_query(corpus, 0, author, Protocol.HYBRID_5STEP)
+        plan = plan_query(corpus, 0, author)
         assert len(plan.article_ids) >= 2
         res, sim = self.run_alone(plan, corpus)
         want = hybrid_closed_form(plan, corpus, BACKENDS, sim.link)
@@ -183,16 +182,15 @@ class TestHybridQuery:
     def test_empty_result_equals_local(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
         missing = max(corpus.author_index) + 1000
-        lp = plan_query(corpus, 0, missing, Protocol.LOCAL_4STEP)
-        hp = plan_query(corpus, 0, missing, Protocol.HYBRID_5STEP)
-        lres = execute_local(lp, corpus, BACKENDS)
-        hres, _ = self.run_alone(hp, corpus)
+        plan = plan_query(corpus, 0, missing)
+        lres = execute_local(plan, corpus, BACKENDS)
+        hres, _ = self.run_alone(plan, corpus)
         assert lres.latency_s == hres.latency_s == BACKENDS.metadata_lookup_s
 
     def test_parallel_fetch_not_slower(self):
         corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
         author = max(corpus.author_index, key=lambda a: len(corpus.author_index[a]))
-        plan = plan_query(corpus, 0, author, Protocol.HYBRID_5STEP)
+        plan = plan_query(corpus, 0, author)
         res = {parallel: self.run_alone(plan, corpus, parallel)[0].latency_s
                for parallel in (False, True)}
         assert res[True] < res[False]

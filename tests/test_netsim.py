@@ -33,6 +33,7 @@ from hcqsim.traffic import (
     TrafficProfile,
     Zone,
     ZoneClass,
+    classify,
     generate_trace,
 )
 
@@ -164,12 +165,10 @@ class TestScheduler:
         controller = FixedShareController((0.5, 0.5))
         m = run_simulation(trace, link, FeedbackMode.CLOSED, controller=controller,
                            classes=[A_WEB, B_FILE], n_epochs=20)
-        per = {}
-        for r in m.epochs:
-            per.setdefault(r.epoch, {})[r.label] = r.delivered
-        for e, d in per.items():
-            assert abs(d[A_WEB] - d[B_FILE]) <= 2
-            assert d[A_WEB] >= 500_000 - 2 and d[B_FILE] >= 500_000 - 2
+        a, b = m.classes.index(A_WEB), m.classes.index(B_FILE)
+        for d in m.delivered:
+            assert abs(d[a] - d[b]) <= 2
+            assert d[a] >= 500_000 - 2 and d[b] >= 500_000 - 2
 
     def test_strict_priority_within_caps(self):
         # Both classes saturating, shares sum below 1: the higher-priority
@@ -190,10 +189,7 @@ class TestScheduler:
         trace = regular_flows(A_WEB, 60.0, 60_000, 15.0)
         m = run_simulation(trace, link, FeedbackMode.OPEN, n_epochs=15)
         per_epoch_cap = link.bytes_per_epoch + m.max_flow_size
-        by_epoch = {}
-        for r in m.epochs:
-            by_epoch[r.epoch] = by_epoch.get(r.epoch, 0) + r.delivered
-        assert all(v <= per_epoch_cap for v in by_epoch.values())
+        assert all(sum(row) <= per_epoch_cap for row in m.delivered)
 
     def test_invalid_decision_rejected(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
@@ -233,7 +229,7 @@ class TestObserveState:
         sim.run_epochs(1)
         # after one epoch: delivered 500000, queue refilled? queue had 1e6,
         # drained 5e5 -> 5e5 remain
-        x = observe_state(sim.counters, link, sim._last_epoch_delivered)
+        x = observe_state(sim.counters, link, sim.metrics.delivered[-1])
         assert x[0] == pytest.approx(0.5)  # backlog fraction
         assert x[2] == pytest.approx(0.5)  # utilization == share
         assert x[1] == 0.0 and x[3] == 0.0
@@ -241,7 +237,7 @@ class TestObserveState:
     def test_recomputation_matches_internal_observation(self):
         # Mid-run snapshot: the state the controller saw must equal an
         # independent recomputation from the raw counters in the epoch
-        # records.
+        # columns.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=2 * 10**6)
         trace = regular_flows(A_WEB, 30.0, 50_000, 20.0) + \
             regular_flows(B_FILE, 10.0, 30_000, 20.0, fid0=10_000)
@@ -249,13 +245,11 @@ class TestObserveState:
         model, weights = toy_model_weights(2)
         m = run_simulation(trace, link, FeedbackMode.CLOSED, model, weights,
                            classes=[A_WEB, B_FILE], n_epochs=20)
-        classes = m.classes
         per_epoch = link.bytes_per_epoch
         for e in range(1, 20):
-            recs = {r.label: r for r in m.epochs if r.epoch == e - 1}
             want = np.array(
-                [recs[c].queued / link.queue_capacity_bytes for c in classes]
-                + [recs[c].delivered / per_epoch for c in classes]
+                [q / link.queue_capacity_bytes for q in m.queued[e - 1]]
+                + [d / per_epoch for d in m.delivered[e - 1]]
             )
             got = m.state_history[e][0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -379,10 +373,7 @@ class TestConservationRandomized:
                                classes=labels, n_epochs=n_epochs)
         m.assert_conservation()
         per_epoch_cap = link.bytes_per_epoch + m.max_flow_size
-        by_epoch = {}
-        for r in m.epochs:
-            by_epoch[r.epoch] = by_epoch.get(r.epoch, 0) + r.delivered
-        assert all(v <= per_epoch_cap for v in by_epoch.values())
+        assert all(sum(row) <= per_epoch_cap for row in m.delivered)
 
 
 @st.composite
@@ -424,9 +415,36 @@ class TestPropertyRandomLattice:
         m = sim.run_epochs(n_epochs)
         m.assert_conservation()
         if controller is not None:
-            for r in m.epochs:
-                u = controller.u[m.classes.index(r.label)]
-                assert r.delivered <= int(u * link.bytes_per_epoch + 1e-6)
+            for row in m.delivered:
+                for u, d in zip(controller.u, row):
+                    assert d <= int(u * link.bytes_per_epoch + 1e-6)
+
+
+class TestPropertyBoundarySnapshots:
+    """Each epoch row is the ledger read at the epoch's end boundary."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lattice_runs())
+    def test_rows_conserve_bytes_at_every_boundary(self, case):
+        link, labels, n_epochs, trace, controller = case
+        mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+        sim = LinkSimulator(link, labels, mode, controller=controller)
+        sim.add_flows(trace)
+        m = sim.run_epochs(n_epochs)
+        k = len(m.classes)
+        # A flow on a boundary opens the new epoch; one at the horizon is
+        # not offered.
+        offered = [[0] * k for _ in range(n_epochs)]
+        for f in trace:
+            e = int(f.arrival_time // link.epoch_s)
+            if e < n_epochs:
+                offered[e][m.classes.index(classify(f))] += f.size
+        assert [list(row) for row in m.arrived] == offered
+        backlog = [0] * k
+        for e in range(n_epochs):
+            for i in range(k):
+                backlog[i] += m.arrived[e][i] - m.delivered[e][i] - m.dropped[e][i]
+            assert list(m.queued[e]) == backlog
 
 
 class TestEventOrdering:
@@ -435,7 +453,7 @@ class TestEventOrdering:
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
         flows = [make_flow(0, 1.0, 1000)]
         m = run_simulation(flows, link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=3)
-        arrived = {r.epoch: r.arrived for r in m.epochs if r.label == A_WEB}
+        arrived = [row[m.classes.index(A_WEB)] for row in m.arrived]
         assert arrived[0] == 0
         assert arrived[1] == 1000
 
@@ -446,7 +464,7 @@ class TestEventOrdering:
         flows = [make_flow(0, 0.5, 100), make_flow(1, 2.0, 300)]
         m = run_simulation(flows, link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=2)
         assert m.arrived_bytes() == 100
-        assert sum(r.arrived for r in m.epochs) == 100
+        assert sum(map(sum, m.arrived)) == 100
         assert m.flows_offered == 1
         m.assert_conservation()
 
@@ -454,7 +472,7 @@ class TestEventOrdering:
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
         m = run_simulation([make_flow(0, 0.5, 100)], link, FeedbackMode.OPEN,
                            classes=[A_WEB], n_epochs=2)
-        m.epochs[0].arrived += 1
+        m.arrived[0] = (m.arrived[0][0] + 1,)
         with pytest.raises(SimulationError, match="epoch rows disagree"):
             m.assert_conservation()
 
@@ -468,9 +486,9 @@ class _RecordingSim(LinkSimulator):
         super().__init__(*args, **kwargs)
         self.log = []
 
-    def _finalize_epoch(self, index):
-        self.log.append((self.now, f"epoch {index}"))
-        super()._finalize_epoch(index)
+    def _finalize_epoch(self):
+        self.log.append((self.now, f"epoch {self.metrics.n_epochs}"))
+        super()._finalize_epoch()
 
     def _handle_arrival(self, t, i, size, fid, control=False, callback=None):
         self.log.append((t, f"arrival {fid}"))
@@ -499,8 +517,8 @@ class TestTraceCursor:
             "arrival -3",            # injected after add_flows
             "query",
         ]
-        assert m.epochs[0].delivered == 10**6  # service ending on the boundary
-        assert m.epochs[1].arrived == 30
+        assert m.delivered[0] == (10**6,)  # service ending on the boundary
+        assert m.arrived[1] == (30,)
 
     def test_completion_before_arrival_at_one_instant(self):
         # 250,000 B injected at t = 0.25 end at 0.5 at 1e6 B/s, where a
@@ -572,8 +590,9 @@ class TestTraceCursor:
 
 
 def _outcome(m):
-    return (m.epochs, m.totals, m.latencies_s, m.link_utilization, m.flows_offered,
-            m.flows_completed, m.failed_flow_ids)
+    return ((m.arrived, m.delivered, m.dropped, m.queued, m.shares, m.ranks), m.totals,
+            m.latencies_s, m.link_utilization, m.flows_offered, m.flows_completed,
+            m.failed_flow_ids)
 
 
 @st.composite
