@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from hcqsim.config import load_config
 from hcqsim.control import (
     COST_TIE_ABS,
     COST_TIE_REL,
@@ -26,7 +27,6 @@ from hcqsim.control import (
     check_stability,
     identify_model,
 )
-from hcqsim.config import load_config
 from hcqsim.netsim import FeedbackMode, run_simulation
 from hcqsim.runner import run_scenario, write_outputs
 from hcqsim.scenarios import run_s1, run_s2
