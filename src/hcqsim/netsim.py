@@ -22,21 +22,26 @@ brought up to date, so service is advanced lazily: at completions, epoch
 boundaries and query steps, and at an arrival only when a drop or a
 preemption depends on it (the arrival joins the queue in service and may
 overflow it, or it preempts a lower-priority queue). A replan cuts the
-segment's sub-byte progress (the remainder stays queued). Event ties are
-broken by kind (epoch boundary, then service completion, then flow
-arrival, then query step), then insertion order.
+segment's sub-byte progress (the remainder stays queued).
+
+The run loop goes epoch by epoch. Epoch e begins at e * epoch_s, where
+closed mode observes the state, installs the controller's decision and
+sends its control message; then every event strictly before the end
+boundary (e + 1) * epoch_s is handled; then service is brought up to the
+boundary and the epoch's row is appended. Each event is taken from the
+trace cursor, the event heap or the live plan's end, whichever comes
+first. Only injected flows and query steps enter the heap: trace arrivals
+are read from a cursor over the trace's columns, and service completions
+from the live plan's end. Ties at one instant are broken by kind (epoch
+boundary, then service completion, then flow arrival, then query step),
+then by seq. A trace flow takes its seq when the trace is added, in trace
+order, so the merge breaks ties exactly as one heap holding every event
+would. The clock never goes back: a flow or step before `now` is refused.
 
 The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one k-tuple to each of the epoch columns: the
 arrived, delivered and dropped counters differenced against their values
 at the previous boundary, and the queued counter as it stands.
-
-Only epoch boundaries, injected flows and query steps enter the event
-heap. Trace arrivals are read from a cursor over the trace's columns, and
-service completions from the live plan's end; each step takes whichever
-of the three comes first in (time, kind, seq) order. A trace flow takes
-its seq when the trace is added, in trace order, so the merge breaks ties
-exactly as one heap holding every event would.
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ class FeedbackMode(Enum):
     CLOSED = "closed"
 
 
-# Event kinds, in tie-break order.
-EPOCH_BOUNDARY, SERVICE_COMPLETION, FLOW_ARRIVAL, QUERY_STEP = range(4)
+# Heap event kinds, in tie-break order.
+FLOW_ARRIVAL, QUERY_STEP = range(2)
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ class LinkSimulator:
         self.now = 0.0
         self._heap: list[tuple] = []
         self._seq = 0
-        self._pending_external = 0
+        self._epoch = 0  # the next epoch to begin
         self._plan: Optional[_ServicePlan] = None
         # Unread trace arrivals: columns (time, seq, class, size, id) and the
         # position of the next one.
@@ -350,20 +355,26 @@ class LinkSimulator:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, time: float, kind: int, payload) -> None:
+        if not self.now <= time < math.inf:
+            raise ValueError(f"event time {time} is not finite or before now={self.now}")
         self._seq += 1
         heapq.heappush(self._heap, (time, kind, self._seq, payload))
-        if kind == FLOW_ARRIVAL or kind == QUERY_STEP:
-            self._pending_external += 1
 
     def add_flows(self, flows) -> None:
         """Offer a Trace, or an iterable of FlowEvents through Trace.from_flows.
 
         The trace's labels are mapped to class indices once. Its flows take
         their seqs now, in trace order, and join the unread rest of the
-        cursor in (time, seq) order.
+        cursor in (time, seq) order. A flow before `now` is refused.
         """
         trace = Trace.from_flows(flows)
         n = len(trace)
+        times = np.frombuffer(trace.time)
+        early = np.flatnonzero(times < self.now)
+        if early.size:
+            j = early[0]
+            raise ValueError(f"flow {trace.ids[j]} arrives at t={trace.time[j]}, "
+                             f"before now={self.now}")
         to_index = [self._index.get(label) for label in trace.labels]
         if None in to_index:
             j = min(trace.cls.index(c) for c, i in enumerate(to_index) if i is None)
@@ -375,7 +386,7 @@ class LinkSimulator:
         self._seq += n
         cols = (trace.time, seqs, cls, trace.size, trace.ids)
         rest = tuple(col[self._pos:] for col in self._cursor)
-        if rest[0] or (np.diff(np.frombuffer(trace.time)) < 0).any():
+        if rest[0] or (np.diff(times) < 0).any():
             cols = tuple([*a, *b] for a, b in zip(rest, cols))
             order = sorted(range(len(cols[0])), key=lambda j: (cols[0][j], cols[1][j]))
             cols = tuple([col[j] for j in order] for col in cols)
@@ -529,13 +540,13 @@ class LinkSimulator:
         m.shares.append(self._shares)
         m.ranks.append(None if self._shares is None else tuple(self._rank))
 
-    def _begin_epoch(self, t: float, index: int) -> None:
+    def _begin_epoch(self, t: float) -> None:
         if self.mode is not FeedbackMode.CLOSED:
             return
         delivered = self.metrics.delivered
         x = observe_state(self.counters, self.link,
                           delivered[-1] if delivered else (0,) * len(self.classes))
-        decision = self.controller.decide(x, index)
+        decision = self.controller.decide(x, self._epoch)
         self.apply_decision(decision)
         self.metrics.state_history.append((x, np.array(decision.u)))
         if self.control_message_bytes > 0:
@@ -543,7 +554,7 @@ class LinkSimulator:
         self._replan(t)
 
     def _active(self) -> bool:
-        return (self._pending_external > 0 or self._pos < len(self._cursor[0])
+        return (bool(self._heap) or self._pos < len(self._cursor[0])
                 or any(v > 0 for v in self._queued_bytes))
 
     def _assert_conserved(self) -> None:
@@ -553,74 +564,69 @@ class LinkSimulator:
 
     # -- run loops ----------------------------------------------------------
 
-    def _pop_loop(self, n_epochs: Optional[int], max_epochs: int) -> None:
-        """Handle events in (time, kind, seq) order, each taken from the trace
-        cursor, the heap or the live plan's end, whichever comes first.
-        Epoch boundary e+1 is scheduled when e is handled: always with
-        n_epochs, which stops at boundary n_epochs, and while the link is
-        active without it."""
+    def _run_epoch(self) -> None:
+        """Run the next epoch: begin it, handle every event strictly before
+        its end boundary, then bring service up to the boundary and append
+        the epoch's row. A plan end wins a tie with an arrival or a query
+        step; the boundary wins every tie at its instant."""
+        e = self._epoch
         eps = self.link.epoch_s
+        self._begin_epoch(e * eps)
+        t_end = (e + 1) * eps
         heap = self._heap
-        self._push(0.0, EPOCH_BOUNDARY, 0)
         while True:
             plan = self._plan
-            top = heap[0] if heap else None
+            t_plan = plan.end if plan is not None and plan.end < t_end else t_end
             times, seqs, cls, sizes, ids = self._cursor
             pos = self._pos
-            if pos < len(times) and (top is None or top > (times[pos], FLOW_ARRIVAL, seqs[pos])):
-                if plan is None or plan.end > times[pos]:  # else the completion comes first
-                    time = times[pos]
-                    self._pos = pos + 1
-                    self.now = time
-                    self._handle_arrival(time, cls[pos], sizes[pos], ids[pos])
-                    continue
-            elif top is None:
-                if plan is None:
-                    break
-            elif plan is None or (plan.end, SERVICE_COMPLETION) > top[:2]:
+            if pos < len(times) and times[pos] < t_plan and (
+                    not heap or heap[0] > (times[pos], FLOW_ARRIVAL, seqs[pos])):
+                time = times[pos]
+                self._pos = pos + 1
+                self.now = time
+                self._handle_arrival(time, cls[pos], sizes[pos], ids[pos])
+            elif heap and heap[0][0] < t_plan:
                 time, kind, _, payload = heapq.heappop(heap)
                 self.now = time
                 if kind == FLOW_ARRIVAL:
-                    self._pending_external -= 1
                     self._handle_arrival(time, *payload)
-                    continue
-                self._advance(time)
-                if kind == EPOCH_BOUNDARY:
-                    e = payload
-                    if e > max_epochs:
-                        raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
-                    if e > 0:
-                        self._finalize_epoch()
-                    if e == n_epochs:
-                        break  # the horizon: later events belong to no epoch
-                    if n_epochs is not None or self._active():
-                        self._begin_epoch(time, e)
-                        self._push((e + 1) * eps, EPOCH_BOUNDARY, e + 1)
                 else:  # QUERY_STEP
-                    self._pending_external -= 1
+                    self._advance(time)
                     payload(self, time)
                     if self._plan is None:
                         self._replan(time)
-                continue
-            # The live plan ends first.
-            self.now = plan.end
-            self._complete()
+            elif t_plan < t_end:
+                self.now = plan.end
+                self._complete()
+            else:
+                break
+        self.now = t_end
+        self._advance(t_end)
+        self._finalize_epoch()
+        self._epoch = e + 1
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
-        """Run exactly n_epochs control epochs, then stop.
+        """Run the next n_epochs control epochs, then stop.
 
-        Arrivals at or after the horizon n_epochs * epoch_s are not offered,
-        as generate_trace emits none.
+        Arrivals and steps at or after the horizon, the end boundary of the
+        last epoch run, wait for the next call.
         """
         if n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
-        self._pop_loop(n_epochs=n_epochs, max_epochs=n_epochs)
+        for _ in range(n_epochs):
+            self._run_epoch()
         self.metrics.assert_conservation()
         return self.metrics
 
     def run_until_idle(self, max_epochs: int = 1_000_000) -> SimMetrics:
-        """Run epoch by epoch until no backlog or pending events remain."""
-        self._pop_loop(n_epochs=None, max_epochs=max_epochs)
+        """Run epoch by epoch until no backlog or pending events remain at an
+        epoch boundary; reaching boundary max_epochs + 1 is an error."""
+        while True:
+            if self._epoch > max_epochs:
+                raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
+            if not self._active():
+                break
+            self._run_epoch()
         self.metrics.assert_conservation()
         return self.metrics
 

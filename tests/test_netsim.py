@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import numpy as np
@@ -14,8 +15,8 @@ from hcqsim.control import (
 )
 from hcqsim.netsim import (
     CONTROL_LABEL,
-    EPOCH_BOUNDARY,
-    SERVICE_COMPLETION,
+    FLOW_ARRIVAL,
+    QUERY_STEP,
     FeedbackMode,
     LinkSimulator,
     LinkSpec,
@@ -459,7 +460,7 @@ class TestEventOrdering:
 
     def test_arrival_at_horizon_not_offered(self):
         # The run covers [0, n_epochs * epoch_s); a flow at exactly the
-        # horizon belongs to no epoch, so it is not counted anywhere.
+        # horizon waits for a next run call, so it is not counted anywhere.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
         flows = [make_flow(0, 0.5, 100), make_flow(1, 2.0, 300)]
         m = run_simulation(flows, link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=2)
@@ -475,6 +476,117 @@ class TestEventOrdering:
         m.arrived[0] = (m.arrived[0][0] + 1,)
         with pytest.raises(SimulationError, match="epoch rows disagree"):
             m.assert_conservation()
+
+
+class TestClock:
+    """The clock never goes back: a flow or step before `now`, or at a
+    non-finite time, is refused at every entry point."""
+
+    def test_inject_flow_before_now_rejected(self):
+        # A query step at t = 3.2 that injects a flow at t = 0.1.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)  # 1000 B/s
+        sim = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.5, 0.5), (1, 0)))
+        sim.schedule_at(3.2, lambda s, t: s.inject_flow(0.1, 400, B_FILE))
+        with pytest.raises(ValueError, match="before now=3.2"):
+            sim.run_epochs(5)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                sim.inject_flow(t, 400, B_FILE)
+
+    def test_schedule_at_before_now_rejected(self):
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        sim.run_epochs(2)
+        for t in (1.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite or before now=2.0"):
+                sim.schedule_at(t, lambda s, now: None)
+        steps = []
+        sim.schedule_at(2.0, lambda s, now: steps.append(now))  # at now: accepted
+        sim.run_epochs(1)
+        assert steps == [2.0]
+
+    def test_add_flows_before_now_names_the_first_flow(self):
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        sim.run_epochs(2)
+        flows = [make_flow(4, 2.5, 10), make_flow(8, 1.5, 10), make_flow(6, 0.5, 10)]
+        with pytest.raises(ValueError, match="flow 8 arrives at t=1.5, before now=2.0"):
+            sim.add_flows(flows)
+        sim.add_flows([make_flow(9, 2.0, 10)])  # at now: accepted
+        assert sim.run_epochs(1).arrived == [(0,), (0,), (10,)]
+
+
+class TestRunInParts:
+    """A simulator keeps its epoch and clock between run calls."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lattice_runs(), st.data())
+    def test_chunks_equal_one_call(self, case, data):
+        link, labels, n_epochs, trace, controller = case
+        mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+        cuts = sorted(data.draw(st.sets(st.integers(1, n_epochs - 1)))) if n_epochs > 1 else []
+        outcomes = []
+        for chunks in ([n_epochs], [b - a for a, b in zip([0, *cuts], [*cuts, n_epochs])]):
+            sim = LinkSimulator(link, labels, mode, controller=controller)
+            sim.add_flows(trace)
+            for n in chunks:
+                m = sim.run_epochs(n)
+            assert sim.now == n_epochs * link.epoch_s
+            outcomes.append(_outcome(m))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lattice_runs(), st.integers(1, 6))
+    def test_run_until_idle_drains_the_rest(self, case, first):
+        # Open only: a zero share could starve a class until max_epochs.
+        link, labels, _, trace, _ = case
+        whole = LinkSimulator(link, labels, FeedbackMode.OPEN)
+        whole.add_flows(trace)
+        idle = whole.run_until_idle()
+        sim = LinkSimulator(link, labels, FeedbackMode.OPEN)
+        sim.add_flows(trace)
+        sim.run_epochs(first)
+        m = sim.run_until_idle()
+        assert m.flows_offered == len(trace)
+        assert all(c.queued == 0 for c in sim.counters)
+        if first <= idle.n_epochs:
+            assert _outcome(m) == _outcome(idle)
+
+    def test_second_run_epochs_continues_from_the_horizon(self):
+        # 1000 B every 0.5 s for 4 s on a 1000 B/s link.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**5)
+        flows = regular_flows(A_WEB, 2.0, 1000, 4.0)
+        parts = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        parts.add_flows(flows)
+        parts.run_epochs(2)
+        m = parts.run_epochs(2)
+        assert m.arrived == [(2000,)] * 4
+        assert m.arrived_bytes() == 8000
+        assert parts.now == 4.0
+        whole = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        whole.add_flows(flows)
+        assert _outcome(whole.run_epochs(4)) == _outcome(m)
+
+    def test_max_epochs_exceeded(self):
+        # A zero share never drains the backlog.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.0,)))
+        sim.add_flows([make_flow(0, 0.5, 100)])
+        with pytest.raises(SimulationError, match="exceeded max_epochs=50 without draining"):
+            sim.run_until_idle(max_epochs=50)
+
+    def test_max_epochs_checked_before_the_idle_test(self):
+        # 50,500 B at 1000 B/s drain in epoch 50: boundary 51 is idle but
+        # past max_epochs=50.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**5)
+        sims = [LinkSimulator(link, [A_WEB], FeedbackMode.OPEN) for _ in range(2)]
+        for sim in sims:
+            sim.add_flows([make_flow(0, 0.0, 50_500)])
+        with pytest.raises(SimulationError, match="exceeded max_epochs=50 without draining"):
+            sims[0].run_until_idle(max_epochs=50)
+        assert sims[1].run_until_idle(max_epochs=51).n_epochs == 51
 
 
 class _RecordingSim(LinkSimulator):
@@ -562,11 +674,10 @@ class TestTraceCursor:
             sim.schedule_at(t, lambda s, now: heap_sizes.append(len(s._heap)))
         m = sim.run_epochs(50)
         assert m.flows_offered == len(flows) > 4000
-        # the next epoch boundary and the pending query steps
-        assert max(heap_sizes) <= 3
-        # completions come from the live plan: none is ever pushed
-        assert SERVICE_COMPLETION not in pushed_kinds
-        assert pushed_kinds.count(EPOCH_BOUNDARY) == 51
+        # only the pending query steps: boundaries and completions are
+        # never pushed
+        assert max(heap_sizes) <= 2
+        assert set(pushed_kinds) <= {FLOW_ARRIVAL, QUERY_STEP}
 
     def test_unread_trace_keeps_run_until_idle_going(self):
         # The link is idle at boundaries 1..3; the flow at t = 3.25 is
