@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--mode", choices=["open", "closed", "both"], default=None)
     run_p.add_argument("--scale", type=float, default=None,
-                       help="override the hybrid-db corpus desk-scale factor")
+                       help="override hybrid_db.scale: the corpus holds about scale x "
+                            "26667.25 MB of article bodies, at least one article")
 
     id_p = sub.add_parser("identify", help="fit a model to a (x, u) trace CSV")
     id_p.add_argument("--trace", required=True,

@@ -7,13 +7,14 @@ path, so a config accepted here never violates a module invariant later.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .control import ControlBounds, CostWeights, StateSpaceModel
-from .hybriddb import BackendLatency, CorpusSpec, body_bytes_target
+from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, BackendLatency, CorpusSpec
 from .netsim import CONTROL_LABEL, LinkSpec
 from .traffic import (
     AppKind,
@@ -33,6 +34,13 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _finite(v, path: str) -> float:
+    # json accepts the literals NaN and Infinity, and 1e400 overflows to inf.
+    if not math.isfinite(v):
+        raise ConfigError(path, f"must be a finite number, got {v!r}")
+    return float(v)
 
 
 class _Node:
@@ -75,7 +83,7 @@ class _Node:
             return default
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{self.path}.{key}", f"expected a number, got {v!r}")
-        return float(v)
+        return _finite(v, f"{self.path}.{key}")
 
     def take_bool(self, key, required=True, default=None):
         v = self._pop(key, required, default)
@@ -116,7 +124,7 @@ def _number_list(raw, path: str, length: Optional[int] = None) -> list[float]:
         raise ConfigError(path, "expected an array of numbers")
     if length is not None and len(raw) != length:
         raise ConfigError(path, f"expected {length} numbers, got {len(raw)}")
-    return [float(v) for v in raw]
+    return [_finite(v, f"{path}[{i}]") for i, v in enumerate(raw)]
 
 
 def _matrix(raw, path: str, rows: int, cols: int) -> np.ndarray:
@@ -183,14 +191,10 @@ class ScenarioConfig:
         if scale is not None:
             if cfg.hybrid_db is None:
                 raise ConfigError("hybrid_db", "--scale given but config has no hybrid_db section")
-            if scale <= 0:
-                raise ConfigError("hybrid_db.scale", f"must be > 0, got {scale}")
-            spec = cfg.hybrid_db.corpus_spec
-            if spec.article_count is not None:
-                raise ConfigError("hybrid_db.article_count",
-                                  f"--scale {scale} cannot resize a corpus with an explicit "
-                                  f"article_count ({spec.article_count})")
-            spec = replace(spec, total_body_bytes_target=body_bytes_target(scale))
+            try:
+                spec = replace(cfg.hybrid_db.corpus_spec, scale=scale)
+            except ValueError as exc:
+                raise ConfigError("hybrid_db.scale", str(exc)) from None
             cfg = replace(cfg, hybrid_db=replace(cfg.hybrid_db, corpus_spec=spec))
         return cfg
 
@@ -305,7 +309,7 @@ def _parse_controller(node: _Node, k: int) -> ControllerConfig:
     if raw_umax is None:
         u_max = (1.0,) * m
     elif isinstance(raw_umax, (int, float)) and not isinstance(raw_umax, bool):
-        u_max = (float(raw_umax),) * m
+        u_max = (_finite(raw_umax, f"{node.path}.u_max"),) * m
     else:
         u_max = tuple(_number_list(raw_umax, f"{node.path}.u_max", m))
     try:
@@ -328,24 +332,16 @@ def _parse_controller(node: _Node, k: int) -> ControllerConfig:
 
 
 def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
-    scale = node.take_number("scale", required=False, default=1e-3)
-    if scale <= 0:
-        raise ConfigError(f"{node.path}.scale", f"must be > 0, got {scale}")
-    meta_bytes = node.take_int("metadata_bytes_per_article", required=False, default=2048)
+    scale = node.take_number("scale", required=False, default=DEFAULT_SCALE)
+    meta_bytes = node.take_int("metadata_bytes_per_article", required=False,
+                               default=DEFAULT_METADATA_BYTES)
     corpus_seed = node.take_int("corpus_seed", required=False, default=0)
-    article_count = node.take_int("article_count", required=False, default=None)
     n_queries = node.take_int("n_queries")
     query_seed = node.take_int("query_seed", required=False, default=0)
     query_start = node.take_number("query_start_s", required=False, default=0.0)
     parallel = node.take_bool("parallel_fetch", required=False, default=False)
     bnode = node.child("backends")
-    kwargs = {
-        "metadata_lookup_s": bnode.take_number("metadata_lookup_s"),
-        "metadata_per_row_s": bnode.take_number("metadata_per_row_s"),
-        "blob_first_byte_s": bnode.take_number("blob_first_byte_s"),
-        "blob_bytes_per_s": bnode.take_number("blob_bytes_per_s"),
-        "local_bytes_per_s": bnode.take_number("local_bytes_per_s"),
-    }
+    kwargs = {f.name: bnode.take_number(f.name) for f in fields(BackendLatency)}
     bnode.finish()
     node.finish()
     if n_queries < 1:
@@ -357,12 +353,7 @@ def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
     except ValueError as exc:
         raise ConfigError(f"{node.path}.backends", str(exc)) from None
     try:
-        spec = CorpusSpec(
-            total_body_bytes_target=body_bytes_target(scale),
-            metadata_bytes_per_article=meta_bytes,
-            seed=corpus_seed,
-            article_count=article_count,
-        )
+        spec = CorpusSpec(scale, meta_bytes, corpus_seed)
     except ValueError as exc:
         raise ConfigError(node.path, str(exc)) from None
     return HybridDbConfig(

@@ -7,15 +7,19 @@ up metadata locally, then fetches each article body from blob storage
 across the simulated bottleneck link, so its latency depends on the link's
 current queues and shares. Both protocols resolve the same article set;
 only timing differs.
+
+A corpus is sized by one rule: a scale s > 0 targets
+max(MIN_BODY_BYTES, round(FULL_CORPUS_BYTES * s)) body bytes, and the
+article count is that target over MEAN_BODY_BYTES, rounded, and at least 1.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
 
 from .metrics import quantile_nearest_rank
 from .netsim import FeedbackMode, LinkSimulator, LinkSpec
@@ -26,9 +30,9 @@ MAX_BODY_BYTES = 3 * 1024 * 1024
 MEAN_BODY_BYTES = (MIN_BODY_BYTES + MAX_BODY_BYTES) / 2.0
 MAX_COAUTHORS = 9
 
-# Full-scale corpus footprint the desk-scale knob divides down (26667.25 MB).
+# Full-scale corpus footprint a CorpusSpec scale divides down (26667.25 MB).
 FULL_CORPUS_BYTES = round(26667.25 * 1024 * 1024)
-DEFAULT_DESK_SCALE = 1e-3
+DEFAULT_SCALE = 1e-3
 DEFAULT_METADATA_BYTES = 2048
 
 # Blob fetches ride the link as public-cloud database traffic.
@@ -37,11 +41,6 @@ QUERY_LABEL = TrafficClassLabel(ZoneClass.B, AppKind.DATABASE)
 
 class ExperimentError(RuntimeError):
     pass
-
-
-class BodyLocation(Enum):
-    LOCAL_STORE = "LocalStore"
-    CLOUD_BLOB = "CloudBlob"
 
 
 class Protocol(Enum):
@@ -55,7 +54,6 @@ class ArticleRecord:
     body_size: int
     main_author: int
     coauthors: tuple[int, ...]
-    body_location: BodyLocation = BodyLocation.CLOUD_BLOB
 
     def __post_init__(self):
         if not (MIN_BODY_BYTES <= self.body_size <= MAX_BODY_BYTES):
@@ -70,45 +68,24 @@ class ArticleRecord:
             raise ValueError("duplicate coauthors")
 
 
-def body_bytes_target(scale: float) -> int:
-    """The body-bytes target of a corpus at `scale` times the full corpus,
-    never below one article's minimum body."""
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    return max(MIN_BODY_BYTES, round(FULL_CORPUS_BYTES * scale))
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Corpus sizing: give article_count explicitly or let it derive from
-    the total body-bytes target (target / mean article size)."""
+    """A corpus of `scale` times the full corpus (see the module docstring)."""
 
-    total_body_bytes_target: int
+    scale: float = DEFAULT_SCALE
     metadata_bytes_per_article: int = DEFAULT_METADATA_BYTES
     seed: int = 0
-    article_count: Optional[int] = None
 
     def __post_init__(self):
-        if self.total_body_bytes_target <= 0:
-            raise ValueError("total_body_bytes_target must be > 0")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         if self.metadata_bytes_per_article <= 0:
             raise ValueError("metadata_bytes_per_article must be > 0")
-        if self.article_count is not None and self.article_count < 1:
-            raise ValueError(f"article_count must be >= 1, got {self.article_count}")
 
-    @staticmethod
-    def desk_scale(scale: float = DEFAULT_DESK_SCALE, seed: int = 0,
-                   metadata_bytes_per_article: int = DEFAULT_METADATA_BYTES) -> "CorpusSpec":
-        return CorpusSpec(
-            total_body_bytes_target=body_bytes_target(scale),
-            metadata_bytes_per_article=metadata_bytes_per_article,
-            seed=seed,
-        )
-
-    def derived_count(self) -> int:
-        if self.article_count is not None:
-            return self.article_count
-        return max(1, round(self.total_body_bytes_target / MEAN_BODY_BYTES))
+    @property
+    def article_count(self) -> int:
+        target = max(MIN_BODY_BYTES, round(FULL_CORPUS_BYTES * self.scale))
+        return max(1, round(target / MEAN_BODY_BYTES))
 
 
 @dataclass
@@ -117,25 +94,20 @@ class Corpus:
     articles: tuple[ArticleRecord, ...]
     author_index: dict
 
-    def total_body_bytes(self) -> int:
-        return sum(a.body_size for a in self.articles)
-
-    def article(self, article_id: int) -> ArticleRecord:
-        return self.articles[article_id]
-
     def write_csv(self, path) -> None:
+        # Every body lives in blob storage; the location column says so.
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["article_id", "body_size", "main_author", "coauthor_count", "location"])
             for a in self.articles:
                 w.writerow([a.article_id, a.body_size, a.main_author, len(a.coauthors),
-                            a.body_location.value])
+                            "CloudBlob"])
 
 
 def build_corpus(spec: CorpusSpec) -> Corpus:
     """Deterministic corpus: sizes uniform in the body range, coauthor
     counts uniform in 0-9, author index covering main and co-authorship."""
-    count = spec.derived_count()
+    count = spec.article_count
     rng = random.Random(f"corpus/{spec.seed}")
     n_authors = max(10, 2 * count)
     articles = []
@@ -172,10 +144,9 @@ class BackendLatency:
     local_bytes_per_s: float
 
     def __post_init__(self):
-        for name in ("metadata_lookup_s", "metadata_per_row_s", "blob_first_byte_s",
-                     "blob_bytes_per_s", "local_bytes_per_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -186,8 +157,7 @@ class QueryPlan:
 
 
 def plan_query(corpus: Corpus, query_id: int, author: int) -> QueryPlan:
-    ids = corpus.author_index.get(author, ())
-    return QueryPlan(query_id=query_id, author=author, article_ids=tuple(ids))
+    return QueryPlan(query_id, author, corpus.author_index.get(author, ()))
 
 
 @dataclass(frozen=True)
@@ -203,14 +173,20 @@ class QueryResult:
     article_ids: tuple[int, ...]
 
 
+def _plan_cost(plan: QueryPlan, corpus: Corpus,
+               backends: BackendLatency) -> tuple[float, int, int]:
+    """A plan's (metadata lookup seconds, metadata bytes, body bytes)."""
+    rows = len(plan.article_ids)
+    return (backends.metadata_lookup_s + rows * backends.metadata_per_row_s,
+            rows * corpus.spec.metadata_bytes_per_article,
+            sum(corpus.articles[i].body_size for i in plan.article_ids))
+
+
 def execute_local(plan: QueryPlan, corpus: Corpus, backends: BackendLatency) -> QueryResult:
     """Local protocol: lookup, then metadata plus all bodies over the local
     store path. Never touches the bottleneck link."""
-    rows = len(plan.article_ids)
-    meta_s = backends.metadata_lookup_s + rows * backends.metadata_per_row_s
-    nbytes = rows * corpus.spec.metadata_bytes_per_article + sum(
-        corpus.article(i).body_size for i in plan.article_ids
-    )
+    meta_s, meta_bytes, body_bytes = _plan_cost(plan, corpus, backends)
+    nbytes = meta_bytes + body_bytes
     transfer_s = nbytes / backends.local_bytes_per_s
     return QueryResult(
         query_id=plan.query_id,
@@ -237,12 +213,11 @@ class HybridQueryDriver:
     """
 
     def __init__(self, sim: LinkSimulator, corpus: Corpus, backends: BackendLatency,
-                 plans, label: TrafficClassLabel = QUERY_LABEL, parallel: bool = False):
+                 plans, parallel: bool = False):
         self.sim = sim
         self.corpus = corpus
         self.backends = backends
         self.plans = list(plans)
-        self.label = label
         self.parallel = parallel
         self.results: list[QueryResult] = []
 
@@ -252,16 +227,16 @@ class HybridQueryDriver:
 
     def _submit(self, qi: int, t: float) -> None:
         plan = self.plans[qi]
-        b = self.backends
+        meta_s, meta_bytes, body_bytes = _plan_cost(plan, self.corpus, self.backends)
+        meta_transfer = meta_bytes / self.backends.local_bytes_per_s
         rows = len(plan.article_ids)
-        meta_s = b.metadata_lookup_s + rows * b.metadata_per_row_s
-        meta_transfer = rows * self.corpus.spec.metadata_bytes_per_article / b.local_bytes_per_s
         state = {
             "qi": qi,
             "plan": plan,
             "submit": t,
             "meta_s": meta_s,
             "transfer_s": meta_transfer,
+            "bytes_moved": meta_bytes + body_bytes,
             "remaining": rows,
         }
         meta_done = t + meta_s + meta_transfer
@@ -277,7 +252,7 @@ class HybridQueryDriver:
     def _dispatch_fetch(self, state, idx: int, t: float) -> None:
         plan = state["plan"]
         b = self.backends
-        size = self.corpus.article(plan.article_ids[idx]).body_size
+        size = self.corpus.articles[plan.article_ids[idx]].body_size
         blob_stage = b.blob_first_byte_s + size / b.blob_bytes_per_s
         ideal_link = size / self.sim.byte_rate + self.sim.link.propagation_delay_s
         state["transfer_s"] += blob_stage + ideal_link
@@ -292,13 +267,10 @@ class HybridQueryDriver:
                 self._finish(state, delivery)
             # parallel mode finishes when the slowest fetch lands
 
-        self.sim.inject_flow(t + blob_stage, size, self.label, callback=on_delivered)
+        self.sim.inject_flow(t + blob_stage, size, QUERY_LABEL, callback=on_delivered)
 
     def _finish(self, state, t: float) -> None:
         plan = state["plan"]
-        nbytes = len(plan.article_ids) * self.corpus.spec.metadata_bytes_per_article + sum(
-            self.corpus.article(i).body_size for i in plan.article_ids
-        )
         latency = t - state["submit"]
         queue_s = latency - state["meta_s"] - state["transfer_s"]
         self.results.append(
@@ -307,7 +279,7 @@ class HybridQueryDriver:
                 author=plan.author,
                 protocol=Protocol.HYBRID_5STEP,
                 latency_s=latency,
-                bytes_moved=nbytes,
+                bytes_moved=state["bytes_moved"],
                 meta_s=state["meta_s"],
                 transfer_s=state["transfer_s"],
                 queue_s=queue_s,
@@ -349,7 +321,6 @@ def run_experiment(
     seed: int = 0,
     start_time: float = 0.0,
     parallel: bool = False,
-    label: TrafficClassLabel = QUERY_LABEL,
 ) -> ExperimentResult:
     """Run every author query under both protocols and pair the results.
 
@@ -363,14 +334,14 @@ def run_experiment(
     local_results = [execute_local(p, corpus, backends) for p in plans]
 
     background = Trace.from_flows(background)
-    if label in background.labels:
+    if QUERY_LABEL in background.labels:
         raise ExperimentError(
-            f"background traffic uses the query class {label}; reserve it for fetches"
+            f"background traffic uses the query class {QUERY_LABEL}; reserve it for fetches"
         )
-    sim = LinkSimulator(link, canonical_class_order((*background.labels, label)),
+    sim = LinkSimulator(link, canonical_class_order((*background.labels, QUERY_LABEL)),
                         FeedbackMode.OPEN, scenario_id=scenario_id, seed=seed)
     sim.add_flows(background)
-    driver = HybridQueryDriver(sim, corpus, backends, plans, label=label, parallel=parallel)
+    driver = HybridQueryDriver(sim, corpus, backends, plans, parallel=parallel)
     driver.start(start_time)
     metrics = sim.run_until_idle()
 
@@ -380,23 +351,20 @@ def run_experiment(
             f"failed flow ids: {metrics.failed_flow_ids}"
         )
     hybrid_results = sorted(driver.results, key=lambda r: r.query_id)
-    fetch_bytes = sum(
-        corpus.article(i).body_size for p in plans for i in p.article_ids
-    )
-    tot = metrics.totals[label]
+    fetch_bytes = sum(corpus.articles[i].body_size for p in plans for i in p.article_ids)
+    tot = metrics.totals[QUERY_LABEL]
     if tot.dropped or tot.queued or tot.delivered != fetch_bytes:
         raise ExperimentError(
-            f"fetch byte reconciliation failed for {label}: delivered {tot.delivered}, "
+            f"fetch byte reconciliation failed for {QUERY_LABEL}: delivered {tot.delivered}, "
             f"dropped {tot.dropped}, queued {tot.queued}, expected {fetch_bytes}"
         )
 
-    rows = []
-    for local, hybrid in zip(local_results, hybrid_results):
+    rows = list(zip(local_results, hybrid_results))
+    for local, hybrid in rows:
         if local.article_ids != hybrid.article_ids:
             raise ExperimentError(
                 f"query {local.query_id} resolved different article sets per protocol"
             )
-        rows.append((local, hybrid))
 
     summary = {}
     for proto, results in ((Protocol.LOCAL_4STEP, local_results),

@@ -15,7 +15,6 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
 
 FLOAT_FMT = "%.9g"
 

@@ -5,9 +5,10 @@ capacity; closed-loop control must cut the drop fraction and utilization
 variance by at least 20% and the above-0.95 utilization tail mass by at
 least 30%, all relative to the open-mode FIFO baseline.
 
-s2-hybrid-db: desk-scale corpus, 100 author queries under both protocols.
-Result sets must match exactly, hybrid must lose on a congested link
-(mean), and win on an idle link paired with a slow local store (p50).
+s2-hybrid-db: a corpus at scale 1e-3 (17 articles), 100 author queries
+under both protocols. Result sets must match exactly, hybrid must lose on
+a congested link (mean), and win on an idle link paired with a slow local
+store (p50).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .config import ScenarioConfig, parse_config
-from .hybriddb import Protocol, build_corpus, run_experiment, sample_query_authors
+from .hybriddb import Protocol
 from .runner import RunResult, run_scenario
 
 S1_DROP_REDUCTION = 0.20

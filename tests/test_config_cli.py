@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 
 import numpy as np
@@ -160,21 +161,49 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.with_overrides(scale=0.01)
 
-    def test_scale_override_sizes_like_desk_scale(self):
+    def test_scale_override_sizes_like_corpus_spec(self):
         raw = minimal_config()
         raw["hybrid_db"] = minimal_hybrid_db()
         spec = parse_config(raw).with_overrides(scale=1e-9).hybrid_db.corpus_spec
-        want = CorpusSpec.desk_scale(scale=1e-9)
-        assert spec.total_body_bytes_target == want.total_body_bytes_target
-        assert spec.derived_count() == want.derived_count() == 1
+        assert spec == CorpusSpec(scale=1e-9)
+        assert spec.article_count == 1
 
-    def test_scale_override_rejects_explicit_article_count(self):
+    def test_article_count_key_rejected(self):
+        # The article count derives from the scale alone.
         raw = minimal_config()
         raw["hybrid_db"] = dict(minimal_hybrid_db(), article_count=4)
+        with pytest.raises(ConfigError, match="unknown key.*article_count") as err:
+            parse_config(raw)
+        assert err.value.path == "config.hybrid_db"
+
+    @pytest.mark.parametrize("keys,value,path", [
+        (("link", "epoch_s"), math.inf, "config.link.epoch_s"),
+        (("link", "capacity_bps"), math.nan, "config.link.capacity_bps"),
+        (("traffic", 0, "rate_per_s"), math.nan, "config.traffic[0].rate_per_s"),
+        (("traffic", 1, "size", "mean_bytes"), -math.inf, "config.traffic[1].size.mean_bytes"),
+        (("hybrid_db", "scale"), json.loads("1e400"), "config.hybrid_db.scale"),
+        (("controller", "weights", "Q_diag", 2), math.nan, "config.controller.weights.Q_diag[2]"),
+        (("controller", "u_max"), math.nan, "config.controller.u_max"),
+    ])
+    def test_nonfinite_number_names_key(self, keys, value, path):
+        raw = minimal_config()
+        raw["hybrid_db"] = minimal_hybrid_db()
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(ConfigError, match="must be a finite number") as err:
+            parse_config(raw)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_override_rejects_nonfinite_or_nonpositive(self, scale):
+        raw = minimal_config()
+        raw["hybrid_db"] = minimal_hybrid_db()
         cfg = parse_config(raw)
-        assert cfg.hybrid_db.corpus_spec.derived_count() == 4
-        with pytest.raises(ConfigError, match="article_count"):
-            cfg.with_overrides(scale=0.01)
+        with pytest.raises(ConfigError, match="finite and > 0") as err:
+            cfg.with_overrides(scale=scale)
+        assert err.value.path == "hybrid_db.scale"
 
 
 class TestCliRun:

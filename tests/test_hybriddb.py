@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from hcqsim.hybriddb import (
@@ -48,7 +46,7 @@ def hybrid_closed_form(plan, corpus, backends, link):
     total = backends.metadata_lookup_s + rows * backends.metadata_per_row_s
     total += rows * corpus.spec.metadata_bytes_per_article / backends.local_bytes_per_s
     for aid in plan.article_ids:
-        size = corpus.article(aid).body_size
+        size = corpus.articles[aid].body_size
         total += backends.blob_first_byte_s
         total += size / backends.blob_bytes_per_s
         total += size / (link.capacity_bps / 8.0)
@@ -56,45 +54,57 @@ def hybrid_closed_form(plan, corpus, backends, link):
     return total
 
 
+# The scales below give corpora of 6, 12, 15, 18 and 40 articles.
+S6, S12, S15, S18, S40 = 3.5e-4, 7e-4, 8.7e-4, 1.05e-3, 2.3e-3
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("scale,count", [
+        (1e-9, 1), (5e-4, 9), (1e-3, 17), (2e-3, 34), (1e-2, 172),
+        (S6, 6), (S12, 12), (S15, 15), (S18, 18), (S40, 40),
+    ])
+    def test_article_count_pinned(self, scale, count):
+        spec = CorpusSpec(scale=scale)
+        assert spec.article_count == count
+        assert len(build_corpus(spec).articles) == count
+
     def test_single_article_within_bounds(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=MIN_BODY_BYTES,
-                                         article_count=1, seed=3))
+        corpus = build_corpus(CorpusSpec(scale=1e-9, seed=3))
         assert len(corpus.articles) == 1
         a = corpus.articles[0]
         assert MIN_BODY_BYTES <= a.body_size <= MAX_BODY_BYTES
         assert 0 <= len(a.coauthors) <= 9
         assert a.main_author not in a.coauthors
 
-    def test_derived_count_hits_target_within_10_percent(self):
-        spec = CorpusSpec.desk_scale(scale=1e-3, seed=1)
-        corpus = build_corpus(spec)
-        total = corpus.total_body_bytes()
-        assert abs(total - spec.total_body_bytes_target) <= 0.10 * spec.total_body_bytes_target
-        # and the larger desk scale concentrates tighter
-        spec = CorpusSpec.desk_scale(scale=1e-2, seed=1)
-        corpus = build_corpus(spec)
-        total = corpus.total_body_bytes()
-        assert abs(total - spec.total_body_bytes_target) <= 0.10 * spec.total_body_bytes_target
+    def test_article_count_hits_target_within_10_percent(self):
+        # at 1e-3, and at the larger scale that concentrates tighter
+        for scale in (1e-3, 1e-2):
+            corpus = build_corpus(CorpusSpec(scale=scale, seed=1))
+            total = sum(a.body_size for a in corpus.articles)
+            target = FULL_CORPUS_BYTES * scale
+            assert abs(total - target) <= 0.10 * target
 
     def test_full_scale_constant_matches_published_footprint(self):
         assert FULL_CORPUS_BYTES == round(26667.25 * 1024 * 1024)
         assert MEAN_BODY_BYTES == (100 * 1024 + 3 * 1024 * 1024) / 2
 
     def test_same_seed_identical(self):
-        a = build_corpus(CorpusSpec.desk_scale(seed=9))
-        b = build_corpus(CorpusSpec.desk_scale(seed=9))
+        a = build_corpus(CorpusSpec(seed=9))
+        b = build_corpus(CorpusSpec(seed=9))
         assert a.articles == b.articles
         assert a.author_index == b.author_index
-        c = build_corpus(CorpusSpec.desk_scale(seed=10))
+        c = build_corpus(CorpusSpec(seed=10))
         assert a.articles != c.articles
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(total_body_bytes_target=10**6, article_count=0)
+    def test_invalid_spec_rejected(self):
+        for scale in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scale must be finite and > 0"):
+                CorpusSpec(scale=scale)
+        with pytest.raises(ValueError, match="metadata_bytes_per_article"):
+            CorpusSpec(metadata_bytes_per_article=0)
 
     def test_author_index_covers_main_and_co(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=20 * 10**6, seed=4))
+        corpus = build_corpus(CorpusSpec(scale=S12, seed=4))
         for a in corpus.articles:
             assert a.article_id in corpus.author_index[a.main_author]
             for co in a.coauthors:
@@ -109,7 +119,7 @@ class TestCorpus:
             ArticleRecord(0, MIN_BODY_BYTES, 1, tuple(range(2, 13)))
 
     def test_corpus_csv(self, tmp_path):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
         path = tmp_path / "corpus.csv"
         corpus.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -119,7 +129,7 @@ class TestCorpus:
 
 class TestLocalQuery:
     def test_unknown_author_lookup_only(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
         missing = max(corpus.author_index) + 1000
         plan = plan_query(corpus, 0, missing)
         res = execute_local(plan, corpus, BACKENDS)
@@ -129,8 +139,7 @@ class TestLocalQuery:
 
     def test_hand_arithmetic_one_article(self):
         # 1 MB body, 100 MB/s local store, 1 ms lookup, 2 KB metadata row.
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6,
-                                         article_count=40, seed=11))
+        corpus = build_corpus(CorpusSpec(scale=S40, seed=11))
         target = next(a for a in corpus.articles)
         plan = plan_query(corpus, 0, -1)
         plan = plan.__class__(0, -1, (target.article_id,))
@@ -147,7 +156,7 @@ class TestLocalQuery:
         assert res.meta_s + res.transfer_s + res.queue_s == pytest.approx(res.latency_s)
 
     def test_decomposition_sums(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
+        corpus = build_corpus(CorpusSpec(scale=S18, seed=6))
         for author in sorted(corpus.author_index)[:10]:
             plan = plan_query(corpus, 0, author)
             res = execute_local(plan, corpus, BACKENDS)
@@ -169,7 +178,7 @@ class TestHybridQuery:
         return driver.results[0], sim
 
     def test_idle_link_matches_closed_form_oracle(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
+        corpus = build_corpus(CorpusSpec(scale=S18, seed=6))
         author = max(corpus.author_index, key=lambda a: len(corpus.author_index[a]))
         plan = plan_query(corpus, 0, author)
         assert len(plan.article_ids) >= 2
@@ -180,7 +189,7 @@ class TestHybridQuery:
         assert res.latency_s == res.meta_s + res.transfer_s + res.queue_s
 
     def test_empty_result_equals_local(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
         missing = max(corpus.author_index) + 1000
         plan = plan_query(corpus, 0, missing)
         lres = execute_local(plan, corpus, BACKENDS)
@@ -188,7 +197,7 @@ class TestHybridQuery:
         assert lres.latency_s == hres.latency_s == BACKENDS.metadata_lookup_s
 
     def test_parallel_fetch_not_slower(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=30 * 10**6, seed=6))
+        corpus = build_corpus(CorpusSpec(scale=S18, seed=6))
         author = max(corpus.author_index, key=lambda a: len(corpus.author_index[a]))
         plan = plan_query(corpus, 0, author)
         res = {parallel: self.run_alone(plan, corpus, parallel)[0].latency_s
@@ -209,7 +218,7 @@ def background_profile():
 
 class TestExperiment:
     def test_all_empty_queries_equal_latency(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
         missing = [max(corpus.author_index) + 1000 + i for i in range(5)]
         link = LinkSpec(capacity_bps=1e8, queue_capacity_bytes=10**7)
         result = run_experiment(corpus, missing, BACKENDS, link, scenario_id="empty")
@@ -218,7 +227,7 @@ class TestExperiment:
             assert local.article_ids == hybrid.article_ids == ()
 
     def test_congested_link_hybrid_slower(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=25 * 10**6, seed=3))
+        corpus = build_corpus(CorpusSpec(scale=S15, seed=3))
         authors = sample_query_authors(corpus, 12, seed=5)
         link = LinkSpec(capacity_bps=1e7, queue_capacity_bytes=48 * 10**6,
                         propagation_delay_s=1e-3)
@@ -230,7 +239,7 @@ class TestExperiment:
             assert local.article_ids == hybrid.article_ids
 
     def test_idle_link_slow_local_store_hybrid_wins(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=25 * 10**6, seed=3))
+        corpus = build_corpus(CorpusSpec(scale=S15, seed=3))
         authors = sample_query_authors(corpus, 12, seed=5)
         slow_local = BackendLatency(
             metadata_lookup_s=1e-3,
@@ -245,21 +254,21 @@ class TestExperiment:
         assert result.summary["hybrid"]["p50"] < result.summary["local"]["p50"]
 
     def test_bytes_reconciled_against_link_counters(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=25 * 10**6, seed=3))
+        corpus = build_corpus(CorpusSpec(scale=S15, seed=3))
         authors = sample_query_authors(corpus, 8, seed=6)
         link = LinkSpec(capacity_bps=1e8, queue_capacity_bytes=10**7)
         result = run_experiment(corpus, authors, BACKENDS, link, scenario_id="recon")
         fetch_bytes = sum(
-            corpus.article(i).body_size for _, h in result.rows for i in h.article_ids
+            corpus.articles[i].body_size for _, h in result.rows for i in h.article_ids
         )
         assert result.sim_metrics.totals[QUERY_LABEL].delivered == fetch_bytes
         for local, hybrid in result.rows:
             meta = len(hybrid.article_ids) * corpus.spec.metadata_bytes_per_article
-            bodies = sum(corpus.article(i).body_size for i in hybrid.article_ids)
+            bodies = sum(corpus.articles[i].body_size for i in hybrid.article_ids)
             assert hybrid.bytes_moved == meta + bodies
 
     def test_query_class_must_be_reserved(self):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
         link = LinkSpec(capacity_bps=1e8, queue_capacity_bytes=10**7)
         profile = TrafficProfile((
             ClassProfile(QUERY_LABEL, 5.0, SizeDistribution(family="fixed", size_bytes=1e4)),
@@ -273,7 +282,7 @@ class TestExperiment:
         # The background B:Database flow fills the 1 B/s link's queue at t=0,
         # so the fetch behind it is dropped whole; the clash must be named
         # rather than the query that never completed.
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=10 * 10**6, seed=2))
+        corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
         link = LinkSpec(capacity_bps=8.0, queue_capacity_bytes=1000, epoch_s=10_000.0)
         flood = FlowEvent(id=0, arrival_time=0.0, size=2000, src=Zone.PRIVATE_CLOUD,
                           dst=Zone.PUBLIC_CLOUD, app=AppKind.DATABASE)
@@ -283,7 +292,7 @@ class TestExperiment:
 
     def test_dropped_fetch_bytes_surface_as_error(self):
         # Queue smaller than the largest article: the fetch cannot fit.
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=25 * 10**6, seed=3))
+        corpus = build_corpus(CorpusSpec(scale=S15, seed=3))
         biggest = max(corpus.articles, key=lambda a: a.body_size)
         author = biggest.main_author
         link = LinkSpec(capacity_bps=1e7, queue_capacity_bytes=MIN_BODY_BYTES // 2)
@@ -291,7 +300,7 @@ class TestExperiment:
             run_experiment(corpus, [author], BACKENDS, link, scenario_id="tiny-queue")
 
     def test_determinism_and_csv(self, tmp_path):
-        corpus = build_corpus(CorpusSpec(total_body_bytes_target=25 * 10**6, seed=3))
+        corpus = build_corpus(CorpusSpec(scale=S15, seed=3))
         authors = sample_query_authors(corpus, 6, seed=7)
         link = LinkSpec(capacity_bps=1e7, queue_capacity_bytes=48 * 10**6)
         trace = generate_trace(background_profile(), 30.0, seed=4)
