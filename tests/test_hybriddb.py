@@ -125,6 +125,7 @@ class TestCorpus:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "article_id,body_size,main_author,coauthor_count,location"
         assert len(lines) == 1 + len(corpus.articles)
+        assert all(line.endswith(",CloudBlob") for line in lines[1:])
 
 
 class TestLocalQuery:
