@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", choices=["open", "closed", "both"], default=None)
     run_p.add_argument("--scale", type=float, default=None,
                        help="override hybrid_db.scale: the corpus holds about scale x "
-                            "26667.25 MB of article bodies, at least one article")
+                            "26667.25 MB of article bodies, 1 to 100,000 articles")
 
     id_p = sub.add_parser("identify", help="fit a model to a (x, u) trace CSV")
     id_p.add_argument("--trace", required=True,

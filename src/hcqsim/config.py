@@ -191,10 +191,7 @@ class ScenarioConfig:
         if scale is not None:
             if cfg.hybrid_db is None:
                 raise ConfigError("hybrid_db", "--scale given but config has no hybrid_db section")
-            try:
-                spec = replace(cfg.hybrid_db.corpus_spec, scale=scale)
-            except ValueError as exc:
-                raise ConfigError("hybrid_db.scale", str(exc)) from None
+            spec = _scaled(cfg.hybrid_db.corpus_spec, scale, "hybrid_db.scale")
             cfg = replace(cfg, hybrid_db=replace(cfg.hybrid_db, corpus_spec=spec))
         return cfg
 
@@ -331,6 +328,14 @@ def _parse_controller(node: _Node, k: int) -> ControllerConfig:
     )
 
 
+def _scaled(spec: CorpusSpec, scale: float, path: str) -> CorpusSpec:
+    """spec at another scale; an invalid scale is a ConfigError at path."""
+    try:
+        return replace(spec, scale=scale)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
     scale = node.take_number("scale", required=False, default=DEFAULT_SCALE)
     meta_bytes = node.take_int("metadata_bytes_per_article", required=False,
@@ -353,9 +358,10 @@ def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
     except ValueError as exc:
         raise ConfigError(f"{node.path}.backends", str(exc)) from None
     try:
-        spec = CorpusSpec(scale, meta_bytes, corpus_seed)
+        spec = CorpusSpec(DEFAULT_SCALE, meta_bytes, corpus_seed)
     except ValueError as exc:
-        raise ConfigError(node.path, str(exc)) from None
+        raise ConfigError(f"{node.path}.metadata_bytes_per_article", str(exc)) from None
+    spec = _scaled(spec, scale, f"{node.path}.scale")
     return HybridDbConfig(
         corpus_spec=spec,
         backends=backends,

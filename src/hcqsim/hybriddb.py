@@ -11,6 +11,7 @@ only timing differs.
 A corpus is sized by one rule: a scale s > 0 targets
 max(MIN_BODY_BYTES, round(FULL_CORPUS_BYTES * s)) body bytes, and the
 article count is that target over MEAN_BODY_BYTES, rounded, and at least 1.
+A scale whose count exceeds MAX_ARTICLES is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ MAX_COAUTHORS = 9
 # Full-scale corpus footprint a CorpusSpec scale divides down (26667.25 MB).
 FULL_CORPUS_BYTES = round(26667.25 * 1024 * 1024)
 DEFAULT_SCALE = 1e-3
+# build_corpus holds every record in memory; the full-scale corpus has 17,218.
+MAX_ARTICLES = 100_000
 DEFAULT_METADATA_BYTES = 2048
 
 # Blob fetches ride the link as public-cloud database traffic.
@@ -81,6 +84,10 @@ class CorpusSpec:
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         if self.metadata_bytes_per_article <= 0:
             raise ValueError("metadata_bytes_per_article must be > 0")
+        # The float target is compared first: round() overflows on an infinite one.
+        if (FULL_CORPUS_BYTES * self.scale > (MAX_ARTICLES + 1) * MEAN_BODY_BYTES
+                or self.article_count > MAX_ARTICLES):
+            raise ValueError(f"scale {self.scale!r} asks for more than {MAX_ARTICLES} articles")
 
     @property
     def article_count(self) -> int:

@@ -7,7 +7,6 @@ Run with `pytest tests/test_acceptance.py -v` (each test prints a
 import hashlib
 import itertools
 import json
-import math
 import os
 import random
 import time

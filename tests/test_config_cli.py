@@ -205,6 +205,25 @@ class TestConfigParsing:
             cfg.with_overrides(scale=scale)
         assert err.value.path == "hybrid_db.scale"
 
+    @pytest.mark.parametrize("scale", [1e3, 1e300])
+    def test_huge_scale_names_key(self, scale):
+        raw = minimal_config()
+        raw["hybrid_db"] = dict(minimal_hybrid_db(), scale=scale)
+        with pytest.raises(ConfigError, match="more than 100000 articles") as err:
+            parse_config(raw)
+        assert err.value.path == "config.hybrid_db.scale"
+        raw["hybrid_db"]["scale"] = 1e-3
+        with pytest.raises(ConfigError, match="more than 100000 articles") as err:
+            parse_config(raw).with_overrides(scale=scale)
+        assert err.value.path == "hybrid_db.scale"
+
+    def test_bad_metadata_bytes_names_key(self):
+        raw = minimal_config()
+        raw["hybrid_db"] = dict(minimal_hybrid_db(), metadata_bytes_per_article=0)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.path == "config.hybrid_db.metadata_bytes_per_article"
+
 
 class TestCliRun:
     def test_run_writes_expected_layout(self, tmp_path, capsys):
@@ -242,6 +261,19 @@ class TestCliRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "capacity_bps" in err
+
+    def test_huge_scale_exit_1_names_key(self, tmp_path, capsys):
+        raw = minimal_config()
+        raw["hybrid_db"] = dict(minimal_hybrid_db(), scale=1e300)
+        path = write_config(tmp_path, raw, "huge.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "a")]) == 1
+        assert "hybrid_db.scale" in capsys.readouterr().err
+        raw["hybrid_db"]["scale"] = 1e-3
+        path = write_config(tmp_path, raw, "small.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "b"),
+                     "--scale", "1e300"]) == 1
+        assert "hybrid_db.scale" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_missing_config_file_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3

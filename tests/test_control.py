@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from hcqsim.control import (
     spectral_radius,
     step_state,
 )
+from hcqsim.scenarios import s1_config
 
 # ---------------------------------------------------------------- oracles
 
@@ -475,6 +475,161 @@ class TestCondensedController:
         for x in states:
             decision = controller.decide(x, 0)
             assert_in_oracle_band(decision, model, weights, x, horizon, grid)
+
+
+# ------------------------------------------------- decide, bit for bit
+
+
+def reference_decide(ctrl, x):
+    """(u, priority_order) by the decision formula written out step by step:
+    cost = c + 2 (g U) + quad, the tie band, and H plain steps A x + B u."""
+    model = ctrl.model
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    e = ctrl._E @ xv - ctrl._E_ref
+    eh = e.reshape(ctrl.horizon, model.n)
+    c = float(np.einsum("hi,ij,hj->", eh, ctrl.weights.Q, eh))
+    g = ctrl._GQ @ e
+    cost = c + 2.0 * (g @ ctrl._U) + ctrl._quad
+    c_min = float(cost.min())
+    tie = cost <= c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min)
+    u = ctrl._U[:, int(np.argmax(tie))]
+    xh = xv
+    for _ in range(ctrl.horizon):
+        xh = model.A @ xh + model.B @ u
+    backlog_end = xh[: model.m]
+    order = sorted(range(model.m), key=lambda i: (-backlog_end[i], i))
+    return tuple(u.tolist()), tuple(order)
+
+
+def drain_model(m, coef=5 / 24):
+    """The s1 plant for m classes: a share u_i drains coef * u_i of class i's
+    backlog per epoch and is its next utilization."""
+    A = np.diag([1.0] * m + [0.0] * m)
+    B = np.vstack([-coef * np.eye(m), np.eye(m)])
+    return StateSpaceModel(A, B)
+
+
+def bit_identity_controllers():
+    """The s1 controller (m = 2, grid 41) and two of nine-class shape (18 x 9,
+    grid 5): the s1 plant for nine classes and a random stable model."""
+    s1 = s1_config().controller
+    nine_w = CostWeights(Q=np.diag([4.0] * 9 + [1.0] * 9), R=0.01 * np.eye(9),
+                         x_ref=np.array([0.0] * 9 + [0.1] * 9))
+    rng = np.random.default_rng(1402)
+    return {
+        "s1": MpcController(s1.model, s1.weights, s1.horizon, s1.grid),
+        "nine-drain": MpcController(drain_model(9), nine_w, 3, 5),
+        "nine-random": MpcController(random_stable_model(rng, 18, 9), nine_w, 3, 5),
+    }
+
+
+BIT_IDENTITY = bit_identity_controllers()
+
+
+@st.composite
+def closed_loop_states(draw, m, n):
+    """Backlogs in [0, 1], often on the 1/64 lattice where the s1 plant's
+    horizon-end backlogs tie exactly, and often all zero or all equal;
+    utilizations in [0, 1.2]."""
+    level = st.one_of(st.integers(0, 64).map(lambda k: k / 64), st.floats(0.0, 1.0))
+    backlog = draw(st.lists(level, min_size=m, max_size=m))
+    tie = draw(st.sampled_from(["none", "zero", "equal"]))
+    if tie == "zero":
+        backlog = [0.0] * m
+    elif tie == "equal":
+        backlog = [backlog[0]] * m
+    util = draw(st.lists(st.floats(0.0, 1.2), min_size=n - m, max_size=n - m))
+    return np.array(backlog + util)
+
+
+class TestDecideBitIdentity:
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_bits_as_reference(self, name, data):
+        ctrl = BIT_IDENTITY[name]
+        x = data.draw(closed_loop_states(ctrl.model.m, ctrl.model.n))
+        d = ctrl.decide(x, 7)
+        u, order = reference_decide(ctrl, x)
+        assert [v.hex() for v in d.u] == [v.hex() for v in u]
+        assert d.priority_order == order
+        assert d.epoch_index == 7
+
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY))
+    def test_huge_finite_state_still_decides(self, name):
+        # c(x) overflows to inf; x is finite, so the decision goes on as the
+        # formula gives it.
+        ctrl = BIT_IDENTITY[name]
+        x = np.full(ctrl.model.n, 1e200)
+        d = ctrl.decide(x, 0)
+        assert (d.u, d.priority_order) == reference_decide(ctrl, x)
+
+    def test_array_like_state_decides_as_its_vector(self):
+        ctrl = BIT_IDENTITY["s1"]
+        x = [0.5, 0.25, 0.1, 0.9]
+        want = ctrl.decide(np.array(x), 0)
+        for same in (x, tuple(x), np.array([x]), np.array(x, dtype=np.float32).astype(float)):
+            assert ctrl.decide(same, 0) == want
+
+    # An infinite x meets 0 * inf in the first product, which numpy reports
+    # as a RuntimeWarning before decide refuses x.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_bad_state_rejected(self):
+        ctrl = BIT_IDENTITY["s1"]
+        for x in (np.zeros(3), np.zeros(5), [0.0] * 5):
+            with pytest.raises(ValueError, match="x must have length 4"):
+                ctrl.decide(x, 0)
+        for v in (np.nan, np.inf, -np.inf):
+            for i in (0, 3):
+                x = np.zeros(4)
+                x[i] = v
+                with pytest.raises(ValueError, match="x must be finite"):
+                    ctrl.decide(x, 0)
+                with pytest.raises(ValueError, match="x must be finite"):
+                    ctrl.decide(x.tolist(), 0)
+
+
+class TestControlBoundsContains:
+    def test_non_finite_outside(self):
+        s = ControlBounds.simplex(2)
+        for v in (np.nan, np.inf, -np.inf):
+            assert not s.contains((v, 0.1))
+            assert not s.contains((0.1, v), tol=1e-9)
+            assert not s.contains(np.array([0.1, v]), tol=1.0)
+
+    def test_wrong_length_outside(self):
+        s = ControlBounds.simplex(2)
+        assert s.contains((0.5, 0.5))
+        assert not s.contains((0.5,))
+        assert not s.contains((0.2, 0.2, 0.2))
+        assert not s.contains(())
+        assert not s.contains(np.zeros(3))
+
+    def test_2d_array_is_flattened(self):
+        s = ControlBounds.simplex(2)
+        assert s.contains(np.array([[0.25, 0.5]]))
+        assert s.contains(np.array([[0.25], [0.5]]))
+        assert not s.contains(np.array([[0.75, 0.5]]))
+        assert not s.contains(np.array([[0.25, 0.5], [0.0, 0.0]]))
+
+    def test_box_edges_at_tol(self):
+        b = ControlBounds((0.25, 0.0), (0.5, 0.5))
+        tol = 1e-9
+        lo, hi = 0.25 - tol, 0.5 + tol
+        assert b.contains((lo, 0.0), tol=tol)
+        assert not b.contains((np.nextafter(lo, -1.0), 0.0), tol=tol)
+        assert b.contains((0.25, hi), tol=tol)
+        assert not b.contains((0.25, np.nextafter(hi, 2.0)), tol=tol)
+        assert not b.contains((lo, 0.0))
+        assert not b.contains((0.25, hi))
+
+    def test_sum_at_one_plus_tol(self):
+        s = ControlBounds.simplex(2)
+        tol = 2.0 ** -20  # 0.5 + tol and 1 + tol are exact
+        assert s.contains((0.5, 0.5 + tol), tol=tol)
+        over = np.nextafter(1.0 + tol, 2.0) - 0.5  # 0.5 + over is the next float
+        assert not s.contains((0.5, over), tol=tol)
+        assert not s.contains((0.5, 0.5 + tol))
 
 
 # ---------------------------------------------------------------- stability

@@ -2,6 +2,7 @@ import pytest
 
 from hcqsim.hybriddb import (
     FULL_CORPUS_BYTES,
+    MAX_ARTICLES,
     MAX_BODY_BYTES,
     MEAN_BODY_BYTES,
     MIN_BODY_BYTES,
@@ -102,6 +103,15 @@ class TestCorpus:
                 CorpusSpec(scale=scale)
         with pytest.raises(ValueError, match="metadata_bytes_per_article"):
             CorpusSpec(metadata_bytes_per_article=0)
+
+    def test_article_count_bounded(self):
+        # The largest scale is checked without building its corpus.
+        at_bound = MAX_ARTICLES * MEAN_BODY_BYTES / FULL_CORPUS_BYTES
+        assert CorpusSpec(scale=at_bound).article_count == MAX_ARTICLES
+        over = (MAX_ARTICLES + 1) * MEAN_BODY_BYTES / FULL_CORPUS_BYTES
+        for scale in (over, 1e3, 1e300, 1.7976931348623157e308):
+            with pytest.raises(ValueError, match=f"asks for more than {MAX_ARTICLES} articles"):
+                CorpusSpec(scale=scale)
 
     def test_author_index_covers_main_and_co(self):
         corpus = build_corpus(CorpusSpec(scale=S12, seed=4))

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hcqsim.metrics import (
-    ComparisonReport,
     Histogram,
     build_histogram,
     compare_modes,
-    default_utilization_edges,
     export_report,
     fmt,
     parse_report_csv,

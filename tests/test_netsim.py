@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,38 @@ class TestObserveState:
             )
             got = m.state_history[e][0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestApplyDecision:
+    def closed_sim(self):
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000)  # 1000 B/s
+        return LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.CLOSED,
+                             controller=FixedShareController((0.5, 0.5)))
+
+    def test_wrong_length_rejected(self):
+        sim = self.closed_sim()
+        for u in ((1.0,), (0.2, 0.2, 0.2)):
+            order = tuple(range(len(u)))
+            with pytest.raises(SimulationError, match=f"decision has {len(u)} shares for 2 classes"):
+                sim.apply_decision(ControlDecision(u=u, priority_order=order, epoch_index=0))
+
+    def test_shares_outside_control_set_rejected(self):
+        sim = self.closed_sim()
+        for u in ((0.7, 0.7), (-0.1, 0.5), (1.1, 0.0), (math.nan, 0.0), (math.inf, 0.0)):
+            with pytest.raises(SimulationError, match="decision shares outside the control set"):
+                sim.apply_decision(ControlDecision(u=u, priority_order=(0, 1), epoch_index=0))
+        # within the 1e-9 tolerance
+        sim.apply_decision(ControlDecision(u=(0.5, 0.5 + 1e-10), priority_order=(0, 1),
+                                           epoch_index=0))
+
+    def test_non_permutation_rejected(self):
+        # ControlDecision refuses these itself; a duck-typed decision reaches
+        # the simulator's own check.
+        sim = self.closed_sim()
+        for order in ((0, 0), (1, 2), (0,), (0, 1, 2)):
+            decision = SimpleNamespace(u=(0.5, 0.5), priority_order=order, epoch_index=0)
+            with pytest.raises(SimulationError, match=r"invalid priority order: \("):
+                sim.apply_decision(decision)
 
 
 class TestmodeAndDims:

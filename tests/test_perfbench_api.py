@@ -27,3 +27,13 @@ def test_one_s2_operation_passes_its_checks(tmp_path):
     assert (rr.attempted, rr.failed) == (1, 0)
     assert len(rr.experiments) == 2
     assert checks.check_round("s2-hybrid-db", rr, str(tmp_path)) == []
+
+
+def test_one_nine_class_round_passes_its_checks(tmp_path):
+    # The closed-loop checks: byte accounting, control bytes, and ten
+    # decisions re-derived by a brute-force argmin over the share grid.
+    work = workloads.WORKLOADS["nine-class"]
+    rr = work.run_round(work.setup(0), str(tmp_path / "run"), None, lambda seconds: 1.0)
+    assert rr.counts["control.decisions"] == 400
+    assert rr.counts["control.candidates"] == 715
+    assert checks.check_round("nine-class", rr, str(tmp_path)) == []
