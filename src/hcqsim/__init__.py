@@ -12,15 +12,12 @@ from .control import (
     IdentifiabilityError,
     InfeasibleControlSetError,
     MpcController,
-    PowerIterationError,
     StabilityResult,
     StateSpaceModel,
     allocate_control,
     check_stability,
-    evaluate_cost,
     identify_model,
     spectral_radius,
-    step_state,
 )
 from .hybriddb import (
     ArticleRecord,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .control import identify_model, save_model_csv
+from .control import check_stability, identify_model, save_model_csv
 from .metrics import fmt
 from .runner import run_scenario, write_outputs
 from .scenarios import SCENARIOS, S2Runs
@@ -115,7 +115,9 @@ def _cmd_run(args) -> int:
 def _cmd_identify(args) -> int:
     pairs = read_xu_trace_csv(args.trace, args.n, args.m)
     model, residual = identify_model(pairs, args.n, args.m)
+    stability = check_stability(model)  # reported, never enforced
     print(f"residual_rms={fmt(residual)}")
+    print(f"spectral_radius={fmt(stability.spectral_radius)} stable={stability.stable}")
     if args.out:
         save_model_csv(model, args.out)
         print(f"model written to {args.out}")

@@ -1,10 +1,9 @@
 """Linear state-space control core.
 
-Implements the plant step x(t+1) = A x(t) + B u(t), least-squares
-identification of (A, B) from observed trajectories, the quadratic
-performance/effort criterion, exhaustive receding-horizon bandwidth
-allocation over a discretized share simplex, and a power-iteration
-spectral-radius stability check.
+Implements least-squares identification of the plant x(t+1) = A x(t) +
+B u(t) from observed trajectories, exhaustive receding-horizon bandwidth
+allocation over a discretized share simplex under a quadratic
+performance/effort criterion, and a spectral-radius stability check.
 
 The allocation is condensed (Maciejowski, Predictive Control with
 Constraints, 2002): with u held over the horizon, the horizon cost of every
@@ -33,8 +32,6 @@ COST_TIE_ABS = 1e-12
 
 # Stability margin: stable means spectral radius < 1 - STABILITY_EPS.
 STABILITY_EPS = 1e-9
-POWER_ITER_TOL = 1e-10
-POWER_ITER_CAP = 10_000
 
 
 class IdentifiabilityError(ValueError):
@@ -48,18 +45,6 @@ class IdentifiabilityError(ValueError):
 
 class InfeasibleControlSetError(ValueError):
     """Box-and-simplex control set has no feasible grid point."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
-
-    def __init__(self, estimate, iterations):
-        self.estimate = estimate
-        self.iterations = iterations
-        super().__init__(
-            f"power iteration did not converge after {iterations} iterations; "
-            f"last estimate {estimate:.12g}"
-        )
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
@@ -209,13 +194,6 @@ class ControlDecision:
             raise ValueError(f"priority_order is not a permutation: {self.priority_order}")
 
 
-def step_state(model: StateSpaceModel, x, u) -> np.ndarray:
-    """One plant step A x + B u; no projection onto the state box."""
-    xv = _as_vector(x, model.n, "x")
-    uv = _as_vector(u, model.m, "u")
-    return model.A @ xv + model.B @ uv
-
-
 def identify_model(
     trace: Sequence[tuple],
     n: int,
@@ -257,19 +235,6 @@ def identify_model(
     return model, residual_rms
 
 
-def evaluate_cost(weights: CostWeights, trajectory: Sequence[tuple], horizon: int) -> float:
-    """sum_{t < horizon} (x_t - x_ref)' Q (x_t - x_ref) + u_t' R u_t."""
-    if horizon < 0 or horizon > len(trajectory):
-        raise ValueError(f"horizon {horizon} outside trajectory length {len(trajectory)}")
-    total = 0.0
-    for t in range(horizon):
-        x = _as_vector(trajectory[t][0], weights.n, "x_t")
-        u = _as_vector(trajectory[t][1], weights.m, "u_t")
-        d = x - weights.x_ref
-        total += float(d @ weights.Q @ d) + float(u @ weights.R @ u)
-    return total
-
-
 def _feasible_levels(bounds: ControlBounds, grid: int) -> np.ndarray:
     """Integer levels (u_i = level_i / (grid-1)) of the grid points inside the
     bounded simplex: an m x K array, one column per point, the columns in
@@ -306,68 +271,18 @@ def allocate_control(
 class StabilityResult:
     spectral_radius: float
     stable: bool
-    iterations: int
 
 
-def spectral_radius(M, tol: float = POWER_ITER_TOL, max_iter: int = POWER_ITER_CAP) -> tuple[float, int]:
-    """Spectral radius via power iteration.
-
-    Each step projects M onto the two-dimensional Krylov basis {v, Mv} and
-    takes the dominant eigenvalue modulus of the projected 2x2 block
-    (closed-form quadratic), which also converges for complex-conjugate
-    dominant pairs. Convergence: successive estimates within tol.
-    """
+def spectral_radius(M) -> float:
+    """Largest eigenvalue modulus of the square, finite, non-empty matrix M."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix must be finite")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         raise ValueError("matrix must be non-empty")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = math.inf
-    restarts = 0
-    for it in range(1, max_iter + 1):
-        w = A @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # Krylov sequence died: for a generic start this means all
-            # eigenvalues are zero.
-            if prev == 0.0 or restarts >= 2:
-                return 0.0, it
-            restarts += 1
-            prev = 0.0
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        alpha = float(v @ w)
-        r = w - alpha * v
-        nr = float(np.linalg.norm(r))
-        if nr <= 1e-14 * nw:
-            est = abs(alpha)  # v is (numerically) an eigenvector
-        else:
-            q2 = r / nr
-            mq2 = A @ q2
-            t11 = alpha
-            t12 = float(v @ mq2)
-            t21 = nr
-            t22 = float(q2 @ mq2)
-            tr = t11 + t22
-            det = t11 * t22 - t12 * t21
-            disc = 0.25 * tr * tr - det
-            if disc >= 0.0:
-                s = math.sqrt(disc)
-                est = max(abs(0.5 * tr + s), abs(0.5 * tr - s))
-            else:
-                est = math.sqrt(det)  # complex pair: |lambda|^2 = det
-        if abs(est - prev) <= tol * max(1.0, est):
-            return est, it
-        prev = est
-        v = w / nw
-    raise PowerIterationError(prev, max_iter)
+    return float(np.abs(np.linalg.eigvals(A)).max())
 
 
 def check_stability(model: StateSpaceModel, gain=None) -> StabilityResult:
@@ -379,8 +294,8 @@ def check_stability(model: StateSpaceModel, gain=None) -> StabilityResult:
         if Km.shape != (model.m, model.n):
             raise ValueError(f"gain must be {model.m} x {model.n}, got {Km.shape}")
         M = model.A - model.B @ Km
-    rho, iters = spectral_radius(M)
-    return StabilityResult(spectral_radius=rho, stable=rho < 1.0 - STABILITY_EPS, iterations=iters)
+    rho = spectral_radius(M)
+    return StabilityResult(spectral_radius=rho, stable=rho < 1.0 - STABILITY_EPS)
 
 
 def save_model_csv(model: StateSpaceModel, path) -> None:
@@ -392,36 +307,6 @@ def save_model_csv(model: StateSpaceModel, path) -> None:
         fh.write(f"# B {model.n} x {model.m}\n")
         for row in model.B:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def load_model_csv(path) -> StateSpaceModel:
-    sections: dict[str, list[list[float]]] = {}
-    dims: dict[str, tuple[int, int]] = {}
-    current = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) != 4 or parts[2] != "x":
-                    raise ValueError(f"malformed model CSV header {line!r} in {path}")
-                current = parts[0]
-                dims[current] = (int(parts[1]), int(parts[3]))
-                sections[current] = []
-            else:
-                if current is None:
-                    raise ValueError(f"model CSV data before any header in {path}")
-                sections[current].append([float(v) for v in line.split(",")])
-    for name in ("A", "B"):
-        if name not in sections:
-            raise ValueError(f"model CSV missing section {name} in {path}")
-        rows, cols = dims[name]
-        mat = sections[name]
-        if len(mat) != rows or any(len(r) != cols for r in mat):
-            raise ValueError(f"model CSV section {name} does not match declared {rows} x {cols}")
-    return StateSpaceModel(np.array(sections["A"]), np.array(sections["B"]))
 
 
 class MpcController:

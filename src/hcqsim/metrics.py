@@ -187,19 +187,6 @@ def write_report_csv(report: ComparisonReport, path) -> None:
             w.writerow([name, fmt(o), fmt(c), fmt(d)])
 
 
-def parse_report_csv(path) -> dict:
-    """Parse a report back into {metric: (open, closed, delta)}."""
-    out = {}
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != REPORT_CSV_HEADER:
-            raise ValueError(f"unexpected report header {header!r} in {path}")
-        for name, o, c, d in r:
-            out[name] = (float(o), float(c), float(d))
-    return out
-
-
 def write_histogram_csv(report: ComparisonReport, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -283,7 +283,6 @@ class LinkSimulator:
         scenario_id: str = "run",
         seed: int = 0,
         control_message_bytes: int = 0,
-        debug: bool = False,
     ):
         self.link = link
         self.classes = canonical_class_order(classes)
@@ -295,18 +294,15 @@ class LinkSimulator:
         if mode is FeedbackMode.CLOSED:
             if controller is None:
                 raise ValueError("closed mode requires a controller")
-            m = getattr(controller, "m", None)
-            if m is not None and m != len(self.classes):
-                raise ValueError(
-                    f"controller emits {m} shares but the run has {len(self.classes)} classes"
-                )
+            if controller.m != len(self.classes):
+                raise ValueError(f"controller emits {controller.m} shares but the run has "
+                                 f"{len(self.classes)} classes")
             if self.control_message_bytes > 0 and CONTROL_LABEL not in self.classes:
                 raise ValueError(f"control overhead needs {CONTROL_LABEL} among the classes")
         elif controller is not None:
             raise ValueError("open mode takes no controller")
         elif self.control_message_bytes > 0:
             raise ValueError("open mode sends no control messages")
-        self.debug = debug
 
         self.byte_rate = link.byte_rate
         self.now = 0.0
@@ -430,8 +426,6 @@ class LinkSimulator:
         c.queued -= nbytes
         if flow.control:
             c.control_delivered += nbytes
-        if self.debug:
-            self._assert_conserved()
         if flow.remaining == 0:
             queue = self._queues[q]
             assert queue[0] is flow
@@ -504,8 +498,6 @@ class LinkSimulator:
                 self._replan(t)
         else:
             m.failed_flow_ids.append(fid)
-        if self.debug:
-            self._assert_conserved()
 
     def apply_decision(self, decision: ControlDecision) -> None:
         """Install shares and priority order for the upcoming epoch; closed
@@ -556,11 +548,6 @@ class LinkSimulator:
     def _active(self) -> bool:
         return (bool(self._heap) or self._pos < len(self._cursor[0])
                 or any(v > 0 for v in self._queued_bytes))
-
-    def _assert_conserved(self) -> None:
-        for label, c in zip(self.classes, self.counters):
-            if not c.conserved():
-                raise SimulationError(f"conservation violated mid-run for {label}")
 
     # -- run loops ----------------------------------------------------------
 
@@ -620,15 +607,39 @@ class LinkSimulator:
 
     def run_until_idle(self, max_epochs: int = 1_000_000) -> SimMetrics:
         """Run epoch by epoch until no backlog or pending events remain at an
-        epoch boundary; reaching boundary max_epochs + 1 is an error."""
+        epoch boundary; reaching boundary max_epochs + 1 is an error.
+
+        A closed run that stalls is an error too. That is an epoch that ends
+        with no event pending and no byte delivered, and leaves the observed
+        state as it began it. The controller's decision is assumed to depend
+        on the state alone, so every later epoch would repeat this one; the
+        error names each class that still holds bytes.
+        """
+        closed = self.mode is FeedbackMode.CLOSED
         while True:
             if self._epoch > max_epochs:
                 raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
             if not self._active():
                 break
             self._run_epoch()
+            if closed and not self._heap and self._pos == len(self._cursor[0]):
+                self._check_stalled()
         self.metrics.assert_conservation()
         return self.metrics
+
+    def _check_stalled(self) -> None:
+        """Raise if the epoch just run delivered nothing and left the state
+        it observed at its start unchanged."""
+        m = self.metrics
+        delivered = m.delivered[-1]
+        if any(delivered) or not np.array_equal(
+                observe_state(self.counters, self.link, delivered), m.state_history[-1][0]):
+            return
+        held = ", ".join(f"{label} ({c.queued} B)"
+                         for label, c in zip(self.classes, self.counters) if c.queued)
+        raise SimulationError(f"closed run stalled in epoch {self._epoch - 1}: no byte "
+                              f"delivered, no event pending and the state unchanged, so it "
+                              f"can never drain; still queued: {held}")
 
 
 def run_simulation(
@@ -646,22 +657,21 @@ def run_simulation(
     control_message_bytes: int = 0,
     classes=None,
     controller=None,
-    debug: bool = False,
 ) -> SimMetrics:
     """Simulate one trace over the link and return its metrics.
 
+    The one entry point for a run of a whole trace: runner.run_open,
+    runner.run_closed and runner.identify_from_warmup all call it.
     Closed mode builds a receding-horizon controller from (model, weights)
     unless an explicit controller is given; the model must match the class
     count (n = 2k states, m = k shares). n_epochs=None runs until idle.
     """
     trace = Trace.from_flows(trace)
     if classes is None:
-        labels = set(trace.labels)
+        classes = set(trace.labels)
         if mode is FeedbackMode.CLOSED and control_message_bytes > 0:
-            labels.add(CONTROL_LABEL)
-        classes = canonical_class_order(labels)
-    else:
-        classes = canonical_class_order(classes)
+            classes.add(CONTROL_LABEL)
+    classes = canonical_class_order(classes)
     if mode is FeedbackMode.CLOSED and controller is None:
         if model is None or weights is None:
             raise ValueError("closed mode requires model and weights (or a controller)")
@@ -679,7 +689,6 @@ def run_simulation(
         scenario_id=scenario_id,
         seed=seed,
         control_message_bytes=control_message_bytes if mode is FeedbackMode.CLOSED else 0,
-        debug=debug,
     )
     sim.add_flows(trace)
     if n_epochs is not None:

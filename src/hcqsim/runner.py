@@ -9,16 +9,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import ScenarioConfig
-from .control import (
-    ExcitationController,
-    MpcController,
-    StateSpaceModel,
-    identify_model,
-    save_model_csv,
-)
+from .control import ExcitationController, StateSpaceModel, identify_model, save_model_csv
 from .hybriddb import ExperimentResult, build_corpus, run_experiment, sample_query_authors
 from .metrics import ComparisonReport, compare_modes, export_report, fmt
-from .netsim import FeedbackMode, LinkSimulator, SimMetrics
+from .netsim import FeedbackMode, SimMetrics, run_simulation
 from .traffic import generate_trace
 
 
@@ -45,32 +39,25 @@ def identify_from_warmup(trace, link, classes, warmup_epochs: int, excitation_se
     observed per-epoch (state, shares) pairs. The warmup offers the trace
     up to its horizon, as run_epochs offers nothing at or after it."""
     k = len(classes)
-    sim = LinkSimulator(
-        link,
-        classes,
-        FeedbackMode.CLOSED,
-        controller=ExcitationController(k, excitation_seed),
-        scenario_id=f"{scenario_id}-warmup",
-        control_message_bytes=control_message_bytes,
+    metrics = run_simulation(
+        trace, link, FeedbackMode.CLOSED, scenario_id=f"{scenario_id}-warmup",
+        n_epochs=warmup_epochs, control_message_bytes=control_message_bytes,
+        classes=classes, controller=ExcitationController(k, excitation_seed),
     )
-    sim.add_flows(trace)
-    sim.run_epochs(warmup_epochs)
-    return identify_model(sim.metrics.state_history, n=2 * k, m=k,
+    return identify_model(metrics.state_history, n=2 * k, m=k,
                           control_bounds=control_bounds)
 
 
 def run_open(cfg: ScenarioConfig, trace, classes) -> SimMetrics:
-    sim = LinkSimulator(cfg.link, classes, FeedbackMode.OPEN,
-                        scenario_id=cfg.scenario_id, seed=cfg.seed)
-    sim.add_flows(trace)
-    return sim.run_epochs(cfg.n_epochs)
+    return run_simulation(trace, cfg.link, FeedbackMode.OPEN, seed=cfg.seed,
+                          scenario_id=cfg.scenario_id, n_epochs=cfg.n_epochs,
+                          classes=classes)
 
 
 def run_closed(cfg: ScenarioConfig, trace, classes):
     cc = cfg.controller
     if cc is None:
         raise ValueError("closed run requires a controller section")
-    k = len(classes)
     if cc.identify:
         model, residual = identify_from_warmup(
             trace, cfg.link, classes, cc.warmup_epochs, cc.excitation_seed,
@@ -78,25 +65,14 @@ def run_closed(cfg: ScenarioConfig, trace, classes):
             control_bounds=cc.control_bounds,
         )
     else:
-        model, residual = cc.model, math.nan
-        if model.n != 2 * k or model.m != k:
-            raise ValueError(
-                f"configured model is {model.n}x{model.m} but {k} classes need "
-                f"n={2 * k}, m={k}"
-            )
-        model = StateSpaceModel(model.A, model.B, model.state_bounds, cc.control_bounds)
-    controller = MpcController(model, cc.weights, cc.horizon, cc.grid)
-    sim = LinkSimulator(
-        cfg.link,
-        classes,
-        FeedbackMode.CLOSED,
-        controller=controller,
-        scenario_id=cfg.scenario_id,
-        seed=cfg.seed,
-        control_message_bytes=cc.control_message_bytes,
+        fixed = cc.model
+        model = StateSpaceModel(fixed.A, fixed.B, fixed.state_bounds, cc.control_bounds)
+        residual = math.nan
+    metrics = run_simulation(
+        trace, cfg.link, FeedbackMode.CLOSED, model, cc.weights, cfg.seed,
+        scenario_id=cfg.scenario_id, n_epochs=cfg.n_epochs, horizon=cc.horizon,
+        grid=cc.grid, control_message_bytes=cc.control_message_bytes, classes=classes,
     )
-    sim.add_flows(trace)
-    metrics = sim.run_epochs(cfg.n_epochs)
     return metrics, model, residual
 
 

@@ -20,7 +20,6 @@ iterating a trace yields them.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from array import array
@@ -106,13 +105,6 @@ class TrafficClassLabel:
         if self.app_kind is None:
             return self.zone_class.value
         return f"{self.zone_class.value}:{self.app_kind.value}"
-
-    @staticmethod
-    def parse(text: str) -> "TrafficClassLabel":
-        if ":" in text:
-            cls, kind = text.split(":", 1)
-            return TrafficClassLabel(ZoneClass(cls), AppKind(kind))
-        return TrafficClassLabel(ZoneClass(text))
 
 
 def canonical_class_order(labels) -> tuple[TrafficClassLabel, ...]:
@@ -387,31 +379,3 @@ def generate_trace(profile: TrafficProfile, duration_s: float, seed: int) -> Tra
     return Trace(array("d", map(itemgetter(0), merged)), array("q", map(itemgetter(2), merged)),
                  array("B", map(itemgetter(3), merged)))
 
-
-TRACE_CSV_HEADER = ["id", "arrival_time", "size", "src", "dst", "app"]
-
-
-def write_trace_csv(flows, path) -> None:
-    """Write a Trace, or an iterable of FlowEvents, one row per flow."""
-    trace = Trace.from_flows(flows)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_CSV_HEADER)
-        for fid, t, size, code in zip(trace.ids, trace.time, trace.size, trace.endpoint):
-            src, dst, app = ENDPOINTS[code]
-            w.writerow([fid, "%.17g" % t, size, src.value, dst.value, app.value])
-
-
-def read_trace_csv(path) -> Trace:
-    time, size, endpoint, ids = array("d"), array("q"), array("B"), array("q")
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"unexpected trace header {header!r} in {path}")
-        for row in r:
-            ids.append(int(row[0]))
-            time.append(float(row[1]))
-            size.append(int(row[2]))
-            endpoint.append(_ENDPOINT_CODE[Zone(row[3]), Zone(row[4]), AppKind(row[5])])
-    return Trace(time, size, endpoint, ids)

@@ -337,7 +337,7 @@ def test_criterion_7_stability_oracle():
     res = check_stability(model)
     exact_err = abs(res.spectral_radius - 0.5)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and exact_err < 1e-10 and res.stable
+    ok = worst < 1e-12 and exact_err < 1e-10 and res.stable
     _report("stability vs eigenvalue oracle (50 matrices)", ok,
-            f"worst |rho - oracle| {worst:.2e} < 1e-6; 0.5I error {exact_err:.1e} < 1e-10",
+            f"worst |rho - oracle| {worst:.2e} < 1e-12; 0.5I error {exact_err:.1e} < 1e-10",
             elapsed)

@@ -8,8 +8,20 @@ import pytest
 
 from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
 from hcqsim.config import ConfigError, load_config, parse_config
-from hcqsim.control import StateSpaceModel, load_model_csv
+from hcqsim.control import StateSpaceModel
 from hcqsim.hybriddb import CorpusSpec
+
+
+def read_model_csv(path):
+    """(A, B) from the CSV save_model_csv writes: a `# NAME rows x cols`
+    line before each matrix's rows."""
+    mats = {}
+    for block in path.read_text().split("# ")[1:]:
+        head, *rows = block.strip().split("\n")
+        name, n_rows, _, n_cols = head.split()
+        values = [[float(v) for v in row.split(",")] for row in rows]
+        mats[name] = np.array(values).reshape(int(n_rows), int(n_cols))
+    return mats["A"], mats["B"]
 
 
 def minimal_config(tmp_path=None, **overrides):
@@ -283,9 +295,9 @@ class TestCliRun:
 
 
 class TestCliIdentify:
-    def make_trace_csv(self, tmp_path, noise=0.0, length=60):
+    def make_trace_csv(self, tmp_path, noise=0.0, length=60, a00=0.8):
         rng = np.random.default_rng(5)
-        A = np.array([[0.8, 0.1], [0.0, 0.7]])
+        A = np.array([[a00, 0.1], [0.0, 0.7]])
         B = np.array([[0.5], [0.2]])
         x = np.zeros(2)
         pairs = []
@@ -305,10 +317,21 @@ class TestCliIdentify:
         code = main(["identify", "--trace", str(path), "--n", "2", "--m", "1",
                      "--out", str(out)])
         assert code == 0
-        model = load_model_csv(out)
-        assert np.abs(model.A - A).max() < 1e-8
-        assert np.abs(model.B - B).max() < 1e-8
+        got_A, got_B = read_model_csv(out)
+        assert np.abs(got_A - A).max() < 1e-8
+        assert np.abs(got_B - B).max() < 1e-8
         assert "residual_rms=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("a00, stable", [(0.8, True), (1.1, False)])
+    def test_identify_reports_stability(self, tmp_path, capsys, a00, stable):
+        # A is triangular, so rho(A) = max(a00, 0.7); an unstable fit is
+        # reported, not refused.
+        path, _, _ = self.make_trace_csv(tmp_path, a00=a00)
+        assert main(["identify", "--trace", str(path), "--n", "2", "--m", "1"]) == 0
+        out = capsys.readouterr().out
+        rho, flag = out.split("spectral_radius=")[1].splitlines()[0].split(" stable=")
+        assert float(rho) == pytest.approx(a00, abs=1e-8)
+        assert flag == str(stable)
 
     def test_identify_noise_residual(self, tmp_path, capsys):
         path, _, _ = self.make_trace_csv(tmp_path, noise=0.01, length=1000)

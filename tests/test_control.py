@@ -19,12 +19,9 @@ from hcqsim.control import (
     _feasible_levels,
     allocate_control,
     check_stability,
-    evaluate_cost,
     identify_model,
-    load_model_csv,
     save_model_csv,
     spectral_radius,
-    step_state,
 )
 from hcqsim.scenarios import s1_config
 
@@ -45,19 +42,28 @@ def naive_matmul_step(A, B, x, u):
     return out
 
 
-def cost_term_by_term(Q, R, x_ref, trajectory, horizon):
-    """Independent summation oracle for the quadratic criterion."""
-    total = 0.0
-    for t in range(horizon):
-        x, u = trajectory[t]
-        d = [x[i] - x_ref[i] for i in range(len(x_ref))]
-        for i in range(len(d)):
-            for j in range(len(d)):
-                total += d[i] * Q[i][j] * d[j]
-        for i in range(len(u)):
-            for j in range(len(u)):
-                total += u[i] * R[i][j] * u[j]
-    return total
+def horizon_costs(ctrl, x):
+    """Every candidate's horizon cost c + 2 (g U) + quad, formed as
+    MpcController forms it, in candidate order."""
+    model = ctrl.model
+    xv = np.asarray(x, dtype=float).reshape(-1)
+    e = ctrl._E @ xv - ctrl._E_ref
+    eh = e.reshape(ctrl.horizon, model.n)
+    c = float(np.einsum("hi,ij,hj->", eh, ctrl.weights.Q, eh))
+    g = ctrl._GQ @ e
+    return c + 2.0 * (g @ ctrl._U) + ctrl._quad
+
+
+def read_model_csv(path):
+    """(A, B) from the CSV save_model_csv writes: a `# NAME rows x cols`
+    line before each matrix's rows."""
+    mats = {}
+    for block in path.read_text().split("# ")[1:]:
+        head, *rows = block.strip().split("\n")
+        name, n_rows, _, n_cols = head.split()
+        values = [[float(v) for v in row.split(",")] for row in rows]
+        mats[name] = np.array(values).reshape(int(n_rows), int(n_cols))
+    return mats["A"], mats["B"]
 
 
 def brute_force_costs(model, weights, x, horizon, grid):
@@ -129,51 +135,60 @@ def random_stable_model(rng, n, m, radius=0.9):
     return StateSpaceModel(A, B, state_bounds=BoxBounds((-1e9,) * n, (1e9,) * n))
 
 
-# ---------------------------------------------------------------- step_state
+# ---------------------------------------------------------------- plant step
 
 
 class TestStepState:
+    """The plant step A x + B u as MpcController rolls it out for the
+    priority order: H steps under the chosen shares, then the classes by
+    descending predicted backlog."""
+
     def test_identity_dynamics(self):
-        model = StateSpaceModel(np.eye(2), np.zeros((2, 2)))
-        out = step_state(model, [1.0, 2.0], [0.3, 0.4])
-        assert out.tolist() == [1.0, 2.0]
+        # A = I, B = 0: the predicted backlog is the observed one.
+        model = StateSpaceModel(np.eye(4), np.zeros((4, 2)))
+        w = CostWeights(Q=np.eye(4), R=np.eye(2), x_ref=np.zeros(4))
+        ctrl = MpcController(model, w, horizon=3, grid=5)
+        assert ctrl.decide(np.array([0.2, 0.7, 0.0, 0.0]), 0).priority_order == (1, 0)
+        assert ctrl.decide(np.array([0.5, 0.5, 0.0, 0.0]), 0).priority_order == (0, 1)
 
     def test_hand_arithmetic(self):
-        model = StateSpaceModel(0.5 * np.eye(2), np.eye(2))
-        out = step_state(model, [2.0, 0.0], [1.0, 1.0])
-        assert out.tolist() == [2.0, 1.0]
+        # u = (0, 1) is the one feasible share vector. From backlog (2, 0),
+        # x1 = 0.5 x + B u has backlog (1, 1), a tie broken by class index,
+        # and x2 has (0.5, 1.5).
+        B = np.vstack([np.eye(2), np.zeros((2, 2))])
+        model = StateSpaceModel(0.5 * np.eye(4), B,
+                                control_bounds=ControlBounds((0.0, 1.0), (0.0, 1.0)))
+        w = CostWeights(Q=np.eye(4), R=np.eye(2), x_ref=np.zeros(4))
+        x = np.array([2.0, 0.0, 0.0, 0.0])
+        one, two = (MpcController(model, w, horizon=h, grid=2).decide(x, 0) for h in (1, 2))
+        assert one.u == two.u == (0.0, 1.0)
+        assert (one.priority_order, two.priority_order) == ((0, 1), (1, 0))
 
     def test_matches_naive_matmul_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            A = rng.standard_normal((3, 3))
-            B = rng.standard_normal((3, 2))
-            model = StateSpaceModel(A, B)
-            x = rng.standard_normal(3)
-            u = rng.standard_normal(2)
-            got = step_state(model, x, u)
-            want = naive_matmul_step(A.tolist(), B.tolist(), x.tolist(), u.tolist())
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            model = random_stable_model(rng, 4, 2)
+            ctrl = MpcController(model, random_weights(rng, 4, 2), horizon=3, grid=5)
+            x = rng.standard_normal(4)
+            d = ctrl.decide(x, 0)
+            xs = x.tolist()
+            for _ in range(3):
+                xs = naive_matmul_step(model.A.tolist(), model.B.tolist(), xs, list(d.u))
+            ranked = [xs[i] for i in d.priority_order]
+            assert all(a >= b - 1e-12 for a, b in zip(ranked, ranked[1:]))
 
     def test_dimension_mismatch(self):
+        # A state or share vector of the wrong length is refused where the
+        # plant step is fitted and where it is rolled out.
         model = StateSpaceModel(np.eye(2), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            step_state(model, [1.0, 2.0, 3.0], [0.0])
-        with pytest.raises(ValueError):
-            step_state(model, [1.0, 2.0], [0.0, 0.0])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(2)
-        model = StateSpaceModel(rng.standard_normal((4, 4)), rng.standard_normal((4, 3)))
-        for _ in range(10):
-            x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-            u1, u2 = rng.standard_normal(3), rng.standard_normal(3)
-            lhs = step_state(model, x1 + x2, u1 + u2)
-            rhs = step_state(model, x1, u1) + step_state(model, x2, u2) - step_state(
-                model, np.zeros(4), np.zeros(3)
-            )
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-        assert step_state(model, np.zeros(4), np.zeros(3)).tolist() == [0.0] * 4
+        good = [(np.zeros(2), np.zeros(1))] * 10
+        for bad in ((np.zeros(3), np.zeros(1)), (np.zeros(2), np.zeros(2))):
+            with pytest.raises(ValueError, match="must have length"):
+                identify_model([bad] + good, 2, 1)
+        ctrl = MpcController(model, CostWeights(Q=np.eye(2), R=np.eye(1), x_ref=np.zeros(2)),
+                             horizon=1, grid=3)
+        with pytest.raises(ValueError, match="x must have length 2"):
+            ctrl.decide([1.0, 2.0, 3.0], 0)
 
 
 # ---------------------------------------------------------------- identify
@@ -244,37 +259,43 @@ class TestIdentify:
 
 
 class TestEvaluateCost:
+    """MpcController's condensed horizon cost c(x) + 2 u' g(x) + u' P u of
+    every candidate, against the criterion summed term by term."""
+
     def test_reference_trajectory_is_free(self):
+        # B = 0 holds x at x_ref, so zero shares cost nothing.
+        model = StateSpaceModel(np.eye(2), np.zeros((2, 2)))
         w = CostWeights(Q=np.eye(2), R=np.eye(2), x_ref=np.array([0.5, 0.5]))
-        traj = [(np.array([0.5, 0.5]), np.zeros(2))] * 5
-        assert evaluate_cost(w, traj, 5) == 0.0
+        ctrl = MpcController(model, w, horizon=5, grid=3)
+        assert horizon_costs(ctrl, [0.5, 0.5])[0] == 0.0
 
     def test_hand_arithmetic(self):
+        # Horizon 1 from x = (1, 0): x'Q x + u'R u, so 2 under u = (0, 1).
+        model = StateSpaceModel(np.eye(2), np.eye(2))
         w = CostWeights(Q=np.eye(2), R=np.eye(2), x_ref=np.zeros(2))
-        traj = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-        assert evaluate_cost(w, traj, 1) == pytest.approx(2.0)
+        ctrl = MpcController(model, w, horizon=1, grid=2)
+        assert ctrl._U.T.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert horizon_costs(ctrl, [1.0, 0.0]).tolist() == [1.0, 2.0, 2.0]
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
+            model = random_stable_model(rng, 3, 2)
             w = random_weights(rng, 3, 2)
-            traj = [(rng.standard_normal(3), rng.standard_normal(2)) for _ in range(6)]
-            got = evaluate_cost(w, traj, 6)
-            want = cost_term_by_term(
-                w.Q.tolist(), w.R.tolist(), w.x_ref.tolist(),
-                [(x.tolist(), u.tolist()) for x, u in traj], 6,
-            )
-            assert got == pytest.approx(want, rel=1e-12)
+            x = rng.standard_normal(3)
+            ctrl = MpcController(model, w, horizon=6, grid=5)
+            want = [cost for _, _, cost in brute_force_costs(model, w, x.tolist(), 6, 5)]
+            np.testing.assert_allclose(horizon_costs(ctrl, x), want, rtol=1e-9, atol=1e-12)
 
     def test_nonnegative_and_positive_off_reference(self):
+        # Every nonzero share vector pays at least H u'R u > 0.
         rng = np.random.default_rng(8)
         w = CostWeights(Q=np.eye(2), R=np.eye(2), x_ref=np.zeros(2))
         for _ in range(20):
-            traj = [(rng.standard_normal(2), rng.standard_normal(2))]
-            c = evaluate_cost(w, traj, 1)
-            assert c >= 0.0
-            if np.any(traj[0][1] != 0.0):
-                assert c > 0.0
+            model = StateSpaceModel(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+            costs = horizon_costs(MpcController(model, w, horizon=2, grid=5),
+                                  rng.standard_normal(2))
+            assert costs[0] >= 0.0 and (costs[1:] > 0.0).all()
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -485,11 +506,7 @@ def reference_decide(ctrl, x):
     cost = c + 2 (g U) + quad, the tie band, and H plain steps A x + B u."""
     model = ctrl.model
     xv = np.asarray(x, dtype=float).reshape(-1)
-    e = ctrl._E @ xv - ctrl._E_ref
-    eh = e.reshape(ctrl.horizon, model.n)
-    c = float(np.einsum("hi,ij,hj->", eh, ctrl.weights.Q, eh))
-    g = ctrl._GQ @ e
-    cost = c + 2.0 * (g @ ctrl._U) + ctrl._quad
+    cost = horizon_costs(ctrl, xv)
     c_min = float(cost.min())
     tie = cost <= c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min)
     u = ctrl._U[:, int(np.argmax(tie))]
@@ -693,19 +710,24 @@ class TestStability:
 
     def test_rotation_complex_pair(self):
         A = np.array([[0.0, -0.9], [0.9, 0.0]])
-        rho, _ = spectral_radius(A)
-        assert rho == pytest.approx(0.9, abs=1e-8)
+        assert spectral_radius(A) == pytest.approx(0.9, abs=1e-8)
 
     def test_nilpotent(self):
-        rho, _ = spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert rho == pytest.approx(0.0, abs=1e-10)
+        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_eigvals_oracle_random(self):
         rng = np.random.default_rng(12)
         for _ in range(15):
             A = rng.standard_normal((4, 4))
-            rho, _ = spectral_radius(A)
-            assert rho == pytest.approx(eigval_oracle(A), abs=1e-6, rel=1e-6)
+            assert spectral_radius(A) == pytest.approx(eigval_oracle(A), abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("M, match", [
+        (np.ones((2, 3)), "square"), (np.ones(3), "square"),
+        (np.array([[np.nan]]), "finite"), (np.zeros((0, 0)), "non-empty"),
+    ])
+    def test_input_checks(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            spectral_radius(M)
 
     def test_gain_closes_the_loop(self):
         A = np.array([[1.2, 0.0], [0.0, 0.3]])
@@ -732,15 +754,9 @@ class TestModelCsv:
         model = StateSpaceModel(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
         path = tmp_path / "model.csv"
         save_model_csv(model, path)
-        back = load_model_csv(path)
-        np.testing.assert_array_equal(back.A, model.A)
-        np.testing.assert_array_equal(back.B, model.B)
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# A 2 x 2\n1,2\n")
-        with pytest.raises(ValueError):
-            load_model_csv(path)
+        A, B = read_model_csv(path)
+        np.testing.assert_array_equal(A, model.A)
+        np.testing.assert_array_equal(B, model.B)
 
 
 class TestControllers:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from hcqsim.hybriddb import (
@@ -11,6 +13,7 @@ from hcqsim.hybriddb import (
     BackendLatency,
     CorpusSpec,
     ExperimentError,
+    Protocol,
     HybridQueryDriver,
     build_corpus,
     execute_local,
@@ -19,6 +22,7 @@ from hcqsim.hybriddb import (
     sample_query_authors,
 )
 from hcqsim.netsim import FeedbackMode, LinkSimulator, LinkSpec
+from hcqsim.scenarios import evaluate_s2
 from hcqsim.traffic import (
     AppKind,
     ClassProfile,
@@ -325,3 +329,26 @@ class TestExperiment:
         assert blobs[0] == blobs[1]
         header = blobs[0].decode().splitlines()[0]
         assert header == "query_id,author,protocol,latency_s,bytes,meta_s,transfer_s,queue_s"
+
+
+class TestEvaluateS2:
+    @staticmethod
+    def run(*id_pairs):
+        summary = {Protocol.LOCAL_4STEP.value: {"mean": 1.0, "p50": 2.0},
+                   Protocol.HYBRID_5STEP.value: {"mean": 2.0, "p50": 1.0}}
+        rows = [(SimpleNamespace(article_ids=a), SimpleNamespace(article_ids=b))
+                for a, b in id_pairs]
+        return SimpleNamespace(experiment=SimpleNamespace(rows=rows, summary=summary))
+
+    def test_mismatches_counted_over_both_runs(self):
+        same = ((1, 2), (1, 2))
+        outcome = evaluate_s2(self.run(same, ((3,), (4,))), self.run(((5,), ()), same))
+        assert outcome.lines()[0] == ("[FAIL] result-set mismatches across protocols: 2 "
+                                      "(threshold 0)")
+        assert not outcome.passed
+
+    def test_matching_results_pass(self):
+        outcome = evaluate_s2(self.run(((1, 2), (1, 2))), self.run(((), ())))
+        assert outcome.lines()[0] == ("[PASS] result-set mismatches across protocols: 0 "
+                                      "(threshold 0)")
+        assert outcome.passed

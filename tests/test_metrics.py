@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hcqsim.metrics import (
+    REPORT_CSV_HEADER,
     Histogram,
     build_histogram,
     compare_modes,
     export_report,
     fmt,
-    parse_report_csv,
     quantile_nearest_rank,
     report_rows,
     variance_two_pass,
@@ -26,6 +27,14 @@ from hcqsim.traffic import (
     ZoneClass,
     generate_trace,
 )
+
+
+def read_report_csv(path):
+    """{metric: (open, closed, delta)} from a report CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == REPORT_CSV_HEADER
+    return {name: (float(o), float(c), float(d)) for name, o, c, d in rows[1:]}
 
 
 def variance_streaming(values):
@@ -164,7 +173,7 @@ class TestExport:
         rep = self.make_report()
         path = tmp_path / "report.csv"
         write_report_csv(rep, path)
-        parsed = parse_report_csv(path)
+        parsed = read_report_csv(path)
         for name, o, c, d in report_rows(rep):
             po, pc, pd = parsed[name]
             # lossless at the documented 9-significant-digit precision
@@ -181,7 +190,7 @@ class TestExport:
         rep = compare_modes(a, b)
         path = tmp_path / "empty.csv"
         write_report_csv(rep, path)
-        parsed = parse_report_csv(path)
+        parsed = read_report_csv(path)
         assert parsed["drop_fraction"] == (0.0, 0.0, 0.0)
 
     def test_svg_is_static_and_deterministic(self):

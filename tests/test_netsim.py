@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -438,13 +439,28 @@ def lattice_runs(draw):
     return link, labels, n_epochs, trace, controller
 
 
+def conservation_checked(sim):
+    """Check every class's byte conservation after each serve and each
+    arrival of `sim`, by wrapping its two ledger-changing handlers."""
+    def checked(handler):
+        def run(*args):
+            handler(*args)
+            for label, c in zip(sim.classes, sim.counters):
+                assert c.conserved(), f"conservation violated mid-run for {label}"
+        return run
+
+    sim._serve = checked(sim._serve)
+    sim._handle_arrival = checked(sim._handle_arrival)
+    return sim
+
+
 class TestPropertyRandomLattice:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(lattice_runs())
     def test_conservation_and_budgets(self, case):
         link, labels, n_epochs, trace, controller = case
         mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
-        sim = LinkSimulator(link, labels, mode, controller=controller, debug=True)
+        sim = conservation_checked(LinkSimulator(link, labels, mode, controller=controller))
         sim.add_flows(trace)
         m = sim.run_epochs(n_epochs)
         m.assert_conservation()
@@ -572,7 +588,7 @@ class TestRunInParts:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(lattice_runs(), st.integers(1, 6))
     def test_run_until_idle_drains_the_rest(self, case, first):
-        # Open only: a zero share could starve a class until max_epochs.
+        # Open only: a zero share would stall a closed run.
         link, labels, _, trace, _ = case
         whole = LinkSimulator(link, labels, FeedbackMode.OPEN)
         whole.add_flows(trace)
@@ -602,10 +618,11 @@ class TestRunInParts:
         assert _outcome(whole.run_epochs(4)) == _outcome(m)
 
     def test_max_epochs_exceeded(self):
-        # A zero share never drains the backlog.
-        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        # A 0.001 share of 1000 B/s serves 1 B per epoch: 100 B take 100
+        # epochs. (A zero share stalls instead; see TestStall.)
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**6)
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
-                            controller=FixedShareController((0.0,)))
+                            controller=FixedShareController((0.001,)))
         sim.add_flows([make_flow(0, 0.5, 100)])
         with pytest.raises(SimulationError, match="exceeded max_epochs=50 without draining"):
             sim.run_until_idle(max_epochs=50)
@@ -620,6 +637,51 @@ class TestRunInParts:
         with pytest.raises(SimulationError, match="exceeded max_epochs=50 without draining"):
             sims[0].run_until_idle(max_epochs=50)
         assert sims[1].run_until_idle(max_epochs=51).n_epochs == 51
+
+
+class TestStall:
+    """A closed run that can never drain fails at its first repeated epoch."""
+
+    def test_zero_share_fails_fast(self):
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.0,)))
+        sim.add_flows([make_flow(0, 0.5, 100)])
+        t0 = time.perf_counter()
+        with pytest.raises(SimulationError, match=r"stalled in epoch 1: .*A:Web \(100 B\)$"):
+            sim.run_until_idle()
+        assert time.perf_counter() - t0 < 0.1
+        assert sim.metrics.n_epochs == 2
+
+    def test_names_every_class_holding_bytes(self):
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.0, 0.0)))
+        sim.add_flows([make_flow(0, 0.5, 100), make_flow(1, 2.5, 200, B_FILE)])
+        with pytest.raises(SimulationError,
+                           match=r"stalled in epoch 3: .*A:Web \(100 B\), B:File \(200 B\)$"):
+            sim.run_until_idle()
+
+    def test_dropped_control_messages_stall_once_the_queue_is_full(self):
+        # The zero-share control class holds a 100 B flow and each epoch's
+        # 300 B message until its 1000 B are full (epoch 2); epoch 3 drops
+        # the message and changes nothing else.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=1000)
+        sim = LinkSimulator(link, [CONTROL_LABEL], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.0,)), control_message_bytes=300)
+        sim.add_flows([make_flow(0, 0.5, 100, CONTROL_LABEL)])
+        with pytest.raises(SimulationError, match=r"stalled in epoch 3: .*\(1000 B\)$"):
+            sim.run_until_idle()
+        assert sim.metrics.dropped == [(0,), (0,), (0,), (300,)]
+
+    def test_slow_share_still_drains(self):
+        # 1 B per epoch is slow, not stalled.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.001,)))
+        sim.add_flows([make_flow(0, 0.5, 20)])
+        m = sim.run_until_idle()
+        assert m.delivered_bytes() == 20 and m.n_epochs == 20
 
 
 class _RecordingSim(LinkSimulator):
@@ -771,7 +833,7 @@ def three_inputs(draw):
         total = max(20, sum(weights))
         controller = FixedShareController([w / total for w in weights],
                                           draw(st.permutations(range(k))))
-    # run_until_idle only open: a zero share can starve a class until max_epochs
+    # run_until_idle only open: a zero share stalls a closed run
     idle = controller is None and draw(st.booleans())
     return link, labels, n_epochs, idle, controller, Trace.from_flows(flows), shuffled, parts
 
@@ -784,7 +846,7 @@ class TestPropertyThreeInputs:
         mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
         outcomes = []
         for batches in ([trace], [shuffled], list(parts)):
-            sim = LinkSimulator(link, labels, mode, controller=controller, debug=True)
+            sim = conservation_checked(LinkSimulator(link, labels, mode, controller=controller))
             for batch in batches:
                 sim.add_flows(batch)
             m = sim.run_until_idle() if idle else sim.run_epochs(n_epochs)
@@ -792,11 +854,14 @@ class TestPropertyThreeInputs:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def _run_with_steps(link, labels, controller, debug, batches, run, steps):
+def _run_with_steps(link, labels, controller, check, batches, run, steps):
     """Run once, with a no-op query step at each of `steps`; each step
-    brings service up to its time before it runs."""
+    brings service up to its time before it runs. With `check`, byte
+    conservation is checked after every serve and arrival."""
     mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
-    sim = LinkSimulator(link, labels, mode, controller=controller, debug=debug)
+    sim = LinkSimulator(link, labels, mode, controller=controller)
+    if check:
+        conservation_checked(sim)
     for batch in batches:
         sim.add_flows(batch)
     for t in steps:
@@ -816,17 +881,17 @@ class TestPropertyPathIndependence:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lattice_runs(), st.integers(0, 2**32 - 1), st.booleans())
-    def test_lattice_runs(self, case, seed, debug):
+    def test_lattice_runs(self, case, seed, check):
         link, labels, n_epochs, trace, controller = case
         steps = _instants(seed, n_epochs * link.epoch_s)
-        outcomes = [_run_with_steps(link, labels, controller, debug, [trace],
+        outcomes = [_run_with_steps(link, labels, controller, check, [trace],
                                     lambda sim: sim.run_epochs(n_epochs), s)
                     for s in ([], steps)]
         assert outcomes[0] == outcomes[1]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(three_inputs(), st.integers(0, 2**32 - 1), st.booleans())
-    def test_three_inputs(self, case, seed, debug):
+    def test_three_inputs(self, case, seed, check):
         link, labels, n_epochs, idle, controller, trace, shuffled, parts = case
         if idle:
             # Steps before the last arrival keep no idle run going longer.
@@ -834,7 +899,7 @@ class TestPropertyPathIndependence:
         else:
             steps = _instants(seed, n_epochs * link.epoch_s)
         run = LinkSimulator.run_until_idle if idle else (lambda sim: sim.run_epochs(n_epochs))
-        outcomes = [_run_with_steps(link, labels, controller, debug, list(parts), run, s)
+        outcomes = [_run_with_steps(link, labels, controller, check, list(parts), run, s)
                     for s in ([], steps)]
         assert outcomes[0] == outcomes[1]
 

@@ -12,6 +12,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import checks  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -37,3 +38,18 @@ def test_one_nine_class_round_passes_its_checks(tmp_path):
     assert rr.counts["control.decisions"] == 400
     assert rr.counts["control.candidates"] == 715
     assert checks.check_round("nine-class", rr, str(tmp_path)) == []
+
+
+def test_nine_class_traced_run_writes_the_untraced_files(tmp_path):
+    # Untraced, the round runs through hcqsim.runner and run_simulation;
+    # traced, the benchmark builds its own LinkSimulator.
+    work = workloads.WORKLOADS["nine-class"]
+    sc = work.setup(0)
+    runs = []
+    for name, tracer in (("untraced", None), ("traced", tracing.Tracer())):
+        out = tmp_path / name
+        work.run_round(sc, str(out), tracer, lambda seconds: 1.0)
+        runs.append({str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sorted(runs[0]) == ["closed/epochs.csv", "closed/model.csv", "closed/residual.txt"]
+    assert runs[0] == runs[1]

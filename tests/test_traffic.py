@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 from array import array
 
@@ -22,13 +24,23 @@ from hcqsim.traffic import (
     classify_stage1,
     classify_stage2,
     generate_trace,
-    read_trace_csv,
-    write_trace_csv,
 )
 
 
 def flow(src, dst, app=AppKind.WEB, fid=0, t=0.0, size=1000):
     return FlowEvent(id=fid, arrival_time=t, size=size, src=src, dst=dst, app=app)
+
+
+def trace_csv_bytes(trace):
+    """The trace as CSV, one row per flow: id, arrival time (%.17g), size and
+    the endpoint triple by value."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(["id", "arrival_time", "size", "src", "dst", "app"])
+    for fid, t, size, code in zip(trace.ids, trace.time, trace.size, trace.endpoint):
+        src, dst, app = ENDPOINTS[code]
+        w.writerow([fid, "%.17g" % t, size, src.value, dst.value, app.value])
+    return out.getvalue().encode()
 
 
 class TestStage1:
@@ -100,10 +112,6 @@ class TestLabels:
         ]
         ordered = canonical_class_order(labels)
         assert [str(x) for x in ordered] == ["A:Database", "A:Service", "B:Web", "C"]
-
-    def test_parse_round_trip(self):
-        for label in (TrafficClassLabel(ZoneClass.A, AppKind.FILE), TrafficClassLabel(ZoneClass.C)):
-            assert TrafficClassLabel.parse(str(label)) == label
 
 
 class TestFlowValidation:
@@ -279,24 +287,7 @@ class TestTrace:
 
 
 class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        profile = single_class_profile(rate=5.0)
-        trace = generate_trace(profile, 20.0, seed=1)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        assert read_trace_csv(path) == trace
-
-    def test_read_gives_a_trace_with_the_written_flows(self, tmp_path):
-        flows = mixed_flows()
-        path = tmp_path / "trace.csv"
-        write_trace_csv(flows, path)
-        trace = read_trace_csv(path)
-        assert isinstance(trace, Trace)
-        assert list(trace) == flows
-        assert trace == Trace.from_flows(flows)
-        assert trace.labels == Trace.from_flows(flows).labels
-
-    # SHA-256 of write_trace_csv for the canned traces. Flow ids and
+    # SHA-256 of trace_csv_bytes for the canned traces. Flow ids and
     # endpoints reach no run directory, so the golden run digests cannot
     # see them; these can.
     @pytest.mark.parametrize("make_cfg, seed, n, sha256", [
@@ -305,21 +296,7 @@ class TestTraceCsv:
         (s2_congested_config, S2_SEED, 5962,
          "e6c664f2477630f6b7a0cbe1e41ecd04932fb2143a09f6cca931b7771f8eb62e"),
     ])
-    def test_canned_trace_csv_digest(self, tmp_path, make_cfg, seed, n, sha256):
+    def test_canned_trace_csv_digest(self, make_cfg, seed, n, sha256):
         trace = build_trace(make_cfg(seed))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
         assert len(trace) == n
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
-
-    def test_bad_zone_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,arrival_time,size,src,dst,app\n0,0.5,10,Mars,Internet,Web\n")
-        with pytest.raises(ValueError):
-            read_trace_csv(path)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope,nope\n")
-        with pytest.raises(ValueError):
-            read_trace_csv(path)
+        assert hashlib.sha256(trace_csv_bytes(trace)).hexdigest() == sha256
