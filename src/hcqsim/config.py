@@ -136,7 +136,7 @@ def _matrix(raw, path: str, rows: int, cols: int) -> np.ndarray:
 @dataclass
 class ControllerConfig:
     identify: bool
-    model: Optional[StateSpaceModel]
+    model: Optional[StateSpaceModel]  # fixed, under control_bounds; None to identify
     warmup_epochs: int
     excitation_seed: int
     horizon: int
@@ -268,6 +268,17 @@ def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
 
 def _parse_controller(node: _Node, k: int) -> ControllerConfig:
     n, m = 2 * k, k
+    raw_umax = node.take_raw("u_max", required=False, default=None)
+    if raw_umax is None:
+        u_max = (1.0,) * m
+    elif isinstance(raw_umax, (int, float)) and not isinstance(raw_umax, bool):
+        u_max = (_finite(raw_umax, f"{node.path}.u_max"),) * m
+    else:
+        u_max = tuple(_number_list(raw_umax, f"{node.path}.u_max", m))
+    try:
+        control_bounds = ControlBounds((0.0,) * m, u_max)
+    except ValueError as exc:
+        raise ConfigError(f"{node.path}.u_max", str(exc)) from None
     raw_model = node.take_raw("model")
     identify = False
     model = None
@@ -279,7 +290,7 @@ def _parse_controller(node: _Node, k: int) -> ControllerConfig:
         B = _matrix(mnode.take_raw("B"), f"{mnode.path}.B", n, m)
         mnode.finish()
         try:
-            model = StateSpaceModel(A, B)
+            model = StateSpaceModel(A, B, control_bounds=control_bounds)
         except ValueError as exc:
             raise ConfigError(mnode.path, str(exc)) from None
     else:
@@ -302,17 +313,6 @@ def _parse_controller(node: _Node, k: int) -> ControllerConfig:
     msg_bytes = node.take_int("control_message_bytes", required=False, default=0)
     if msg_bytes < 0:
         raise ConfigError(f"{node.path}.control_message_bytes", f"must be >= 0, got {msg_bytes}")
-    raw_umax = node.take_raw("u_max", required=False, default=None)
-    if raw_umax is None:
-        u_max = (1.0,) * m
-    elif isinstance(raw_umax, (int, float)) and not isinstance(raw_umax, bool):
-        u_max = (_finite(raw_umax, f"{node.path}.u_max"),) * m
-    else:
-        u_max = tuple(_number_list(raw_umax, f"{node.path}.u_max", m))
-    try:
-        control_bounds = ControlBounds((0.0,) * m, u_max)
-    except ValueError as exc:
-        raise ConfigError(f"{node.path}.u_max", str(exc)) from None
     weights = _parse_weights(node.child("weights"), n, m)
     node.finish()
     return ControllerConfig(

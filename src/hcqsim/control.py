@@ -187,7 +187,6 @@ class ControlDecision:
 
     u: tuple[float, ...]
     priority_order: tuple[int, ...]
-    epoch_index: int
 
     def __post_init__(self):
         if sorted(self.priority_order) != list(range(len(self.priority_order))):
@@ -198,7 +197,6 @@ def identify_model(
     trace: Sequence[tuple],
     n: int,
     m: int,
-    state_bounds: Optional[BoxBounds] = None,
     control_bounds: Optional[ControlBounds] = None,
 ) -> tuple[StateSpaceModel, float]:
     """Least-squares fit of (A, B) to a trajectory of (x_t, u_t) pairs.
@@ -231,7 +229,7 @@ def identify_model(
     B = theta[n:].T
     resid = Z @ theta - Y
     residual_rms = float(np.sqrt(np.mean(resid * resid)))
-    model = StateSpaceModel(A, B, state_bounds, control_bounds)
+    model = StateSpaceModel(A, B, control_bounds=control_bounds)
     return model, residual_rms
 
 
@@ -261,10 +259,9 @@ def allocate_control(
     x,
     horizon: int,
     grid: int,
-    epoch_index: int = 0,
 ) -> ControlDecision:
     """One decision of a freshly built MpcController; see MpcController."""
-    return MpcController(model, weights, horizon, grid).decide(x, epoch_index)
+    return MpcController(model, weights, horizon, grid).decide(x, 0)
 
 
 @dataclass(frozen=True)
@@ -285,16 +282,9 @@ def spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
-def check_stability(model: StateSpaceModel, gain=None) -> StabilityResult:
-    """Spectral radius of A (or A - B K with feedback gain K) and the
-    stability verdict rho < 1 - STABILITY_EPS."""
-    M = model.A
-    if gain is not None:
-        Km = np.asarray(gain, dtype=float)
-        if Km.shape != (model.m, model.n):
-            raise ValueError(f"gain must be {model.m} x {model.n}, got {Km.shape}")
-        M = model.A - model.B @ Km
-    rho = spectral_radius(M)
+def check_stability(model: StateSpaceModel) -> StabilityResult:
+    """Spectral radius of A and the stability verdict rho < 1 - STABILITY_EPS."""
+    rho = spectral_radius(model.A)
     return StabilityResult(spectral_radius=rho, stable=rho < 1.0 - STABILITY_EPS)
 
 
@@ -413,8 +403,7 @@ class MpcController:
             xh += bu
         backlog_end = xh[:m].tolist()
         order = sorted(range(m), key=lambda i: (-backlog_end[i], i))
-        decision = ControlDecision(u=tuple(u.tolist()), priority_order=tuple(order),
-                                   epoch_index=epoch_index)
+        decision = ControlDecision(u=tuple(u.tolist()), priority_order=tuple(order))
         if not model.control_bounds.contains(decision.u, tol=1e-12):
             raise AssertionError(f"allocated shares violate the control set: {decision.u}")
         return decision
@@ -440,7 +429,7 @@ class ExcitationController:
         u = tuple(budget * r / total for r in raw)
         order = list(range(self.m))
         self._rng.shuffle(order)
-        return ControlDecision(u=u, priority_order=tuple(order), epoch_index=epoch_index)
+        return ControlDecision(u=u, priority_order=tuple(order))
 
 
 class FixedShareController:
@@ -454,4 +443,4 @@ class FixedShareController:
         self.priority_order = tuple(priority_order)
 
     def decide(self, x, epoch_index: int) -> ControlDecision:
-        return ControlDecision(u=self.u, priority_order=self.priority_order, epoch_index=epoch_index)
+        return ControlDecision(u=self.u, priority_order=self.priority_order)

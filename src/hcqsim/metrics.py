@@ -17,6 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 FLOAT_FMT = "%.9g"
+UTILIZATION_EDGES = tuple(i / 20 for i in range(21))  # twenty equal bins over [0, 1]
+TAIL_THRESHOLD = 0.95  # tail mass: the share of epochs above this utilization
 
 
 def fmt(x: float) -> str:
@@ -62,10 +64,6 @@ def build_histogram(samples, edges) -> Histogram:
     return Histogram(edges=edges, counts=tuple(counts), underflow=under, overflow=over)
 
 
-def default_utilization_edges(bins: int = 20) -> tuple[float, ...]:
-    return tuple(i / bins for i in range(bins + 1))
-
-
 def quantile_nearest_rank(values, p: float) -> float:
     """Nearest-rank quantile on a copy of values; nan when empty."""
     if not values:
@@ -99,7 +97,6 @@ class ModeSummary:
 @dataclass
 class ComparisonReport:
     scenario_id: str
-    tail_threshold: float
     open: ModeSummary
     closed: ModeSummary
 
@@ -116,10 +113,10 @@ class ComparisonReport:
         return self.closed.tail_mass - self.open.tail_mass
 
 
-def _summarize(metrics, mode_name: str, edges, tail_threshold: float) -> ModeSummary:
+def _summarize(metrics, mode_name: str) -> ModeSummary:
     util = metrics.link_utilization
     n = len(util)
-    tail = sum(1 for u in util if u > tail_threshold) / n if n else 0.0
+    tail = sum(1 for u in util if u > TAIL_THRESHOLD) / n if n else 0.0
     p95 = {}
     p99 = {}
     for label, samples in metrics.latencies_s.items():
@@ -127,7 +124,7 @@ def _summarize(metrics, mode_name: str, edges, tail_threshold: float) -> ModeSum
         p99[str(label)] = quantile_nearest_rank(samples, 0.99)
     return ModeSummary(
         mode=mode_name,
-        histogram=build_histogram(util, edges),
+        histogram=build_histogram(util, UTILIZATION_EDGES),
         drop_fraction=metrics.drop_fraction(),
         util_mean=sum(util) / n if n else 0.0,
         util_variance=variance_two_pass(util),
@@ -137,20 +134,16 @@ def _summarize(metrics, mode_name: str, edges, tail_threshold: float) -> ModeSum
     )
 
 
-def compare_modes(open_metrics, closed_metrics, tail_threshold: float = 0.95,
-                  edges=None) -> ComparisonReport:
+def compare_modes(open_metrics, closed_metrics) -> ComparisonReport:
     """Pair two runs of the same scenario into one report."""
     if open_metrics.scenario_id != closed_metrics.scenario_id:
         raise ValueError(
             f"scenario mismatch: {open_metrics.scenario_id!r} vs {closed_metrics.scenario_id!r}"
         )
-    if edges is None:
-        edges = default_utilization_edges()
     return ComparisonReport(
         scenario_id=open_metrics.scenario_id,
-        tail_threshold=tail_threshold,
-        open=_summarize(open_metrics, "open", edges, tail_threshold),
-        closed=_summarize(closed_metrics, "closed", edges, tail_threshold),
+        open=_summarize(open_metrics, "open"),
+        closed=_summarize(closed_metrics, "closed"),
     )
 
 
@@ -199,11 +192,12 @@ def write_histogram_csv(report: ComparisonReport, path) -> None:
             w.writerow([summary.mode, "overflow", "", h.overflow])
 
 
-def render_histogram_svg(report: ComparisonReport, width: int = 720, height: int = 360) -> str:
+def render_histogram_svg(report: ComparisonReport) -> str:
     """Side-by-side utilization histograms as a static SVG string.
 
     Hand-rolled so the bytes are a pure function of the report.
     """
+    width, height = 720, 360
     pad_l, pad_r, pad_t, pad_b = 50, 10, 30, 40
     panel_w = (width - pad_l - pad_r - 30) / 2
     plot_h = height - pad_t - pad_b

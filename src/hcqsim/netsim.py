@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ControlBounds, ControlDecision, MpcController
+from .control import ControlBounds, ControlDecision
 from .traffic import (
     AppKind,
     Trace,
@@ -646,14 +646,10 @@ def run_simulation(
     trace,
     link: LinkSpec,
     mode: FeedbackMode,
-    model=None,
-    weights=None,
     seed: int = 0,
     *,
     scenario_id: str = "run",
     n_epochs: Optional[int] = None,
-    horizon: int = 3,
-    grid: int = 11,
     control_message_bytes: int = 0,
     classes=None,
     controller=None,
@@ -661,35 +657,20 @@ def run_simulation(
     """Simulate one trace over the link and return its metrics.
 
     The one entry point for a run of a whole trace: runner.run_open,
-    runner.run_closed and runner.identify_from_warmup all call it.
-    Closed mode builds a receding-horizon controller from (model, weights)
-    unless an explicit controller is given; the model must match the class
-    count (n = 2k states, m = k shares). n_epochs=None runs until idle.
+    runner.run_closed and runner.identify_from_warmup all call it. Closed
+    mode takes the controller that decides each epoch; LinkSimulator holds
+    the rules (a closed run needs one with a share per class, an open run
+    takes neither a controller nor control messages). classes defaults to
+    the trace's labels, plus the control class when closed mode sends
+    control messages. n_epochs=None runs until idle.
     """
     trace = Trace.from_flows(trace)
     if classes is None:
         classes = set(trace.labels)
         if mode is FeedbackMode.CLOSED and control_message_bytes > 0:
             classes.add(CONTROL_LABEL)
-    classes = canonical_class_order(classes)
-    if mode is FeedbackMode.CLOSED and controller is None:
-        if model is None or weights is None:
-            raise ValueError("closed mode requires model and weights (or a controller)")
-        k = len(classes)
-        if model.n != 2 * k or model.m != k:
-            raise ValueError(
-                f"model is {model.n}x{model.m} but {k} classes need n={2 * k}, m={k}"
-            )
-        controller = MpcController(model, weights, horizon, grid)
-    sim = LinkSimulator(
-        link,
-        classes,
-        mode,
-        controller=controller if mode is FeedbackMode.CLOSED else None,
-        scenario_id=scenario_id,
-        seed=seed,
-        control_message_bytes=control_message_bytes if mode is FeedbackMode.CLOSED else 0,
-    )
+    sim = LinkSimulator(link, classes, mode, controller=controller, scenario_id=scenario_id,
+                        seed=seed, control_message_bytes=control_message_bytes)
     sim.add_flows(trace)
     if n_epochs is not None:
         return sim.run_epochs(n_epochs)

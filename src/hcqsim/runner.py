@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import ScenarioConfig
-from .control import ExcitationController, StateSpaceModel, identify_model, save_model_csv
+from .control import ExcitationController, MpcController, identify_model, save_model_csv
 from .hybriddb import ExperimentResult, build_corpus, run_experiment, sample_query_authors
 from .metrics import ComparisonReport, compare_modes, export_report, fmt
 from .netsim import FeedbackMode, SimMetrics, run_simulation
@@ -55,6 +55,9 @@ def run_open(cfg: ScenarioConfig, trace, classes) -> SimMetrics:
 
 
 def run_closed(cfg: ScenarioConfig, trace, classes):
+    """(metrics, model, residual) of a run under MpcController(model, weights,
+    horizon, grid). The model is the config's fixed one, which carries the
+    config's control set, or one identified from a warmup under that set."""
     cc = cfg.controller
     if cc is None:
         raise ValueError("closed run requires a controller section")
@@ -65,13 +68,11 @@ def run_closed(cfg: ScenarioConfig, trace, classes):
             control_bounds=cc.control_bounds,
         )
     else:
-        fixed = cc.model
-        model = StateSpaceModel(fixed.A, fixed.B, fixed.state_bounds, cc.control_bounds)
-        residual = math.nan
+        model, residual = cc.model, math.nan
     metrics = run_simulation(
-        trace, cfg.link, FeedbackMode.CLOSED, model, cc.weights, cfg.seed,
-        scenario_id=cfg.scenario_id, n_epochs=cfg.n_epochs, horizon=cc.horizon,
-        grid=cc.grid, control_message_bytes=cc.control_message_bytes, classes=classes,
+        trace, cfg.link, FeedbackMode.CLOSED, cfg.seed, scenario_id=cfg.scenario_id,
+        n_epochs=cfg.n_epochs, control_message_bytes=cc.control_message_bytes,
+        classes=classes, controller=MpcController(model, cc.weights, cc.horizon, cc.grid),
     )
     return metrics, model, residual
 

@@ -21,6 +21,7 @@ from hcqsim.control import (
     BoxBounds,
     CostWeights,
     ExcitationController,
+    MpcController,
     StateSpaceModel,
     allocate_control,
     check_stability,
@@ -240,7 +241,8 @@ def test_criterion_5_conservation_suite():
                                classes=labels, n_epochs=n_epochs)
         else:
             model, weights = _toy_model_weights(len(labels))
-            m = run_simulation(trace, link, FeedbackMode.CLOSED, model, weights,
+            m = run_simulation(trace, link, FeedbackMode.CLOSED,
+                               controller=MpcController(model, weights, 3, 11),
                                classes=labels, n_epochs=n_epochs)
         for label, c in m.totals.items():
             assert c.arrived == c.delivered + c.dropped + c.queued, \

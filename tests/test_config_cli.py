@@ -10,6 +10,7 @@ from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
 from hcqsim.config import ConfigError, load_config, parse_config
 from hcqsim.control import StateSpaceModel
 from hcqsim.hybriddb import CorpusSpec
+from hcqsim.runner import build_trace, run_closed
 
 
 def read_model_csv(path):
@@ -141,6 +142,21 @@ class TestConfigParsing:
         cfg = parse_config(raw)
         assert not cfg.controller.identify
         np.testing.assert_array_equal(cfg.controller.model.A, model.A)
+
+    def test_u_max_bounds_the_fixed_model(self):
+        # Without u_max this model gives class 0 a share of 0.4 or more.
+        B = [[-0.3, 0.0], [0.0, -0.3], [0.5, 0.0], [0.0, 0.5]]
+        raw = minimal_config(mode="closed", n_epochs=5)
+        raw["controller"].update(model={"A": (0.5 * np.eye(4)).tolist(), "B": B},
+                                 warmup_epochs=0, u_max=[0.3, 0.6])
+        cc = parse_config(raw).controller
+        assert cc.model.control_bounds == cc.control_bounds
+        assert cc.control_bounds.hi == (0.3, 0.6)
+        # A closed run decides within the config's control set.
+        cfg = parse_config(raw)
+        metrics, model, _ = run_closed(cfg, build_trace(cfg), cfg.classes())
+        assert model is cfg.controller.model
+        assert all(u[0] <= 0.3 and u[1] <= 0.6 for _, u in metrics.state_history)
 
     def test_control_message_bytes_grow_dimensions(self):
         raw = minimal_config()

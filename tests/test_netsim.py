@@ -13,6 +13,7 @@ from hcqsim.control import (
     CostWeights,
     ExcitationController,
     FixedShareController,
+    MpcController,
     StateSpaceModel,
 )
 from hcqsim.netsim import (
@@ -246,7 +247,8 @@ class TestObserveState:
             regular_flows(B_FILE, 10.0, 30_000, 20.0, fid0=10_000)
         trace.sort(key=lambda f: f.arrival_time)
         model, weights = toy_model_weights(2)
-        m = run_simulation(trace, link, FeedbackMode.CLOSED, model, weights,
+        m = run_simulation(trace, link, FeedbackMode.CLOSED,
+                           controller=MpcController(model, weights, 3, 11),
                            classes=[A_WEB, B_FILE], n_epochs=20)
         per_epoch = link.bytes_per_epoch
         for e in range(1, 20):
@@ -269,23 +271,22 @@ class TestApplyDecision:
         for u in ((1.0,), (0.2, 0.2, 0.2)):
             order = tuple(range(len(u)))
             with pytest.raises(SimulationError, match=f"decision has {len(u)} shares for 2 classes"):
-                sim.apply_decision(ControlDecision(u=u, priority_order=order, epoch_index=0))
+                sim.apply_decision(ControlDecision(u=u, priority_order=order))
 
     def test_shares_outside_control_set_rejected(self):
         sim = self.closed_sim()
         for u in ((0.7, 0.7), (-0.1, 0.5), (1.1, 0.0), (math.nan, 0.0), (math.inf, 0.0)):
             with pytest.raises(SimulationError, match="decision shares outside the control set"):
-                sim.apply_decision(ControlDecision(u=u, priority_order=(0, 1), epoch_index=0))
+                sim.apply_decision(ControlDecision(u=u, priority_order=(0, 1)))
         # within the 1e-9 tolerance
-        sim.apply_decision(ControlDecision(u=(0.5, 0.5 + 1e-10), priority_order=(0, 1),
-                                           epoch_index=0))
+        sim.apply_decision(ControlDecision(u=(0.5, 0.5 + 1e-10), priority_order=(0, 1)))
 
     def test_non_permutation_rejected(self):
         # ControlDecision refuses these itself; a duck-typed decision reaches
         # the simulator's own check.
         sim = self.closed_sim()
         for order in ((0, 0), (1, 2), (0,), (0, 1, 2)):
-            decision = SimpleNamespace(u=(0.5, 0.5), priority_order=order, epoch_index=0)
+            decision = SimpleNamespace(u=(0.5, 0.5), priority_order=order)
             with pytest.raises(SimulationError, match=r"invalid priority order: \("):
                 sim.apply_decision(decision)
 
@@ -296,8 +297,23 @@ class TestmodeAndDims:
         model, weights = toy_model_weights(3)  # wrong: run has 2 classes
         trace = regular_flows(A_WEB, 5.0, 1000, 2.0)
         with pytest.raises(ValueError):
-            run_simulation(trace, link, FeedbackMode.CLOSED, model, weights,
+            run_simulation(trace, link, FeedbackMode.CLOSED,
+                           controller=MpcController(model, weights, 3, 11),
                            classes=[A_WEB, B_FILE], n_epochs=2)
+
+    def test_closed_refuses_model_with_wrong_state_count(self):
+        # m = k shares but n = 3 states, not 2k = 4: the first decision
+        # refuses the observed state before any epoch row is appended.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        B = np.array([[-0.3, 0.0], [0.0, -0.3], [0.5, 0.5]])
+        model = StateSpaceModel(0.5 * np.eye(3), B)
+        weights = CostWeights(Q=np.eye(3), R=0.05 * np.eye(2), x_ref=np.zeros(3))
+        sim = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.CLOSED,
+                            controller=MpcController(model, weights, 3, 11))
+        sim.add_flows(regular_flows(A_WEB, 5.0, 1000, 2.0))
+        with pytest.raises(ValueError, match="x must have length 3"):
+            sim.run_epochs(2)
+        assert sim.metrics.n_epochs == 0 and sim.metrics.state_history == []
 
     def test_open_rejects_controller(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
@@ -306,16 +322,15 @@ class TestmodeAndDims:
                           controller=FixedShareController((1.0,)))
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
         with pytest.raises(SimulationError, match="open mode"):
-            sim.apply_decision(ControlDecision(u=(1.0,), priority_order=(0,), epoch_index=0))
+            sim.apply_decision(ControlDecision(u=(1.0,), priority_order=(0,)))
 
     def test_open_rejects_control_messages(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         with pytest.raises(ValueError, match="open mode sends no control messages"):
             LinkSimulator(link, [A_WEB], FeedbackMode.OPEN, control_message_bytes=1024)
-        # run_simulation drops the option for open mode, as before
-        m = run_simulation([], link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=5,
+        with pytest.raises(ValueError, match="open mode sends no control messages"):
+            run_simulation([], link, FeedbackMode.OPEN, classes=[A_WEB], n_epochs=5,
                            control_message_bytes=1024)
-        assert m.control_bytes_injected == 0
 
     def test_unknown_class_rejected(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
@@ -404,7 +419,8 @@ class TestConservationRandomized:
                                classes=labels, n_epochs=n_epochs)
         else:
             model, weights = toy_model_weights(len(labels))
-            m = run_simulation(trace, link, FeedbackMode.CLOSED, model, weights,
+            m = run_simulation(trace, link, FeedbackMode.CLOSED,
+                               controller=MpcController(model, weights, 3, 11),
                                classes=labels, n_epochs=n_epochs)
         m.assert_conservation()
         per_epoch_cap = link.bytes_per_epoch + m.max_flow_size

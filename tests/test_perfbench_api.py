@@ -40,16 +40,32 @@ def test_one_nine_class_round_passes_its_checks(tmp_path):
     assert checks.check_round("nine-class", rr, str(tmp_path)) == []
 
 
-def test_nine_class_traced_run_writes_the_untraced_files(tmp_path):
-    # Untraced, the round runs through hcqsim.runner and run_simulation;
-    # traced, the benchmark builds its own LinkSimulator.
-    work = workloads.WORKLOADS["nine-class"]
+def traced_and_untraced(work, tmp_path):
+    """The files of an untraced and of a traced round of one setup, each
+    keyed by its path in the run directory, and the traced round."""
     sc = work.setup(0)
     runs = []
     for name, tracer in (("untraced", None), ("traced", tracing.Tracer())):
         out = tmp_path / name
-        work.run_round(sc, str(out), tracer, lambda seconds: 1.0)
+        rr = work.run_round(sc, str(out), tracer, lambda seconds: 1.0)
         runs.append({str(p.relative_to(out)): p.read_bytes()
                      for p in sorted(out.rglob("*")) if p.is_file()})
+    return runs, rr
+
+
+def test_nine_class_traced_run_writes_the_untraced_files(tmp_path):
+    # Untraced, the round runs through hcqsim.runner and run_simulation;
+    # traced, the benchmark builds its own LinkSimulator.
+    runs, _ = traced_and_untraced(workloads.WORKLOADS["nine-class"], tmp_path)
     assert sorted(runs[0]) == ["closed/epochs.csv", "closed/model.csv", "closed/residual.txt"]
     assert runs[0] == runs[1]
+
+
+def test_s1_traced_round_writes_the_untraced_files_and_passes_its_checks(tmp_path):
+    # s1 runs open, then closed under the config's fixed model, which the
+    # traced round wraps in its own StateSpaceModel and MpcController.
+    runs, traced = traced_and_untraced(workloads.WORKLOADS["s1-histogram"], tmp_path)
+    assert sorted(runs[0]) == ["closed/epochs.csv", "closed/model.csv", "closed/residual.txt",
+                               "hist.svg", "histogram.csv", "open/epochs.csv", "report.csv"]
+    assert runs[0] == runs[1]
+    assert checks.check_round("s1-histogram", traced, str(tmp_path)) == []
