@@ -38,6 +38,30 @@ then by seq. A trace flow takes its seq when the trace is added, in trace
 order, so the merge breaks ties exactly as one heap holding every event
 would. The clock never goes back: a flow or step before `now` is refused.
 
+While the link is busy, a FIFO queue follows Lindley's recursion: each
+departure is max(arrival, previous departure) + size / rate. The loop
+walks a busy period flow by flow in two kinds of run, which apply the same
+rule with the same float operations in the same order as the handlers.
+
+- A completion run serves the live plan's flow at its end. If the same
+  queue still holds bytes and has budget, its head is the next plan: no
+  queue of higher rank can be serviceable, since an arrival there would
+  have preempted and budgets change only at boundaries, where the plan is
+  made anew. So the run moves the one live plan on to that head, with
+  end = previous end + limit / byte_rate, and goes on while each new end is
+  at or before the next cursor arrival and the heap top, and strictly
+  before the boundary. A flow with a callback is completed alone, and a
+  queue out of bytes or budget is left to the priority scan.
+- An arrival run appends cursor arrivals to their queues in place, while
+  each fits its queue's free space without crediting any service (so it
+  cannot drop and need not advance service), cannot preempt the plan, and
+  is strictly before both the plan end and the heap top.
+
+At an instant shared with a heap entry the order is decided by kind and
+seq, as in one heap, so such a tie goes to the handlers, which compare the
+full (time, kind, seq) keys. Arrivals on an idle link, drops, preemptions,
+heap events and query steps go through the handlers too.
+
 The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one k-tuple to each of the epoch columns: the
 arrived, delivered and dropped counters differenced against their values
@@ -53,6 +77,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter, sub
 from typing import Optional
 
 import numpy as np
@@ -123,6 +148,10 @@ class ClassCounters:
     def conserved(self) -> bool:
         return self.arrived == self.delivered + self.dropped + self.queued
 
+
+# A class's (arrived, delivered, dropped) counters, and its queued counter.
+_LEDGER = attrgetter("arrived", "delivered", "dropped")
+_QUEUED = attrgetter("queued")
 
 EPOCH_CSV_HEADER = [
     "epoch",
@@ -501,7 +530,9 @@ class LinkSimulator:
 
     def apply_decision(self, decision: ControlDecision) -> None:
         """Install shares and priority order for the upcoming epoch; closed
-        mode's queue index is the class index."""
+        mode's queue index is the class index. The run installs one at each
+        boundary, and its completion runs rely on budgets changing only
+        there."""
         if self.mode is not FeedbackMode.CLOSED:
             raise SimulationError("open mode takes no control decisions")
         k = len(self.classes)
@@ -522,13 +553,14 @@ class LinkSimulator:
     def _finalize_epoch(self) -> None:
         """Append the ending epoch's row to each column of the metrics."""
         cs = self.counters
-        now = (tuple(c.arrived for c in cs), tuple(c.delivered for c in cs),
-               tuple(c.dropped for c in cs))
+        now = tuple(zip(*map(_LEDGER, cs)))
+        prev = self._at_boundary
         m = self.metrics
-        for col, cur, prev in zip((m.arrived, m.delivered, m.dropped), now, self._at_boundary):
-            col.append(tuple(a - b for a, b in zip(cur, prev)))
+        m.arrived.append(tuple(map(sub, now[0], prev[0])))
+        m.delivered.append(tuple(map(sub, now[1], prev[1])))
+        m.dropped.append(tuple(map(sub, now[2], prev[2])))
         self._at_boundary = now
-        m.queued.append(tuple(c.queued for c in cs))
+        m.queued.append(tuple(map(_QUEUED, cs)))
         m.shares.append(self._shares)
         m.ranks.append(None if self._shares is None else tuple(self._rank))
 
@@ -546,8 +578,7 @@ class LinkSimulator:
         self._replan(t)
 
     def _active(self) -> bool:
-        return (bool(self._heap) or self._pos < len(self._cursor[0])
-                or any(v > 0 for v in self._queued_bytes))
+        return bool(self._heap) or self._pos < len(self._cursor[0]) or any(self._queued_bytes)
 
     # -- run loops ----------------------------------------------------------
 
@@ -555,24 +586,32 @@ class LinkSimulator:
         """Run the next epoch: begin it, handle every event strictly before
         its end boundary, then bring service up to the boundary and append
         the epoch's row. A plan end wins a tie with an arrival or a query
-        step; the boundary wins every tie at its instant."""
+        step; the boundary wins every tie at its instant. While the link is
+        busy, cursor arrivals are taken in arrival runs and completions in
+        completion runs (see the module docstring)."""
         e = self._epoch
         eps = self.link.epoch_s
         self._begin_epoch(e * eps)
         t_end = (e + 1) * eps
         heap = self._heap
+        inf = math.inf
         while True:
             plan = self._plan
             t_plan = plan.end if plan is not None and plan.end < t_end else t_end
-            times, seqs, cls, sizes, ids = self._cursor
+            times = self._cursor[0]
             pos = self._pos
-            if pos < len(times) and times[pos] < t_plan and (
-                    not heap or heap[0] > (times[pos], FLOW_ARRIVAL, seqs[pos])):
-                time = times[pos]
+            t_next = times[pos] if pos < len(times) else inf
+            t_heap = heap[0][0] if heap else inf
+            if t_next < t_plan and (t_next < t_heap or (
+                    t_next == t_heap and heap[0] > (t_next, FLOW_ARRIVAL, self._cursor[1][pos]))):
+                if (plan is not None and t_next < t_heap
+                        and self._arrival_run(plan, t_plan if t_plan < t_heap else t_heap)):
+                    continue
+                _, _, cls, sizes, ids = self._cursor
                 self._pos = pos + 1
-                self.now = time
-                self._handle_arrival(time, cls[pos], sizes[pos], ids[pos])
-            elif heap and heap[0][0] < t_plan:
+                self.now = t_next
+                self._handle_arrival(t_next, cls[pos], sizes[pos], ids[pos])
+            elif t_heap < t_plan:
                 time, kind, _, payload = heapq.heappop(heap)
                 self.now = time
                 if kind == FLOW_ARRIVAL:
@@ -583,14 +622,100 @@ class LinkSimulator:
                     if self._plan is None:
                         self._replan(time)
             elif t_plan < t_end:
-                self.now = plan.end
-                self._complete()
+                self._completion_run(plan, t_end, t_next if t_next < t_heap else t_heap)
             else:
                 break
         self.now = t_end
         self._advance(t_end)
         self._finalize_epoch()
         self._epoch = e + 1
+
+    def _arrival_run(self, plan: _ServicePlan, stop: float) -> int:
+        """Take cursor arrivals strictly before `stop` while the link serves
+        `plan`, appending each to its queue in place, as long as it fits the
+        queue's free space without crediting any service and cannot preempt
+        the plan. Returns how many were taken; the first arrival that does
+        not qualify is left to _handle_arrival."""
+        times, _, cls, sizes, ids = self._cursor
+        pos = first = self._pos
+        n = len(times)
+        queue_of, queues, queued = self._queue_of, self._queues, self._queued_bytes
+        budget, rank, counters = self._budget, self._rank, self.counters
+        cap = self.link.queue_capacity_bytes
+        serving = rank[plan.queue]
+        m = self.metrics
+        largest = m.max_flow_size
+        while pos < n:
+            t = times[pos]
+            if t >= stop:
+                break
+            i = cls[pos]
+            size = sizes[pos]
+            q = queue_of[i]
+            if size > cap - queued[q] or (rank[q] < serving and budget[q] > 0):
+                break
+            c = counters[i]
+            c.arrived += size
+            c.queued += size
+            queued[q] += size
+            queues[q].append(_QueuedFlow(ids[pos], i, size, t, False, None))
+            if size > largest:
+                largest = size
+            pos += 1
+        if pos > first:
+            m.flows_offered += pos - first
+            m.max_flow_size = largest
+            self._pos = pos
+            self.now = times[pos - 1]
+        return pos - first
+
+    def _completion_run(self, plan: _ServicePlan, t_end: float, t_next: float) -> None:
+        """Complete the live plan at its end, then serve the same queue's
+        next flows back to back, reusing the plan object, while each new end
+        is at or before t_next (the next cursor arrival or heap event) and
+        strictly before t_end. A flow with a callback is completed through
+        _complete; once the queue is out of bytes or budget, _replan picks
+        the next plan."""
+        q = plan.queue
+        queue = self._queues[q]
+        queued, budget = self._queued_bytes, self._budget
+        counters, latencies = self.counters, self._latencies
+        rate = self.byte_rate
+        delay = self.link.propagation_delay_s
+        m = self.metrics
+        while True:
+            end = plan.end
+            self.now = end
+            flow = plan.flow
+            if flow.callback is not None:
+                self._complete()
+                return
+            nbytes = plan.limit - plan.done
+            flow.remaining -= nbytes
+            queued[q] -= nbytes
+            budget[q] -= nbytes
+            i = flow.cls
+            c = counters[i]
+            c.delivered += nbytes
+            c.queued -= nbytes
+            if flow.control:
+                c.control_delivered += nbytes
+            if flow.remaining == 0:
+                queue.popleft()
+                latencies[i].append(end + delay - flow.arrival)
+                m.flows_completed += 1
+            if queued[q] <= 0 or budget[q] <= 0:
+                self._replan(end)
+                return
+            head = queue[0]
+            limit = head.remaining if head.remaining <= budget[q] else budget[q]
+            plan.start = end
+            plan.end = end + limit / rate
+            plan.flow = head
+            plan.limit = limit
+            plan.done = 0
+            if not (plan.end < t_end and plan.end <= t_next):
+                return
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run the next n_epochs control epochs, then stop.
@@ -609,10 +734,7 @@ class LinkSimulator:
         """Run epoch by epoch until no backlog or pending events remain at an
         epoch boundary; reaching boundary max_epochs + 1 is an error.
 
-        A closed run that stalls is an error too. That is an epoch that ends
-        with no event pending and no byte delivered, and leaves the observed
-        state as it began it. The controller's decision is assumed to depend
-        on the state alone, so every later epoch would repeat this one; the
+        A closed run that stalls is an error too (see _check_stalled); the
         error names each class that still holds bytes.
         """
         closed = self.mode is FeedbackMode.CLOSED
@@ -628,18 +750,41 @@ class LinkSimulator:
         return self.metrics
 
     def _check_stalled(self) -> None:
-        """Raise if the epoch just run delivered nothing and left the state
-        it observed at its start unchanged."""
+        """Raise if the closed epoch just run, which ended with no event
+        pending, is a stall: some class holds bytes, the epoch's only
+        arrival was its control message, every class that delivered a byte
+        holds none at its end, and the observed state is as it began.
+
+        Such an epoch repeats for ever. The queued bytes per class are
+        unchanged. A class that delivered holds nothing at either end, so
+        it served only what arrived in the epoch: its control message. A
+        class that delivered nothing accepted nothing either, so it holds
+        the same flows. Control messages are interchangeable byte for byte,
+        so the next epoch starts from the same queues, takes the same
+        decision (the controller is assumed to decide from the state alone)
+        and sees the same one arrival: it repeats this one, with nothing
+        pending at its end, and the bytes held never leave. A class that
+        delivers while it holds bytes is not covered: the order in its queue
+        can change (a flow waiting behind control bytes moves up), so the
+        next epoch need not repeat this one.
+        """
+        if not any(self._queued_bytes):
+            return  # idle: the run ends at this boundary
         m = self.metrics
+        message = [0] * len(self.classes)
+        if self.control_message_bytes:
+            message[self._index[CONTROL_LABEL]] = self.control_message_bytes
         delivered = m.delivered[-1]
-        if any(delivered) or not np.array_equal(
-                observe_state(self.counters, self.link, delivered), m.state_history[-1][0]):
+        if (list(m.arrived[-1]) != message
+                or any(d and q for d, q in zip(delivered, m.queued[-1]))
+                or not np.array_equal(observe_state(self.counters, self.link, delivered),
+                                      m.state_history[-1][0])):
             return
         held = ", ".join(f"{label} ({c.queued} B)"
                          for label, c in zip(self.classes, self.counters) if c.queued)
-        raise SimulationError(f"closed run stalled in epoch {self._epoch - 1}: no byte "
-                              f"delivered, no event pending and the state unchanged, so it "
-                              f"can never drain; still queued: {held}")
+        raise SimulationError(f"closed run stalled in epoch {self._epoch - 1}: no event "
+                              f"pending, no byte delivered from a class that holds bytes and "
+                              f"the state unchanged, so it can never drain; still queued: {held}")
 
 
 def run_simulation(

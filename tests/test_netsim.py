@@ -1,5 +1,9 @@
+import dataclasses
+import hashlib
 import heapq
+import json
 import math
+import os
 import random
 import time
 from types import SimpleNamespace
@@ -456,17 +460,19 @@ def lattice_runs(draw):
 
 
 def conservation_checked(sim):
-    """Check every class's byte conservation after each serve and each
-    arrival of `sim`, by wrapping its two ledger-changing handlers."""
-    def checked(handler):
+    """Check every class's byte conservation after each call of `sim`'s
+    ledger-changing methods: a serve, an arrival handled alone, an arrival
+    run and a completion run."""
+    def checked(method):
         def run(*args):
-            handler(*args)
+            result = method(*args)
             for label, c in zip(sim.classes, sim.counters):
                 assert c.conserved(), f"conservation violated mid-run for {label}"
+            return result
         return run
 
-    sim._serve = checked(sim._serve)
-    sim._handle_arrival = checked(sim._handle_arrival)
+    for name in ("_serve", "_handle_arrival", "_arrival_run", "_completion_run"):
+        setattr(sim, name, checked(getattr(sim, name)))
     return sim
 
 
@@ -690,6 +696,31 @@ class TestStall:
             sim.run_until_idle()
         assert sim.metrics.dropped == [(0,), (0,), (0,), (300,)]
 
+    def test_served_control_messages_do_not_hide_a_stall(self):
+        # Each epoch delivers its 256 B control message while A:Web holds
+        # 100 B at share 0: epoch 1 has no other arrival and repeats.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB, CONTROL_LABEL], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.0, 0.5)),
+                            control_message_bytes=256)
+        sim.add_flows([make_flow(0, 0.5, 100)])
+        t0 = time.perf_counter()
+        with pytest.raises(SimulationError, match=r"stalled in epoch 1: .*A:Web \(100 B\)$"):
+            sim.run_until_idle(max_epochs=20_000)
+        assert time.perf_counter() - t0 < 0.1
+        assert sim.metrics.delivered == [(0, 256), (0, 256)]
+
+    def test_an_idle_epoch_is_not_a_stall(self):
+        # Only a query step: the epoch delivers nothing and the state stays
+        # zero, but nothing is held, so the run ends.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.5,)))
+        steps = []
+        sim.schedule_at(0.5, lambda s, t: steps.append(t))
+        assert sim.run_until_idle().n_epochs == 1
+        assert steps == [0.5]
+
     def test_slow_share_still_drains(self):
         # 1 B per epoch is slow, not stalled.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**6)
@@ -701,13 +732,15 @@ class TestStall:
 
 
 class _RecordingSim(LinkSimulator):
-    """Logs the handlers the loop runs: epoch finalize and arrival here,
-    completion callbacks and query steps through the flows and steps a
-    test offers."""
+    """Logs the handlers the loop runs: epoch finalize and every flow
+    offered, alone or in an arrival run, here; completion callbacks and
+    query steps through the flows and steps a test offers. `runs` lists
+    how many flows each arrival run took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
+        self.runs = []
 
     def _finalize_epoch(self):
         self.log.append((self.now, f"epoch {self.metrics.n_epochs}"))
@@ -716,6 +749,14 @@ class _RecordingSim(LinkSimulator):
     def _handle_arrival(self, t, i, size, fid, control=False, callback=None):
         self.log.append((t, f"arrival {fid}"))
         super()._handle_arrival(t, i, size, fid, control, callback)
+
+    def _arrival_run(self, plan, stop):
+        first = self._pos
+        taken = super()._arrival_run(plan, stop)
+        times, ids = self._cursor[0], self._cursor[4]
+        self.log.extend((times[j], f"arrival {ids[j]}") for j in range(first, first + taken))
+        self.runs.append(taken)
+        return taken
 
 
 class TestTraceCursor:
@@ -753,6 +794,22 @@ class TestTraceCursor:
         sim.add_flows([make_flow(7, 0.5, 10)])
         sim.run_epochs(1)
         assert [what for t, what in sim.log if t == 0.5] == ["served -1", "arrival 7"]
+
+    def test_arrival_runs_stop_at_heap_events(self):
+        # The link is busy over [0, 0.5); trace flows arrive every 0.1 s
+        # around an injected flow and a query step. The recorder logs each
+        # flow an arrival run takes, so the log is the order of offer.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
+        sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
+        sim.inject_flow(0.0, 500_000, A_WEB)  # id -1
+        sim.add_flows([make_flow(j, j / 10, 10) for j in range(1, 5)])
+        sim.inject_flow(0.25, 10, A_WEB)  # id -2
+        sim.schedule_at(0.35, lambda s, t: s.log.append((t, "query")))
+        sim.run_epochs(1)
+        assert [what for _, what in sim.log] == [
+            "arrival -1", "arrival 1", "arrival 2", "arrival -2", "arrival 3", "query",
+            "arrival 4", "epoch 0"]
+        assert sim.runs == [2, 1, 1]
 
     def test_second_add_flows_keeps_seq_order_on_ties(self):
         # Flows of the first call come first at a shared instant, as they
@@ -930,3 +987,134 @@ class TestPropertyPathIndependence:
                           for s in ([], steps))
         assert plain == stepped
         assert plain[1][A_WEB].delivered == 10**8
+
+
+GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden_digests.json")
+EVENT_CORE_KEY = "event-core"
+
+
+def event_core_run(seed):
+    """One small random run that leans on every corner of the event loop.
+
+    Times sit on a 1/8 s lattice and most sizes last a whole number of
+    lattice steps at the link's rate, so plan ends, trace arrivals,
+    injected flows, query steps and epoch boundaries often meet at one
+    instant. Queues are small enough to drop; closed runs take zero
+    shares, shares summing to 1, random priority orders, changing shares
+    (excitation) and control messages. Injected flows carry callbacks that
+    chain further fetches, and query steps record the ledger, inject flows
+    and add trace flows mid-run. Returns the metrics and the log of what
+    the callbacks and steps saw.
+    """
+    rng = random.Random(f"event-core/{seed}")
+    b_db = TrafficClassLabel(ZoneClass.B, AppKind.DATABASE)
+    labels = rng.sample([A_WEB, B_FILE, CONTROL_LABEL, b_db], rng.randint(1, 3))
+    k = len(labels)
+    rate = rng.choice([1000, 2000, 4000])  # B/s: rate // 8 B last one lattice step
+    epoch_s = rng.choice([0.25, 0.5, 1.0])
+    link = LinkSpec(capacity_bps=8.0 * rate,
+                    queue_capacity_bytes=rng.randint(rate // 2, 3 * rate),
+                    propagation_delay_s=rng.choice([0.0, 0.003]), epoch_s=epoch_s)
+    n_epochs = rng.randint(3, 8)
+    steps = int(n_epochs * epoch_s * 8)
+    # Offered load 0.3, 0.8 or 2 times the link's rate; flows average rate / 4 B.
+    n_flows = max(3, int(rng.choice([0.3, 0.8, 2.0]) * 4 * n_epochs * epoch_s))
+
+    def instant(lo=0):
+        return rng.randrange(lo, steps) / 8
+
+    def size():
+        if rng.random() < 0.7:
+            return rate // 8 * rng.randint(1, 3)
+        return rng.randint(1, rate // 2)
+
+    def flows(n, fid0, lo=0):
+        fs = [make_flow(fid0 + j, instant(lo), size(), rng.choice(labels)) for j in range(n)]
+        return sorted(fs, key=lambda f: f.arrival_time)
+
+    kind = rng.choice(["open", "fixed", "fixed", "excite"])
+    controller, message = None, 0
+    if kind == "fixed":
+        weights = [rng.choice([0, 0, 1, 2, 3]) for _ in range(k)]
+        total = sum(weights) if rng.random() < 0.4 else max(4, sum(weights))
+        controller = FixedShareController([w / max(total, 1) for w in weights],
+                                          rng.sample(range(k), k))
+    elif kind == "excite":
+        controller = ExcitationController(k, seed)
+    if controller is not None and CONTROL_LABEL in labels and rng.random() < 0.7:
+        message = rng.choice([100, 250, 700])
+    mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+    sim = LinkSimulator(link, labels, mode, controller=controller, seed=seed,
+                        control_message_bytes=message)
+    log = []
+
+    def fetch(t, depth):
+        def delivered(s, when):
+            log.append(("delivered", depth, when, s.now))
+            if depth < 3 and rng.random() < 0.7:
+                fetch(when + rng.choice([0.0, 0.125]), depth + 1)
+        sim.inject_flow(t, size(), rng.choice(labels), callback=delivered)
+
+    def step(s, t):
+        log.append(("step", t, s.now, tuple(c.queued for c in s.counters),
+                    tuple(c.delivered for c in s.counters)))
+        r = rng.random()
+        if r < 0.3:
+            s.inject_flow(t, size(), rng.choice(labels))
+        elif r < 0.5:
+            s.add_flows([make_flow(5000 + len(log), t + rng.randrange(4) / 8, size(),
+                                   rng.choice(labels))])
+
+    trace = flows(n_flows, 0)
+    if rng.random() < 0.5:
+        # A flow that, served alone, ends at t; a trace flow, an injected
+        # flow and a query step at t too.
+        t = instant(2)
+        sim.inject_flow(t - 0.25, rate // 4, rng.choice(labels))
+        trace = sorted([*trace, make_flow(900, t, size(), rng.choice(labels))],
+                       key=lambda f: f.arrival_time)
+        sim.inject_flow(t, size(), rng.choice(labels))
+        sim.schedule_at(t, step)
+    sim.add_flows(trace)
+    for _ in range(rng.randint(0, 4)):
+        fetch(instant(), 0)
+    for _ in range(rng.randint(0, 5)):
+        sim.schedule_at(instant(), step)
+    if controller is None or (kind == "fixed" and min(controller.u) >= 0.2 and not message):
+        m = sim.run_until_idle(max_epochs=1000)
+    else:
+        first = rng.randint(1, n_epochs)
+        sim.run_epochs(first)
+        if first < n_epochs:
+            sim.add_flows(flows(n_flows // 2, 1000, int(first * epoch_s * 8)))
+            sim.run_epochs(n_epochs - first)
+        m = sim.metrics
+    return m, log
+
+
+def metrics_digest(m, log) -> str:
+    """SHA-256 over every epoch column, the per-class totals and latencies,
+    failed_flow_ids, the counts, the observed states and decisions, and a
+    log of callbacks and steps."""
+    blob = repr((
+        (m.arrived, m.delivered, m.dropped, m.queued, m.shares, m.ranks),
+        [dataclasses.astuple(m.totals[label]) for label in m.classes],
+        [m.latencies_s[label] for label in m.classes],
+        m.failed_flow_ids, m.flows_offered, m.flows_completed, m.max_flow_size,
+        [(x.tolist(), list(map(float, u))) for x, u in m.state_history],
+        list(log),
+    ))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def event_core_digests() -> dict:
+    return {f"run-{seed:02d}": metrics_digest(*event_core_run(seed)) for seed in range(32)}
+
+
+class TestEventCorePins:
+    def test_small_runs_match_their_pins(self):
+        with open(GOLDEN_DIGESTS) as fh:
+            want = json.load(fh)[EVENT_CORE_KEY]
+        got = event_core_digests()
+        assert sorted(name for name in want if want[name] != got.get(name)) == []
+        assert got.keys() == want.keys()
