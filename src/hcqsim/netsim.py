@@ -338,6 +338,7 @@ class LinkSimulator:
         self._heap: list[tuple] = []
         self._seq = 0
         self._epoch = 0  # the next epoch to begin
+        self._in_epoch = False  # between an epoch's begin and its row
         self._plan: Optional[_ServicePlan] = None
         # Unread trace arrivals: columns (time, seq, class, size, id) and the
         # position of the next one.
@@ -532,9 +533,14 @@ class LinkSimulator:
         """Install shares and priority order for the upcoming epoch; closed
         mode's queue index is the class index. The run installs one at each
         boundary, and its completion runs rely on budgets changing only
-        there."""
+        there, so a call while an epoch runs (from a query step or a flow
+        callback) is refused."""
         if self.mode is not FeedbackMode.CLOSED:
             raise SimulationError("open mode takes no control decisions")
+        if self._in_epoch:
+            raise SimulationError(
+                f"decision at t={self.now} inside epoch {self._epoch}: decisions are "
+                "installed only at epoch boundaries")
         k = len(self.classes)
         if len(decision.u) != k:
             raise SimulationError(f"decision has {len(decision.u)} shares for {k} classes")
@@ -592,6 +598,7 @@ class LinkSimulator:
         e = self._epoch
         eps = self.link.epoch_s
         self._begin_epoch(e * eps)
+        self._in_epoch = True
         t_end = (e + 1) * eps
         heap = self._heap
         inf = math.inf
@@ -629,6 +636,7 @@ class LinkSimulator:
         self._advance(t_end)
         self._finalize_epoch()
         self._epoch = e + 1
+        self._in_epoch = False
 
     def _arrival_run(self, plan: _ServicePlan, stop: float) -> int:
         """Take cursor arrivals strictly before `stop` while the link serves

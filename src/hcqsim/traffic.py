@@ -9,6 +9,19 @@ Synthetic traces come from independent on/off-modulated Poisson sources,
 one per (zone class, app kind) pair, each driven by its own seeded
 substream so traces are bit-identical for identical inputs.
 
+The stream contract: with seed s, class L draws from
+random.Random(f"{s}/{L}") in this order. An on/off source draws the length
+of each on period (none when burst_dist is fixed), then its flows, then
+the idle gap after it; a Poisson source is one on period to the horizon.
+Each flow draws its interarrival gap, then its size (nothing for a fixed
+size; one uniform for a uniform or exponential size; pairs of uniforms
+until Kinderman and Monahan's test accepts, for a lognormal size), then
+its zone pair, then, in class C only, its app kind. The gap that passes
+the end of an on period is drawn and unused. One loop per class makes
+these draws with the formulas of random.Random's expovariate,
+lognormvariate, uniform and randrange, so it reproduces their values bit
+for bit; the tests check it against a generator that calls those methods.
+
 A trace is a `Trace`: columns of arrival time, size, endpoint and id, one
 entry per flow, classified once when it is made. The endpoint column holds
 each flow's (src, dst, app) as an index into the fixed table `ENDPOINTS`;
@@ -223,6 +236,9 @@ class SizeDistribution:
     sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("size_bytes", "low", "high", "mean_bytes", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.family == "fixed":
             if self.size_bytes <= 0:
                 raise ValueError("fixed size distribution requires size_bytes > 0")
@@ -238,18 +254,10 @@ class SizeDistribution:
         else:
             raise ValueError(f"unknown size distribution family {self.family!r}")
 
-    def sample(self, rng: random.Random) -> int:
-        if self.family == "fixed":
-            raw = self.size_bytes
-        elif self.family == "uniform":
-            raw = rng.uniform(self.low, self.high)
-        elif self.family == "exponential":
-            raw = rng.expovariate(1.0 / self.mean_bytes)
-        else:  # lognormal with the requested mean
-            mu = math.log(self.mean_bytes) - 0.5 * self.sigma * self.sigma
-            raw = rng.lognormvariate(mu, self.sigma)
-        return max(1, int(round(raw)))
 
+# Kinderman and Monahan's constant 4 * exp(-0.5) / sqrt(2), as random.Random
+# has it.
+_NV_MAGICCONST = random.NV_MAGICCONST
 
 # Representative endpoint pairs per zone class; every pair classifies back
 # to its class under classify_stage1.
@@ -294,12 +302,14 @@ class ClassProfile:
     burst_dist: str = "exponential"
 
     def __post_init__(self):
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be > 0, got {self.rate_per_s}")
-        if self.burst_s <= 0:
-            raise ValueError(f"burst_s must be > 0, got {self.burst_s}")
-        if self.idle_s < 0:
-            raise ValueError(f"idle_s must be >= 0, got {self.idle_s}")
+        # Written so that NaN fails too: a NaN or infinite rate or period
+        # would make the draw loop spin or return nothing.
+        if not 0 < self.rate_per_s < math.inf:
+            raise ValueError(f"rate_per_s must be finite and > 0, got {self.rate_per_s}")
+        if not 0 < self.burst_s < math.inf:
+            raise ValueError(f"burst_s must be finite and > 0, got {self.burst_s}")
+        if not 0 <= self.idle_s < math.inf:
+            raise ValueError(f"idle_s must be finite and >= 0, got {self.idle_s}")
         if self.burst_dist not in ("exponential", "fixed"):
             raise ValueError(f"burst_dist must be exponential or fixed, got {self.burst_dist!r}")
 
@@ -320,46 +330,100 @@ class TrafficProfile:
 
 
 def _class_arrivals(cp: ClassProfile, duration_s: float, rng: random.Random):
-    """(time, class sort key, size, endpoint code) per flow of one class,
-    time-ordered."""
-    key = cp.label.sort_key()
-    codes = [[_ENDPOINT_CODE[src, dst, app] for app in AppKind]
-             for src, dst in _ZONE_PAIRS[cp.label.zone_class]]
-    n_kinds = len(AppKind)
-    fixed_kind = None if cp.label.app_kind is None else list(AppKind).index(cp.label.app_kind)
+    """Arrival times, sizes and endpoint codes of one class's flows, in time
+    order, drawn from rng in the order the module docstring states.
 
-    def emit(t):
-        size = cp.size_dist.sample(rng)
-        pair = codes[rng.randrange(len(codes))]
-        kind = fixed_kind if fixed_kind is not None else rng.randrange(n_kinds)
-        return (t, key, size, pair[kind])
+    Each draw is written out as random.Random computes it, with the class's
+    constants worked out once: an exponential is -log(1.0 - random()) /
+    lambd (expovariate), a lognormal is exp of Kinderman and Monahan's
+    ratio-of-uniforms normal (lognormvariate), a uniform is
+    low + (high - low) * random() (uniform), and an index below n is
+    getrandbits(n.bit_length()) drawn until it is below n (randrange).
+    Sizes are rounded half to even and clamped at 1 byte.
+    """
+    random, getrandbits = rng.random, rng.getrandbits
+    log, exp = math.log, math.exp
+    nv_magic = _NV_MAGICCONST
 
-    out = []
-    if cp.idle_s == 0:
-        t = rng.expovariate(cp.rate_per_s)
-        while t < duration_s:
-            out.append(emit(t))
-            t += rng.expovariate(cp.rate_per_s)
-        return out
+    sd = cp.size_dist
+    lognormal = sd.family == "lognormal"
+    exponential = sd.family == "exponential"
+    uniform = sd.family == "uniform"
+    if lognormal:
+        mu = math.log(sd.mean_bytes) - 0.5 * sd.sigma * sd.sigma
+        sigma = sd.sigma
+    elif exponential:
+        size_lambd = 1.0 / sd.mean_bytes
+    elif uniform:
+        low, width = sd.low, sd.high - sd.low
+    else:
+        fixed_size = max(1, round(sd.size_bytes))
 
-    duty = cp.burst_s / (cp.burst_s + cp.idle_s)
-    on_rate = cp.rate_per_s / duty
-    t = 0.0
-    on = True
+    rows = [[_ENDPOINT_CODE[src, dst, app] for app in AppKind]
+            for src, dst in _ZONE_PAIRS[cp.label.zone_class]]
+    n_pairs = len(rows)
+    pair_bits = n_pairs.bit_length()
+    draw_kind = cp.label.app_kind is None
+    if draw_kind:
+        n_kinds = len(AppKind)
+        kind_bits = n_kinds.bit_length()
+    else:
+        kind = list(AppKind).index(cp.label.app_kind)
+        rows = [row[kind] for row in rows]
+
+    poisson = cp.idle_s == 0
+    if poisson:
+        rate = cp.rate_per_s
+        # -0.0 + gap is the gap itself, bit for bit, as when the first
+        # arrival time was the first gap.
+        t = -0.0
+    else:
+        rate = cp.rate_per_s / (cp.burst_s / (cp.burst_s + cp.idle_s))
+        burst_lambd = None if cp.burst_dist == "fixed" else 1.0 / cp.burst_s
+        idle_lambd = 1.0 / cp.idle_s
+        t = 0.0
+
+    times, sizes, codes = [], [], []
+    add_time, add_size, add_code = times.append, sizes.append, codes.append
     while t < duration_s:
-        if on:
-            seg = cp.burst_s if cp.burst_dist == "fixed" else rng.expovariate(1.0 / cp.burst_s)
+        if poisson:
+            on_end = duration_s
         else:
-            seg = rng.expovariate(1.0 / cp.idle_s)
-        seg_end = min(t + seg, duration_s)
-        if on:
-            tt = t + rng.expovariate(on_rate)
-            while tt < seg_end:
-                out.append(emit(tt))
-                tt += rng.expovariate(on_rate)
-        t = seg_end
-        on = not on
-    return out
+            burst = cp.burst_s if burst_lambd is None else -log(1.0 - random()) / burst_lambd
+            on_end = min(t + burst, duration_s)
+        arrival = t + -log(1.0 - random()) / rate
+        while arrival < on_end:
+            if lognormal:
+                while True:
+                    u1 = random()
+                    u2 = 1.0 - random()
+                    z = nv_magic * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                size = round(exp(mu + z * sigma))
+            elif exponential:
+                size = round(-log(1.0 - random()) / size_lambd)
+            elif uniform:
+                size = round(low + width * random())
+            else:
+                size = fixed_size
+            pair = getrandbits(pair_bits)
+            while pair >= n_pairs:
+                pair = getrandbits(pair_bits)
+            if draw_kind:
+                k = getrandbits(kind_bits)
+                while k >= n_kinds:
+                    k = getrandbits(kind_bits)
+                add_code(rows[pair][k])
+            else:
+                add_code(rows[pair])
+            add_time(arrival)
+            add_size(size if size > 0 else 1)
+            arrival += -log(1.0 - random()) / rate
+        t = on_end
+        if t < duration_s:
+            t += -log(1.0 - random()) / idle_lambd
+    return times, sizes, codes
 
 
 def generate_trace(profile: TrafficProfile, duration_s: float, seed: int) -> Trace:
@@ -369,13 +433,17 @@ def generate_trace(profile: TrafficProfile, duration_s: float, seed: int) -> Tra
     adding a class never perturbs the others. Identical inputs produce a
     bit-identical trace. Simultaneous arrivals are ordered by class.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be > 0, got {duration_s}")
-    merged = []
-    for cp in profile.classes:
-        rng = random.Random(f"{seed}/{cp.label}")
-        merged.extend(_class_arrivals(cp, duration_s, rng))
-    merged.sort(key=itemgetter(0, 1))
-    return Trace(array("d", map(itemgetter(0), merged)), array("q", map(itemgetter(2), merged)),
-                 array("B", map(itemgetter(3), merged)))
-
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    time, size, endpoint = [], [], []
+    # Classes are joined in canonical order, so that a stable sort by time
+    # alone breaks ties by class, and within a class by draw order.
+    for cp in sorted(profile.classes, key=lambda cp: cp.label.sort_key()):
+        t, s, e = _class_arrivals(cp, duration_s, random.Random(f"{seed}/{cp.label}"))
+        time += t
+        size += s
+        endpoint += e
+    if len(profile.classes) > 1 and len(time) > 1:
+        pick = itemgetter(*sorted(range(len(time)), key=time.__getitem__))
+        time, size, endpoint = pick(time), pick(size), pick(endpoint)
+    return Trace(array("d", time), array("q", size), array("B", endpoint))

@@ -285,6 +285,28 @@ class TestApplyDecision:
         # within the 1e-9 tolerance
         sim.apply_decision(ControlDecision(u=(0.5, 0.5 + 1e-10), priority_order=(0, 1)))
 
+    @pytest.mark.parametrize("via", ["query step", "flow callback"])
+    def test_refused_while_an_epoch_runs(self, via):
+        # Five 100 B B:File flows and one 100 B A:Web flow at 1000 B/s under
+        # shares (0, 1). A decision giving A:Web half the link at 0.05 s
+        # would change budgets mid-epoch, which the completion runs assume
+        # never happens: unchecked, it left A:Web waiting until 0.6 s
+        # instead of 0.2 s.
+        sim = LinkSimulator(LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000),
+                            [A_WEB, B_FILE], FeedbackMode.CLOSED,
+                            controller=FixedShareController((0.0, 1.0)))
+        sim.add_flows([make_flow(j, 0.0, 100, B_FILE) for j in range(5)]
+                      + [make_flow(5, 0.0, 100, A_WEB)])
+        half = ControlDecision(u=(0.5, 0.5), priority_order=(0, 1))
+        if via == "query step":
+            sim.schedule_at(0.05, lambda s, t: s.apply_decision(half))
+            at = "0.05"
+        else:
+            sim.inject_flow(0.0, 50, B_FILE, callback=lambda s, t: s.apply_decision(half))
+            at = "0.55"
+        with pytest.raises(SimulationError, match=f"decision at t={at} inside epoch 0"):
+            sim.run_epochs(1)
+
     def test_non_permutation_rejected(self):
         # ControlDecision refuses these itself; a duck-typed decision reaches
         # the simulator's own check.

@@ -2,10 +2,14 @@ import csv
 import hashlib
 import io
 import math
+import random
 from array import array
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hcqsim import traffic
 from hcqsim.runner import build_trace
 from hcqsim.scenarios import S1_SEED, S2_SEED, s1_config, s2_congested_config
 from hcqsim.traffic import (
@@ -206,6 +210,23 @@ class TestGenerateTrace:
         seen = {classify(f) for f in trace}
         assert seen == {label_b, label_c}
 
+    def test_simultaneous_arrivals_in_class_then_draw_order(self, monkeypatch):
+        # Every class draws two flows at 0.5 s and one at 1.0 s; classes are
+        # listed out of canonical order.
+        def arrivals(cp, duration_s, rng):
+            src, dst = traffic._ZONE_PAIRS[cp.label.zone_class][0]
+            code = ENDPOINTS.index((src, dst, cp.label.app_kind or AppKind.WEB))
+            return [0.5, 0.5, 1.0], [1, 2, 3], [code] * 3
+        monkeypatch.setattr(traffic, "_class_arrivals", arrivals)
+        labels = (C, B_FILE, B_DB)
+        fixed = SizeDistribution(family="fixed", size_bytes=1.0)
+        trace = generate_trace(TrafficProfile(tuple(ClassProfile(lab, 1.0, fixed)
+                                                    for lab in labels)), 2.0, seed=0)
+        assert [(f.arrival_time, str(classify(f)), f.size) for f in trace] == [
+            (0.5, "B:Database", 1), (0.5, "B:Database", 2), (0.5, "B:File", 1),
+            (0.5, "B:File", 2), (0.5, "C", 1), (0.5, "C", 2),
+            (1.0, "B:Database", 3), (1.0, "B:File", 3), (1.0, "C", 3)]
+
     def test_empirical_rate_converges(self):
         # On/off modulated source: long-run rate should still match.
         profile = single_class_profile(rate=8.0, idle=3.0, burst=5.0)
@@ -300,3 +321,208 @@ class TestTraceCsv:
         trace = build_trace(make_cfg(seed))
         assert len(trace) == n
         assert hashlib.sha256(trace_csv_bytes(trace)).hexdigest() == sha256
+
+
+A_DB = TrafficClassLabel(ZoneClass.A, AppKind.DATABASE)
+A_WEB = TrafficClassLabel(ZoneClass.A, AppKind.WEB)
+A_FILE = TrafficClassLabel(ZoneClass.A, AppKind.FILE)
+B_DB = TrafficClassLabel(ZoneClass.B, AppKind.DATABASE)
+B_FILE = TrafficClassLabel(ZoneClass.B, AppKind.FILE)
+B_SERVICE = TrafficClassLabel(ZoneClass.B, AppKind.SERVICE)
+C = TrafficClassLabel(ZoneClass.C)
+ALL_LABELS = tuple(TrafficClassLabel(zc, k) for zc in (ZoneClass.A, ZoneClass.B)
+                   for k in AppKind) + (C,)
+
+
+def one_class(label, rate, size_dist, **on_off):
+    return TrafficProfile((ClassProfile(label, rate, size_dist, **on_off),))
+
+
+# The nine-class benchmark workload's traffic: every class of the
+# classifier, Poisson at 1.5 flows/s, lognormal sizes, 400 epochs of 0.5 s.
+NINE_CLASS = TrafficProfile(tuple(
+    ClassProfile(label, 1.5, SizeDistribution(family="lognormal", mean_bytes=20480.0, sigma=0.8))
+    for label in ALL_LABELS))
+
+# (profile, duration, seed) per generator path that no canned trace takes:
+# each size family (small sizes so that rounding and the clamp at 1 byte
+# both occur), Poisson and on/off sources with fixed and exponential
+# bursts, a class-C source (random app kind over three zone pairs), and
+# nine classes merged.
+PINNED_TRACES = {
+    "size-fixed": (one_class(A_DB, 40.0, SizeDistribution(family="fixed", size_bytes=2.5)),
+                   50.0, 11),
+    "size-uniform": (one_class(A_WEB, 40.0, SizeDistribution(family="uniform", low=0.2,
+                                                              high=9.7)), 50.0, 12),
+    "size-exponential": (one_class(B_FILE, 40.0, SizeDistribution(family="exponential",
+                                                                   mean_bytes=3.0)), 50.0, 13),
+    "size-lognormal": (one_class(B_SERVICE, 40.0, SizeDistribution(family="lognormal",
+                                                                    mean_bytes=3e4,
+                                                                    sigma=1.3)), 50.0, 14),
+    "burst-fixed": (one_class(A_FILE, 30.0, SizeDistribution(family="lognormal", mean_bytes=2e3,
+                                                              sigma=0.5),
+                              burst_s=2.0, idle_s=3.0, burst_dist="fixed"), 80.0, 15),
+    "burst-exponential": (one_class(B_DB, 30.0, SizeDistribution(family="uniform", low=10.0,
+                                                                  high=5e3),
+                                    burst_s=1.5, idle_s=0.5), 80.0, 16),
+    "class-c": (one_class(C, 30.0, SizeDistribution(family="exponential", mean_bytes=5e3),
+                          burst_s=2.0, idle_s=1.0), 80.0, 17),
+    "nine-class": (NINE_CLASS, 200.0, 1),
+}
+
+
+class TestPinnedTraces:
+    # SHA-256 of trace_csv_bytes per PINNED_TRACES entry, and its flow count.
+    PINS = {
+        "size-fixed": (2130,
+            "1256249b18ec794c061a46ed06e5d10b17d9431f9307d9e03755763c67f39c72"),
+        "size-uniform": (2044,
+            "1ad76ad73703882b38bdbdb69b919f286ff482a9bdeb2104eb912da8efad4eac"),
+        "size-exponential": (2005,
+            "22d767cfccf045df59b4f72c10e4e7d630d63e12dfc240f85513cc9fd6722609"),
+        "size-lognormal": (2049,
+            "f04e527c24fcc1747ff0c58c078e2fa0c0803fa5213f7a8c2c5bd14fea5fc6ba"),
+        "burst-fixed": (2681,
+            "636a3adbf5e74748fb291e7c47fbf8b73a96a67aa840bcffc35fa1571dcc9c7e"),
+        "burst-exponential": (2165,
+            "92432e2fac5e6163cf0fbed353eebac76a09a54be3a5f697edae1b65b50a1bb7"),
+        "class-c": (3022,
+            "8406b4ddd219ce7828954d5bd647944543f8063b6da136d7687a8e7a7bc88f42"),
+        "nine-class": (2728,
+            "b288323447fb451042e8148bf00043ff35c6f970a23a69f603761d92954c1bb0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+    def test_trace_csv_digest(self, name):
+        profile, duration, seed = PINNED_TRACES[name]
+        trace = generate_trace(profile, duration, seed)
+        assert (len(trace), hashlib.sha256(trace_csv_bytes(trace)).hexdigest()) == self.PINS[name]
+
+
+def reference_size(sd, rng):
+    if sd.family == "fixed":
+        raw = sd.size_bytes
+    elif sd.family == "uniform":
+        raw = rng.uniform(sd.low, sd.high)
+    elif sd.family == "exponential":
+        raw = rng.expovariate(1.0 / sd.mean_bytes)
+    else:
+        mu = math.log(sd.mean_bytes) - 0.5 * sd.sigma * sd.sigma
+        raw = rng.lognormvariate(mu, sd.sigma)
+    return max(1, int(round(raw)))
+
+
+def reference_arrivals(cp, duration_s, rng):
+    key = cp.label.sort_key()
+    codes = [[ENDPOINTS.index((src, dst, app)) for app in AppKind]
+             for src, dst in traffic._ZONE_PAIRS[cp.label.zone_class]]
+    fixed_kind = None if cp.label.app_kind is None else list(AppKind).index(cp.label.app_kind)
+
+    def emit(t):
+        size = reference_size(cp.size_dist, rng)
+        pair = codes[rng.randrange(len(codes))]
+        kind = fixed_kind if fixed_kind is not None else rng.randrange(len(AppKind))
+        return (t, key, size, pair[kind])
+
+    out = []
+    if cp.idle_s == 0:
+        t = rng.expovariate(cp.rate_per_s)
+        while t < duration_s:
+            out.append(emit(t))
+            t += rng.expovariate(cp.rate_per_s)
+        return out
+    on_rate = cp.rate_per_s / (cp.burst_s / (cp.burst_s + cp.idle_s))
+    t = 0.0
+    on = True
+    while t < duration_s:
+        if on:
+            seg = cp.burst_s if cp.burst_dist == "fixed" else rng.expovariate(1.0 / cp.burst_s)
+        else:
+            seg = rng.expovariate(1.0 / cp.idle_s)
+        seg_end = min(t + seg, duration_s)
+        if on:
+            tt = t + rng.expovariate(on_rate)
+            while tt < seg_end:
+                out.append(emit(tt))
+                tt += rng.expovariate(on_rate)
+        t = seg_end
+        on = not on
+    return out
+
+
+def reference_trace(profile, duration_s, seed):
+    """The trace generate_trace must give, built only from random.Random's
+    public expovariate, lognormvariate, uniform and randrange: the oracle
+    for its inlined draws, and so for an interpreter whose random module
+    computes them differently."""
+    merged = []
+    for cp in profile.classes:
+        merged.extend(reference_arrivals(cp, duration_s, random.Random(f"{seed}/{cp.label}")))
+    merged.sort(key=itemgetter(0, 1))
+    return Trace(array("d", [f[0] for f in merged]), array("q", [f[2] for f in merged]),
+                 array("B", [f[3] for f in merged]))
+
+
+size_dists = st.one_of(
+    st.builds(lambda v: SizeDistribution(family="fixed", size_bytes=v), st.floats(0.01, 1e6)),
+    st.builds(lambda low, width: SizeDistribution(family="uniform", low=low, high=low + width),
+              st.floats(0.01, 1e4), st.floats(0.0, 1e5)),
+    st.builds(lambda mean: SizeDistribution(family="exponential", mean_bytes=mean),
+              st.floats(0.1, 1e6)),
+    st.builds(lambda mean, sigma: SizeDistribution(family="lognormal", mean_bytes=mean,
+                                                   sigma=sigma),
+              st.floats(0.5, 1e6), st.floats(0.05, 2.0)),
+)
+
+class_profiles = st.builds(
+    ClassProfile,
+    label=st.sampled_from(ALL_LABELS),
+    rate_per_s=st.floats(0.05, 40.0),
+    size_dist=size_dists,
+    burst_s=st.floats(0.05, 5.0),
+    idle_s=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+    burst_dist=st.sampled_from(["exponential", "fixed"]),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(classes=st.lists(class_profiles, min_size=1, max_size=4,
+                            unique_by=lambda cp: cp.label),
+           duration=st.floats(0.05, 40.0), seed=st.integers(0, 2**32))
+    def test_bit_identical_to_random_methods(self, classes, duration, seed):
+        profile = TrafficProfile(tuple(classes))
+        got = generate_trace(profile, duration, seed)
+        want = reference_trace(profile, duration, seed)
+        for col in ("time", "size", "endpoint"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration_refused_before_any_draw(self, monkeypatch, duration):
+        def reached(*args):
+            raise AssertionError("the draw loop was reached")
+        monkeypatch.setattr(traffic, "_class_arrivals", reached)
+        with pytest.raises(ValueError, match="duration_s must be finite and > 0, got"):
+            generate_trace(single_class_profile(), duration, seed=1)
+
+    @pytest.mark.parametrize("field", ["rate_per_s", "burst_s", "idle_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_class_profile_refuses(self, field, value):
+        args = dict(label=A_WEB, rate_per_s=10.0, burst_s=1.0, idle_s=1.0,
+                    size_dist=SizeDistribution(family="fixed", size_bytes=100.0))
+        args[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ClassProfile(**args)
+
+    @pytest.mark.parametrize("family, field", [
+        ("fixed", "size_bytes"), ("uniform", "low"), ("uniform", "high"),
+        ("exponential", "mean_bytes"), ("lognormal", "mean_bytes"), ("lognormal", "sigma"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_size_distribution_refuses(self, family, field, value):
+        args = dict(size_bytes=100.0, low=10.0, high=100.0, mean_bytes=100.0, sigma=1.0)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SizeDistribution(family=family, **args)
