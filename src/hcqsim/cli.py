@@ -64,10 +64,15 @@ def read_xu_trace_csv(path, n: int, m: int):
     pairs = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"trace {path} is empty: expected a header {','.join(expected)}")
         if header != expected:
             raise ValueError(f"trace header {header!r} does not match n={n}, m={m}")
         for row in r:
+            if len(row) != n + m:
+                raise ValueError(f"trace {path} line {r.line_num}: expected {n + m} fields, "
+                                 f"got {len(row)}")
             vals = [float(v) for v in row]
             pairs.append((np.array(vals[:n]), np.array(vals[n:])))
     return pairs

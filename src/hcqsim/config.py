@@ -2,6 +2,20 @@
 
 Every key is validated and unknown keys are rejected with their dotted
 path, so a config accepted here never violates a module invariant later.
+Each rule below is a ConfigError at the key's dotted path, such as
+``config.traffic[0].size.mean_bytes``:
+
+- an absent required key is "missing required key";
+- a value of the wrong type is "expected a string|an integer|a number|a
+  boolean, got <value>", and null is such a value, except where absence
+  means "no value" (app_kind, output_dir, u_max, Q, Q_diag, R, R_diag,
+  controller and hybrid_db): there null reads as absent;
+- a number must be finite ("must be a finite number"): json accepts the
+  literals NaN and Infinity, and 1e400 overflows to inf;
+- a value outside a fixed set is "must be one of [...], got <value>";
+- a value below a lower bound is "must be >= N, got <value>";
+- an object the values build (a LinkSpec, a SizeDistribution, ...) that
+  refuses them reports its own message at the object's path.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .control import ControlBounds, CostWeights, StateSpaceModel
-from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, BackendLatency, CorpusSpec
+from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, QUERY_LABEL, BackendLatency, CorpusSpec
 from .netsim import CONTROL_LABEL, LinkSpec
 from .traffic import (
     AppKind,
@@ -29,6 +43,16 @@ from .traffic import (
 IDENTIFY_FROM_WARMUP = "identify-from-warmup"
 MODES = ("open", "closed", "both")
 
+# Each size family's parameters, in the order the family reads them.
+_SIZE_PARAMS = {
+    "fixed": ("size_bytes",),
+    "uniform": ("low", "high"),
+    "exponential": ("mean_bytes",),
+    "lognormal": ("mean_bytes", "sigma"),
+}
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
@@ -37,10 +61,17 @@ class ConfigError(ValueError):
 
 
 def _finite(v, path: str) -> float:
-    # json accepts the literals NaN and Infinity, and 1e400 overflows to inf.
     if not math.isfinite(v):
         raise ConfigError(path, f"must be a finite number, got {v!r}")
     return float(v)
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a ConfigError at path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 class _Node:
@@ -52,62 +83,42 @@ class _Node:
         self._data = dict(data)
         self.path = path
 
-    def _pop(self, key, required, default):
+    def take(self, key, kind, default=_REQUIRED, choices=None, at_least=None):
+        """The checked value under key, or default when the key is absent.
+
+        kind is str, int, bool, float (any finite number, returned as a
+        float) or object (any value, for the caller to check). Without a
+        default the key is required; null reads as absent only where the
+        default is None.
+        """
+        path = f"{self.path}.{key}"
         if key not in self._data:
-            if required:
-                raise ConfigError(f"{self.path}.{key}", "missing required key")
+            if default is _REQUIRED:
+                raise ConfigError(path, "missing required key")
             return default
-        return self._data.pop(key)
-
-    def take_str(self, key, required=True, default=None, choices=None):
-        v = self._pop(key, required, default)
-        if v is None and not required:
-            return default
-        if not isinstance(v, str):
-            raise ConfigError(f"{self.path}.{key}", f"expected a string, got {v!r}")
+        v = self._data.pop(key)
+        if v is None and default is None:
+            return None
+        if kind is not object:
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+                raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {v!r}")
+        if kind is float:
+            v = _finite(v, path)
         if choices is not None and v not in choices:
-            raise ConfigError(f"{self.path}.{key}", f"must be one of {list(choices)}, got {v!r}")
+            raise ConfigError(path, f"must be one of {list(choices)}, got {v!r}")
+        if at_least is not None and v < at_least:
+            raise ConfigError(path, f"must be >= {at_least}, got {v}")
         return v
-
-    def take_int(self, key, required=True, default=None):
-        v = self._pop(key, required, default)
-        if v is None and not required:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{self.path}.{key}", f"expected an integer, got {v!r}")
-        return v
-
-    def take_number(self, key, required=True, default=None):
-        v = self._pop(key, required, default)
-        if v is None and not required:
-            return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{self.path}.{key}", f"expected a number, got {v!r}")
-        return _finite(v, f"{self.path}.{key}")
-
-    def take_bool(self, key, required=True, default=None):
-        v = self._pop(key, required, default)
-        if v is None and not required:
-            return default
-        if not isinstance(v, bool):
-            raise ConfigError(f"{self.path}.{key}", f"expected a boolean, got {v!r}")
-        return v
-
-    def peek(self, key, default=None):
-        """The value under key, left in place for a later take_*."""
-        return self._data.get(key, default)
-
-    def take_raw(self, key, required=True, default=None):
-        return self._pop(key, required, default)
 
     def child(self, key, required=True) -> Optional["_Node"]:
-        v = self._pop(key, required, None)
-        if v is None:
+        v = self.take(key, object, _REQUIRED if required else None)
+        if v is None and not required:
             return None
         return _Node(v, f"{self.path}.{key}")
 
     def child_list(self, key) -> list["_Node"]:
-        v = self._pop(key, True, None)
+        v = self.take(key, object)
         if not isinstance(v, list) or not v:
             raise ConfigError(f"{self.path}.{key}", "expected a non-empty array")
         return [_Node(item, f"{self.path}.{key}[{i}]") for i, item in enumerate(v)]
@@ -133,9 +144,22 @@ def _matrix(raw, path: str, rows: int, cols: int) -> np.ndarray:
     return np.array([_number_list(r, f"{path}[{i}]", cols) for i, r in enumerate(raw)])
 
 
+def _run_classes(traffic: TrafficProfile, msg_bytes: int) -> tuple[TrafficClassLabel, ...]:
+    """A run's classes: the traffic's, plus the control class when control
+    messages are sent."""
+    labels = set(traffic.labels())
+    if msg_bytes > 0:
+        labels.add(CONTROL_LABEL)
+    return canonical_class_order(labels)
+
+
+def _require_controller(mode: str, controller, path: str) -> None:
+    if controller is None and mode in ("closed", "both"):
+        raise ConfigError(path, f'mode "{mode}" requires a controller section')
+
+
 @dataclass
 class ControllerConfig:
-    identify: bool
     model: Optional[StateSpaceModel]  # fixed, under control_bounds; None to identify
     warmup_epochs: int
     excitation_seed: int
@@ -144,6 +168,10 @@ class ControllerConfig:
     weights: CostWeights
     control_message_bytes: int
     control_bounds: ControlBounds
+
+    @property
+    def identify(self) -> bool:
+        return self.model is None
 
 
 @dataclass
@@ -169,11 +197,10 @@ class ScenarioConfig:
     output_dir: Optional[str]
 
     def classes(self) -> tuple[TrafficClassLabel, ...]:
-        labels = set(self.traffic.labels())
-        needs_closed = self.mode in ("closed", "both")
-        if needs_closed and self.controller and self.controller.control_message_bytes > 0:
-            labels.add(CONTROL_LABEL)
-        return canonical_class_order(labels)
+        msg_bytes = 0
+        if self.mode in ("closed", "both") and self.controller is not None:
+            msg_bytes = self.controller.control_message_bytes
+        return _run_classes(self.traffic, msg_bytes)
 
     def duration_s(self) -> float:
         return self.n_epochs * self.link.epoch_s
@@ -185,72 +212,48 @@ class ScenarioConfig:
         if mode is not None:
             if mode not in MODES:
                 raise ConfigError("mode", f"must be one of {list(MODES)}, got {mode!r}")
+            _require_controller(mode, cfg.controller, "controller")
             cfg = replace(cfg, mode=mode)
         if output_dir is not None:
             cfg = replace(cfg, output_dir=output_dir)
         if scale is not None:
             if cfg.hybrid_db is None:
                 raise ConfigError("hybrid_db", "--scale given but config has no hybrid_db section")
-            spec = _scaled(cfg.hybrid_db.corpus_spec, scale, "hybrid_db.scale")
+            spec = _build("hybrid_db.scale", replace, cfg.hybrid_db.corpus_spec, scale=scale)
             cfg = replace(cfg, hybrid_db=replace(cfg.hybrid_db, corpus_spec=spec))
         return cfg
 
 
 def _parse_size_dist(node: _Node) -> SizeDistribution:
-    family = node.take_str("family", choices=("fixed", "uniform", "exponential", "lognormal"))
-    kwargs = {}
-    if family == "fixed":
-        kwargs["size_bytes"] = node.take_number("size_bytes")
-    elif family == "uniform":
-        kwargs["low"] = node.take_number("low")
-        kwargs["high"] = node.take_number("high")
-    elif family == "exponential":
-        kwargs["mean_bytes"] = node.take_number("mean_bytes")
-    else:
-        kwargs["mean_bytes"] = node.take_number("mean_bytes")
-        kwargs["sigma"] = node.take_number("sigma")
+    family = node.take("family", str, choices=tuple(_SIZE_PARAMS))
+    kwargs = {key: node.take(key, float) for key in _SIZE_PARAMS[family]}
     node.finish()
-    try:
-        return SizeDistribution(family=family, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(node.path, str(exc)) from None
+    return _build(node.path, SizeDistribution, family=family, **kwargs)
 
 
 def _parse_traffic(nodes: list[_Node]) -> TrafficProfile:
     profiles = []
     for node in nodes:
-        zc = node.take_str("zone_class", choices=tuple(z.value for z in ZoneClass))
-        kind = node.take_str("app_kind", required=False,
-                             choices=tuple(k.value for k in AppKind))
-        try:
-            label = TrafficClassLabel(
-                ZoneClass(zc), AppKind(kind) if kind is not None else None
-            )
-        except ValueError as exc:
-            raise ConfigError(node.path, str(exc)) from None
-        rate = node.take_number("rate_per_s")
+        zc = node.take("zone_class", str, choices=tuple(z.value for z in ZoneClass))
+        kind = node.take("app_kind", str, None, choices=tuple(k.value for k in AppKind))
+        label = _build(node.path, TrafficClassLabel,
+                       ZoneClass(zc), AppKind(kind) if kind is not None else None)
+        rate = node.take("rate_per_s", float)
         size = _parse_size_dist(node.child("size"))
-        burst = node.take_number("burst_s", required=False, default=1.0)
-        idle = node.take_number("idle_s", required=False, default=0.0)
-        burst_dist = node.take_str("burst_dist", required=False, default="exponential",
-                                   choices=("exponential", "fixed"))
+        burst = node.take("burst_s", float, 1.0)
+        idle = node.take("idle_s", float, 0.0)
+        burst_dist = node.take("burst_dist", str, "exponential", choices=("exponential", "fixed"))
         node.finish()
-        try:
-            profiles.append(ClassProfile(label, rate, size, burst, idle, burst_dist))
-        except ValueError as exc:
-            raise ConfigError(node.path, str(exc)) from None
-    try:
-        return TrafficProfile(tuple(profiles))
-    except ValueError as exc:
-        raise ConfigError("traffic", str(exc)) from None
+        profiles.append(_build(node.path, ClassProfile, label, rate, size, burst, idle, burst_dist))
+    return _build("traffic", TrafficProfile, tuple(profiles))
 
 
 def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
-    q_diag = node.take_raw("Q_diag", required=False)
-    r_diag = node.take_raw("R_diag", required=False)
-    q_full = node.take_raw("Q", required=False)
-    r_full = node.take_raw("R", required=False)
-    x_ref = _number_list(node.take_raw("x_ref"), f"{node.path}.x_ref", n)
+    q_diag = node.take("Q_diag", object, None)
+    r_diag = node.take("R_diag", object, None)
+    q_full = node.take("Q", object, None)
+    r_full = node.take("R", object, None)
+    x_ref = _number_list(node.take("x_ref", object), f"{node.path}.x_ref", n)
     node.finish()
     if (q_diag is None) == (q_full is None):
         raise ConfigError(node.path, "give exactly one of Q_diag or Q")
@@ -260,162 +263,109 @@ def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
         else _matrix(q_full, f"{node.path}.Q", n, n)
     R = np.diag(_number_list(r_diag, f"{node.path}.R_diag", m)) if r_diag is not None \
         else _matrix(r_full, f"{node.path}.R", m, m)
-    try:
-        return CostWeights(Q=Q, R=R, x_ref=np.array(x_ref))
-    except ValueError as exc:
-        raise ConfigError(node.path, str(exc)) from None
+    return _build(node.path, CostWeights, Q=Q, R=R, x_ref=np.array(x_ref))
 
 
-def _parse_controller(node: _Node, k: int) -> ControllerConfig:
+def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
+    # Control messages add the control class, which sizes every matrix below.
+    msg_bytes = node.take("control_message_bytes", int, 0, at_least=0)
+    k = len(_run_classes(traffic, msg_bytes))
     n, m = 2 * k, k
-    raw_umax = node.take_raw("u_max", required=False, default=None)
+    umax_path = f"{node.path}.u_max"
+    raw_umax = node.take("u_max", object, None)
     if raw_umax is None:
         u_max = (1.0,) * m
     elif isinstance(raw_umax, (int, float)) and not isinstance(raw_umax, bool):
-        u_max = (_finite(raw_umax, f"{node.path}.u_max"),) * m
+        u_max = (_finite(raw_umax, umax_path),) * m
     else:
-        u_max = tuple(_number_list(raw_umax, f"{node.path}.u_max", m))
-    try:
-        control_bounds = ControlBounds((0.0,) * m, u_max)
-    except ValueError as exc:
-        raise ConfigError(f"{node.path}.u_max", str(exc)) from None
-    raw_model = node.take_raw("model")
-    identify = False
+        u_max = tuple(_number_list(raw_umax, umax_path, m))
+    control_bounds = _build(umax_path, ControlBounds, (0.0,) * m, u_max)
+    raw_model = node.take("model", object)
     model = None
-    if raw_model == IDENTIFY_FROM_WARMUP:
-        identify = True
-    elif isinstance(raw_model, dict):
+    if isinstance(raw_model, dict):
         mnode = _Node(raw_model, f"{node.path}.model")
-        A = _matrix(mnode.take_raw("A"), f"{mnode.path}.A", n, n)
-        B = _matrix(mnode.take_raw("B"), f"{mnode.path}.B", n, m)
+        A = _matrix(mnode.take("A", object), f"{mnode.path}.A", n, n)
+        B = _matrix(mnode.take("B", object), f"{mnode.path}.B", n, m)
         mnode.finish()
-        try:
-            model = StateSpaceModel(A, B, control_bounds=control_bounds)
-        except ValueError as exc:
-            raise ConfigError(mnode.path, str(exc)) from None
-    else:
+        model = _build(mnode.path, StateSpaceModel, A, B, control_bounds=control_bounds)
+    elif raw_model != IDENTIFY_FROM_WARMUP:
         raise ConfigError(
             f"{node.path}.model",
             f'expected "{IDENTIFY_FROM_WARMUP}" or an object with A and B, got {raw_model!r}',
         )
-    warmup = node.take_int("warmup_epochs", required=identify, default=0)
+    identify = model is None
+    warmup = node.take("warmup_epochs", int, _REQUIRED if identify else 0)
     if identify and warmup < n + m + 2:
         raise ConfigError(f"{node.path}.warmup_epochs",
                           f"need at least {n + m + 2} warmup epochs to identify a "
                           f"{n}x{m} model, got {warmup}")
-    excitation_seed = node.take_int("excitation_seed", required=False, default=1)
-    horizon = node.take_int("horizon", required=False, default=3)
-    grid = node.take_int("grid", required=False, default=11)
-    if horizon < 1:
-        raise ConfigError(f"{node.path}.horizon", f"must be >= 1, got {horizon}")
-    if grid < 2:
-        raise ConfigError(f"{node.path}.grid", f"must be >= 2, got {grid}")
-    msg_bytes = node.take_int("control_message_bytes", required=False, default=0)
-    if msg_bytes < 0:
-        raise ConfigError(f"{node.path}.control_message_bytes", f"must be >= 0, got {msg_bytes}")
-    weights = _parse_weights(node.child("weights"), n, m)
-    node.finish()
-    return ControllerConfig(
-        identify=identify,
+    config = ControllerConfig(
         model=model,
         warmup_epochs=warmup,
-        excitation_seed=excitation_seed,
-        horizon=horizon,
-        grid=grid,
-        weights=weights,
+        excitation_seed=node.take("excitation_seed", int, 1),
+        horizon=node.take("horizon", int, 3, at_least=1),
+        grid=node.take("grid", int, 11, at_least=2),
+        weights=_parse_weights(node.child("weights"), n, m),
         control_message_bytes=msg_bytes,
         control_bounds=control_bounds,
     )
-
-
-def _scaled(spec: CorpusSpec, scale: float, path: str) -> CorpusSpec:
-    """spec at another scale; an invalid scale is a ConfigError at path."""
-    try:
-        return replace(spec, scale=scale)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    node.finish()
+    return config
 
 
 def _parse_hybrid_db(node: _Node) -> HybridDbConfig:
-    scale = node.take_number("scale", required=False, default=DEFAULT_SCALE)
-    meta_bytes = node.take_int("metadata_bytes_per_article", required=False,
-                               default=DEFAULT_METADATA_BYTES)
-    corpus_seed = node.take_int("corpus_seed", required=False, default=0)
-    n_queries = node.take_int("n_queries")
-    query_seed = node.take_int("query_seed", required=False, default=0)
-    query_start = node.take_number("query_start_s", required=False, default=0.0)
-    parallel = node.take_bool("parallel_fetch", required=False, default=False)
+    scale = node.take("scale", float, DEFAULT_SCALE)
+    spec = _build(f"{node.path}.metadata_bytes_per_article", CorpusSpec, DEFAULT_SCALE,
+                  node.take("metadata_bytes_per_article", int, DEFAULT_METADATA_BYTES),
+                  node.take("corpus_seed", int, 0))
     bnode = node.child("backends")
-    kwargs = {f.name: bnode.take_number(f.name) for f in fields(BackendLatency)}
+    kwargs = {f.name: bnode.take(f.name, float) for f in fields(BackendLatency)}
     bnode.finish()
-    node.finish()
-    if n_queries < 1:
-        raise ConfigError(f"{node.path}.n_queries", f"must be >= 1, got {n_queries}")
-    if query_start < 0:
-        raise ConfigError(f"{node.path}.query_start_s", f"must be >= 0, got {query_start}")
-    try:
-        backends = BackendLatency(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{node.path}.backends", str(exc)) from None
-    try:
-        spec = CorpusSpec(DEFAULT_SCALE, meta_bytes, corpus_seed)
-    except ValueError as exc:
-        raise ConfigError(f"{node.path}.metadata_bytes_per_article", str(exc)) from None
-    spec = _scaled(spec, scale, f"{node.path}.scale")
-    return HybridDbConfig(
-        corpus_spec=spec,
-        backends=backends,
-        n_queries=n_queries,
-        query_seed=query_seed,
-        query_start_s=query_start,
-        parallel_fetch=parallel,
+    config = HybridDbConfig(
+        corpus_spec=_build(f"{node.path}.scale", replace, spec, scale=scale),
+        backends=_build(f"{node.path}.backends", BackendLatency, **kwargs),
+        n_queries=node.take("n_queries", int, at_least=1),
+        query_seed=node.take("query_seed", int, 0),
+        query_start_s=node.take("query_start_s", float, 0.0, at_least=0),
+        parallel_fetch=node.take("parallel_fetch", bool, False),
     )
+    node.finish()
+    return config
 
 
 def parse_config(data, source: str = "config") -> ScenarioConfig:
     root = _Node(data, source)
-    scenario_id = root.take_str("scenario_id")
-    seed = root.take_int("seed", required=False, default=0)
-    n_epochs = root.take_int("n_epochs")
-    if n_epochs < 1:
-        raise ConfigError(f"{source}.n_epochs", f"must be >= 1, got {n_epochs}")
-    mode = root.take_str("mode", required=False, default="both", choices=MODES)
-    output_dir = root.take_str("output_dir", required=False, default=None)
+    scenario_id = root.take("scenario_id", str)
+    seed = root.take("seed", int, 0)
+    n_epochs = root.take("n_epochs", int, at_least=1)
+    mode = root.take("mode", str, "both", choices=MODES)
+    output_dir = root.take("output_dir", str, None)
 
     lnode = root.child("link")
     link_kwargs = {
-        "capacity_bps": lnode.take_number("capacity_bps"),
-        "queue_capacity_bytes": lnode.take_int("queue_capacity_bytes"),
-        "propagation_delay_s": lnode.take_number("propagation_delay_s", required=False,
-                                                 default=0.0),
-        "epoch_s": lnode.take_number("epoch_s", required=False, default=1.0),
+        "capacity_bps": lnode.take("capacity_bps", float),
+        "queue_capacity_bytes": lnode.take("queue_capacity_bytes", int),
+        "propagation_delay_s": lnode.take("propagation_delay_s", float, 0.0),
+        "epoch_s": lnode.take("epoch_s", float, 1.0),
     }
     lnode.finish()
-    try:
-        link = LinkSpec(**link_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{source}.link", str(exc)) from None
+    link = _build(f"{source}.link", LinkSpec, **link_kwargs)
 
     traffic = _parse_traffic(root.child_list("traffic"))
 
-    controller = None
     cnode = root.child("controller", required=False)
-    needs_controller = mode in ("closed", "both")
-    if cnode is not None:
-        labels = set(traffic.labels())
-        # peek: overhead adds the control class, changing the dimensions
-        msg_peek = cnode.peek("control_message_bytes", 0)
-        if isinstance(msg_peek, int) and msg_peek > 0:
-            labels.add(CONTROL_LABEL)
-        controller = _parse_controller(cnode, len(labels))
-    elif needs_controller:
-        raise ConfigError(f"{source}.controller",
-                          f'mode "{mode}" requires a controller section')
+    controller = _parse_controller(cnode, traffic) if cnode is not None else None
+    _require_controller(mode, controller, f"{source}.controller")
 
-    hybrid = None
     hnode = root.child("hybrid_db", required=False)
-    if hnode is not None:
-        hybrid = _parse_hybrid_db(hnode)
+    hybrid = _parse_hybrid_db(hnode) if hnode is not None else None
+    if hybrid is not None:
+        # The hybrid run's fetches travel in the query class.
+        for i, cp in enumerate(traffic.classes):
+            if cp.label == QUERY_LABEL:
+                raise ConfigError(f"{source}.traffic[{i}]",
+                                  f"uses the query class {QUERY_LABEL}, which hybrid_db "
+                                  f"reserves for its fetches")
 
     root.finish()
     return ScenarioConfig(

@@ -91,6 +91,24 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def config_error_after(edits):
+    """The ConfigError of minimal_config() with minimal_hybrid_db() after
+    edits, a list of (key path, value) pairs; a value of ... deletes the key."""
+    raw = minimal_config()
+    raw["hybrid_db"] = minimal_hybrid_db()
+    for keys, value in edits:
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        if value is ...:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    return err.value
+
+
 class TestConfigParsing:
     def test_valid_round_trip(self, tmp_path):
         cfg = parse_config(minimal_config())
@@ -252,6 +270,101 @@ class TestConfigParsing:
             parse_config(raw)
         assert err.value.path == "config.hybrid_db.metadata_bytes_per_article"
 
+    @pytest.mark.parametrize("edits,path,message", [
+        # lower bounds
+        ([(("n_epochs",), 0)], "config.n_epochs", "must be >= 1, got 0"),
+        ([(("controller", "horizon"), 0)], "config.controller.horizon", "must be >= 1, got 0"),
+        ([(("controller", "grid"), 1)], "config.controller.grid", "must be >= 2, got 1"),
+        ([(("controller", "control_message_bytes"), -1)],
+         "config.controller.control_message_bytes", "must be >= 0, got -1"),
+        ([(("hybrid_db", "n_queries"), 0)], "config.hybrid_db.n_queries", "must be >= 1, got 0"),
+        ([(("hybrid_db", "query_start_s"), -1.0)],
+         "config.hybrid_db.query_start_s", "must be >= 0, got -1.0"),
+        # constructor errors, reported at the object they build
+        ([(("link", "capacity_bps"), -5.0)], "config.link", "capacity_bps must be > 0, got -5.0"),
+        ([(("traffic", 0, "size", "sigma"), 0.0)], "config.traffic[0].size",
+         "lognormal size distribution requires mean_bytes > 0 and sigma > 0"),
+        ([(("traffic", 1, "zone_class"), "C")], "config.traffic[1]",
+         "class C traffic carries no app kind"),
+        ([(("traffic", 0, "rate_per_s"), -1.0)], "config.traffic[0]",
+         "rate_per_s must be finite and > 0, got -1.0"),
+        ([(("traffic", 1, "zone_class"), "A"), (("traffic", 1, "app_kind"), "Web")],
+         "traffic", "duplicate class labels in traffic profile"),
+        ([(("controller", "weights", "Q_diag"), [-1.0, 2.0, 1.0, 1.0])],
+         "config.controller.weights", "Q must be positive semidefinite"),
+        ([(("controller", "u_max"), 1.5)], "config.controller.u_max",
+         "control bounds must satisfy 0 <= lo <= hi <= 1, got (0.0, 1.5)"),
+        ([(("hybrid_db", "backends", "blob_first_byte_s"), 0.0)], "config.hybrid_db.backends",
+         "blob_first_byte_s must be > 0"),
+        ([(("hybrid_db", "metadata_bytes_per_article"), 0)],
+         "config.hybrid_db.metadata_bytes_per_article", "metadata_bytes_per_article must be > 0"),
+        ([(("hybrid_db", "scale"), 1e300)], "config.hybrid_db.scale",
+         "scale 1e+300 asks for more than 100000 articles"),
+        # one type error per kind, a choice and a missing key
+        ([(("scenario_id",), 5)], "config.scenario_id", "expected a string, got 5"),
+        ([(("n_epochs",), 1.5)], "config.n_epochs", "expected an integer, got 1.5"),
+        ([(("link", "capacity_bps"), "fast")], "config.link.capacity_bps",
+         "expected a number, got 'fast'"),
+        ([(("hybrid_db", "parallel_fetch"), "yes")], "config.hybrid_db.parallel_fetch",
+         "expected a boolean, got 'yes'"),
+        ([(("mode",), "sideways")], "config.mode",
+         "must be one of ['open', 'closed', 'both'], got 'sideways'"),
+        ([(("link", "capacity_bps"), None)], "config.link.capacity_bps",
+         "expected a number, got None"),
+        ([(("traffic", 1, "rate_per_s"), ...)], "config.traffic[1].rate_per_s",
+         "missing required key"),
+    ])
+    def test_single_fault_path_and_message(self, edits, path, message):
+        # One broken key at a time: each fault keeps its exact path and text.
+        err = config_error_after(edits)
+        assert (err.path, str(err)) == (path, f"{path}: {message}")
+
+    def test_single_fault_model_constructor(self, monkeypatch):
+        # The reader checks a fixed model's shape and finiteness itself, so a
+        # StateSpaceModel error is forced here to pin where it is reported.
+        def refuse(*args, **kwargs):
+            raise ValueError("model refused")
+
+        raw = minimal_config()
+        raw["controller"]["model"] = {"A": np.eye(4).tolist(), "B": np.ones((4, 2)).tolist()}
+        monkeypatch.setattr("hcqsim.config.StateSpaceModel", refuse)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert (err.value.path, str(err.value)) == (
+            "config.controller.model", "config.controller.model: model refused")
+
+    @pytest.mark.parametrize("keys,path,message", [
+        (("controller", "grid"), "config.controller.grid", "expected an integer, got None"),
+        (("seed",), "config.seed", "expected an integer, got None"),
+        (("link", "epoch_s"), "config.link.epoch_s", "expected a number, got None"),
+        (("hybrid_db", "parallel_fetch"), "config.hybrid_db.parallel_fetch",
+         "expected a boolean, got None"),
+        (("traffic", 0, "size"), "config.traffic[0].size", "expected an object, got NoneType"),
+    ])
+    def test_null_is_refused_where_the_default_is_a_value(self, keys, path, message):
+        err = config_error_after([(keys, None)])
+        assert (err.path, str(err)) == (path, f"{path}: {message}")
+
+    def test_null_reads_as_absent_where_absent_means_no_value(self):
+        raw = minimal_config(output_dir=None, hybrid_db=None)
+        raw["traffic"][1].update(zone_class="C", app_kind=None)
+        raw["controller"]["u_max"] = None
+        cfg = parse_config(raw)
+        assert cfg.output_dir is None and cfg.hybrid_db is None
+        assert str(cfg.traffic.classes[1].label) == "C"
+        assert cfg.controller.control_bounds.hi == (1.0, 1.0)
+
+    def test_query_class_under_hybrid_db_names_the_class(self):
+        # The hybrid run's fetches travel in B:Database, so background
+        # traffic there is refused before anything is simulated.
+        raw = minimal_config(mode="open")
+        raw["traffic"][1]["app_kind"] = "Database"
+        assert parse_config(raw).hybrid_db is None
+        raw["hybrid_db"] = minimal_hybrid_db()
+        with pytest.raises(ConfigError, match="query class B:Database") as err:
+            parse_config(raw)
+        assert err.value.path == "config.traffic[1]"
+
 
 class TestCliRun:
     def test_run_writes_expected_layout(self, tmp_path, capsys):
@@ -302,6 +415,23 @@ class TestCliRun:
                      "--scale", "1e300"]) == 1
         assert "hybrid_db.scale" in capsys.readouterr().err
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("mode", ["closed", "both"])
+    def test_mode_override_without_controller_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                     mode):
+        raw = minimal_config(mode="open")
+        del raw["controller"]
+        path = write_config(tmp_path, raw)
+
+        def simulate(cfg):
+            raise AssertionError("a refused config must not be simulated")
+
+        monkeypatch.setattr("hcqsim.cli.run_scenario", simulate)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f'config error: controller: mode "{mode}" requires a controller section\n')
+        assert not out.exists()
 
     def test_missing_config_file_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3
@@ -369,6 +499,25 @@ class TestCliIdentify:
         path, _, _ = self.make_trace_csv(tmp_path)
         with pytest.raises(ValueError):
             read_xu_trace_csv(path, 3, 1)
+
+    def test_empty_trace_exit_2_names_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="is empty"):
+            read_xu_trace_csv(path, 2, 1)
+        assert main(["identify", "--trace", str(path), "--n", "2", "--m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and str(path) in err
+
+    @pytest.mark.parametrize("row,count", [("0.1,0.2", 2), ("0.1,0.2,0.3,0.4", 4)])
+    def test_row_of_wrong_length_exit_2_names_line(self, tmp_path, capsys, row, count):
+        path, _, _ = self.make_trace_csv(tmp_path, length=5)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=f"line 7: expected 3 fields, got {count}"):
+            read_xu_trace_csv(path, 2, 1)
+        assert main(["identify", "--trace", str(path), "--n", "2", "--m", "1"]) == 2
+        assert "line 7" in capsys.readouterr().err
 
 
 class TestCliScenario:
