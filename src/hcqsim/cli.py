@@ -73,7 +73,10 @@ def read_xu_trace_csv(path, n: int, m: int):
             if len(row) != n + m:
                 raise ValueError(f"trace {path} line {r.line_num}: expected {n + m} fields, "
                                  f"got {len(row)}")
-            vals = [float(v) for v in row]
+            try:
+                vals = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"trace {path} line {r.line_num}: {exc}") from None
             pairs.append((np.array(vals[:n]), np.array(vals[n:])))
     return pairs
 

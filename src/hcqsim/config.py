@@ -231,9 +231,9 @@ def _parse_size_dist(node: _Node) -> SizeDistribution:
     return _build(node.path, SizeDistribution, family=family, **kwargs)
 
 
-def _parse_traffic(nodes: list[_Node]) -> TrafficProfile:
+def _parse_traffic(root: _Node) -> TrafficProfile:
     profiles = []
-    for node in nodes:
+    for node in root.child_list("traffic"):
         zc = node.take("zone_class", str, choices=tuple(z.value for z in ZoneClass))
         kind = node.take("app_kind", str, None, choices=tuple(k.value for k in AppKind))
         label = _build(node.path, TrafficClassLabel,
@@ -245,7 +245,7 @@ def _parse_traffic(nodes: list[_Node]) -> TrafficProfile:
         burst_dist = node.take("burst_dist", str, "exponential", choices=("exponential", "fixed"))
         node.finish()
         profiles.append(_build(node.path, ClassProfile, label, rate, size, burst, idle, burst_dist))
-    return _build("traffic", TrafficProfile, tuple(profiles))
+    return _build(f"{root.path}.traffic", TrafficProfile, tuple(profiles))
 
 
 def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
@@ -351,7 +351,7 @@ def parse_config(data, source: str = "config") -> ScenarioConfig:
     lnode.finish()
     link = _build(f"{source}.link", LinkSpec, **link_kwargs)
 
-    traffic = _parse_traffic(root.child_list("traffic"))
+    traffic = _parse_traffic(root)
 
     cnode = root.child("controller", required=False)
     controller = _parse_controller(cnode, traffic) if cnode is not None else None

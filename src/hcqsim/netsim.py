@@ -31,36 +31,51 @@ boundary (e + 1) * epoch_s is handled; then service is brought up to the
 boundary and the epoch's row is appended. Each event is taken from the
 trace cursor, the event heap or the live plan's end, whichever comes
 first. Only injected flows and query steps enter the heap: trace arrivals
-are read from a cursor over the trace's columns, and service completions
-from the live plan's end. Ties at one instant are broken by kind (epoch
-boundary, then service completion, then flow arrival, then query step),
-then by seq. A trace flow takes its seq when the trace is added, in trace
-order, so the merge breaks ties exactly as one heap holding every event
-would. The clock never goes back: a flow or step before `now` is refused.
+are read from a cursor over the flow table (below), and service
+completions from the live plan's end. Ties at one instant are broken by
+kind (epoch boundary, then service completion, then flow arrival, then
+query step), then by seq. A trace flow takes its seq when the trace is
+added, in trace order, so the merge breaks ties exactly as one heap
+holding every event would. The clock never goes back: a flow or step
+before `now` is refused.
+
+Every flow, trace or injected, is one entry of a flow table: typed
+columns of class index, bytes not yet served, arrival time and id. Queues,
+the live plan and heap payloads hold entry indices, so offering a flow
+allocates no object. An added trace is merged in (time, seq) order with
+the unread rest of the cursor and appended to the table, and the cursor is
+the range of entries so appended. Control messages and flow callbacks are
+few, so they are kept apart, in a set and a dict keyed by index, which
+forget a flow when it completes or is dropped whole.
 
 While the link is busy, a FIFO queue follows Lindley's recursion: each
 departure is max(arrival, previous departure) + size / rate. The loop
-walks a busy period flow by flow in two kinds of run, which apply the same
-rule with the same float operations in the same order as the handlers.
+takes a whole stretch of busy periods in one call, with its state in
+locals, event by event in time order, applying the same rules with the
+same float operations in the same order as the handlers.
 
-- A completion run serves the live plan's flow at its end. If the same
-  queue still holds bytes and has budget, its head is the next plan: no
-  queue of higher rank can be serviceable, since an arrival there would
-  have preempted and budgets change only at boundaries, where the plan is
-  made anew. So the run moves the one live plan on to that head, with
-  end = previous end + limit / byte_rate, and goes on while each new end is
-  at or before the next cursor arrival and the heap top, and strictly
-  before the boundary. A flow with a callback is completed alone, and a
-  queue out of bytes or budget is left to the priority scan.
-- An arrival run appends cursor arrivals to their queues in place, while
-  each fits its queue's free space without crediting any service (so it
-  cannot drop and need not advance service), cannot preempt the plan, and
-  is strictly before both the plan end and the heap top.
+- A completion serves the live plan's flow at its end. If the same queue
+  still holds bytes and has budget, its head is the next plan: no queue of
+  higher rank can be serviceable, since an arrival there would have
+  preempted and budgets change only at boundaries, where the plan is made
+  anew. So the plan moves on to that head, with end = previous end +
+  limit / byte_rate. A queue out of bytes or budget is left to the
+  priority scan. A completion is taken at or before the next cursor
+  arrival and the heap top, and strictly before the boundary.
+- A cursor arrival is taken in place when it cannot preempt the plan and
+  its drop test needs no service brought up to date: it fits its queue's
+  free space without crediting any service, or its queue is not the one
+  in service, whose flow alone can have served bytes not yet counted. The
+  accepted bytes join the queue (on an idle link they start a plan), the
+  rest are dropped. It is taken strictly before the plan end, the heap
+  top and the boundary.
 
-At an instant shared with a heap entry the order is decided by kind and
-seq, as in one heap, so such a tie goes to the handlers, which compare the
-full (time, kind, seq) keys. Arrivals on an idle link, drops, preemptions,
-heap events and query steps go through the handlers too.
+A call ends at the first event that needs a handler: a preemption, a drop
+on the queue in service, the completion of a flow with a callback, a heap
+entry, or the boundary. At an instant shared with a heap entry the order
+is decided by kind and seq, as in one heap, so such a tie goes to the
+handlers, which compare the full (time, kind, seq) keys. Heap events and
+query steps always go through the handlers.
 
 The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one k-tuple to each of the epoch columns: the
@@ -267,21 +282,9 @@ def observe_state(counters, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
     return np.array(backlog + util)
 
 
-class _QueuedFlow:
-    __slots__ = ("flow_id", "cls", "remaining", "arrival", "control", "callback")
-
-    def __init__(self, flow_id, cls, remaining, arrival, control, callback):
-        self.flow_id = flow_id
-        self.cls = cls
-        self.remaining = remaining
-        self.arrival = arrival
-        self.control = control
-        self.callback = callback
-
-
 class _ServicePlan:
-    """Serve `limit` bytes of `flow` from `queue` over [start, end]; `done`
-    of them have been served so far."""
+    """Serve `limit` bytes of flow `flow` (an index into the flow table)
+    from `queue` over [start, end]; `done` of them have been served so far."""
 
     __slots__ = ("start", "end", "queue", "flow", "limit", "done")
 
@@ -340,10 +343,23 @@ class LinkSimulator:
         self._epoch = 0  # the next epoch to begin
         self._in_epoch = False  # between an epoch's begin and its row
         self._plan: Optional[_ServicePlan] = None
-        # Unread trace arrivals: columns (time, seq, class, size, id) and the
-        # position of the next one.
-        self._cursor: tuple = ((), (), (), (), ())
-        self._pos = 0
+        # The flow table: one entry per flow, trace or injected, addressed by
+        # its index. Columns: class index, bytes not yet served (the bytes
+        # accepted, once offered), arrival time and id. Control messages and
+        # flow callbacks are few, so they are kept apart, keyed by index. A
+        # trace added to the empty table lends it its time and id columns
+        # (_lent), copied only when the table grows past them.
+        self._cls = array("B")
+        self._rem = array("q")
+        self._arrival = array("d")
+        self._fid = array("q")
+        self._lent = False
+        self._control: set = set()
+        self._callbacks: dict = {}
+        # The cursor: unread trace arrivals are entries _pos .. _stop - 1, in
+        # (time, seq) order; the seq of entry j is _seqs[j - _first].
+        self._pos = self._stop = self._first = 0
+        self._seqs = range(0)
 
         k = len(self.classes)
         self._index = {label: i for i, label in enumerate(self.classes)}
@@ -410,14 +426,38 @@ class LinkSimulator:
         cls = array("B", trace.cls.tobytes().translate(table))
         seqs = range(self._seq + 1, self._seq + 1 + n)
         self._seq += n
-        cols = (trace.time, seqs, cls, trace.size, trace.ids)
-        rest = tuple(col[self._pos:] for col in self._cursor)
-        if rest[0] or (np.diff(times) < 0).any():
-            cols = tuple([*a, *b] for a, b in zip(rest, cols))
+        new = (trace.time, seqs, cls, trace.size, trace.ids)
+        a, b = self._pos, self._stop
+        if a < b or (np.diff(times) < 0).any():
+            rest = (self._arrival[a:b], self._seqs[a - self._first:b - self._first],
+                    self._cls[a:b], self._rem[a:b], self._fid[a:b])
+            cols = tuple([*x, *y] for x, y in zip(rest, new))
             order = sorted(range(len(cols[0])), key=lambda j: (cols[0][j], cols[1][j]))
-            cols = tuple([col[j] for j in order] for col in cols)
-        self._cursor = cols
-        self._pos = 0
+            new = tuple([col[j] for j in order] for col in cols)
+        time, seqs, cls, size, ids = new
+        self._first = self._pos = len(self._cls)
+        self._stop = self._pos + len(time)
+        self._seqs = seqs
+        if self._pos == 0:
+            self._arrival, self._fid, self._lent = time, ids, True
+        else:
+            self._own_columns()
+            self._arrival.extend(time)
+            self._fid.extend(ids)
+        self._cls.extend(cls)
+        self._rem.extend(size)
+
+    def _own_columns(self) -> None:
+        """Copy the time and id columns a trace lent the table, before the
+        table grows past them: the trace stays as its caller made it."""
+        if self._lent:
+            ids = self._fid
+            self._arrival, self._fid, self._lent = array("d", self._arrival), array("q"), False
+            if isinstance(ids, range):  # a generated trace's: numpy counts faster
+                ids = memoryview(np.arange(ids.start, ids.stop, ids.step, dtype=np.int64))
+                self._fid.frombytes(ids.cast("B"))
+            else:
+                self._fid.extend(ids)
 
     def inject_flow(self, time, size, label, control=False, callback=None) -> int:
         """Dynamically offer a flow (control messages, query fetches)."""
@@ -426,9 +466,19 @@ class LinkSimulator:
             raise ValueError(f"injected flow class {label} not configured for this run")
         if size < 1:
             raise ValueError("injected flow size must be >= 1")
+        j = len(self._cls)
+        self._push(time, FLOW_ARRIVAL, j)
         fid = self._inject_id
         self._inject_id -= 1
-        self._push(time, FLOW_ARRIVAL, (i, int(size), fid, control, callback))
+        self._own_columns()
+        self._cls.append(i)
+        self._rem.append(int(size))
+        self._arrival.append(time)
+        self._fid.append(fid)
+        if control:
+            self._control.add(j)
+        if callback is not None:
+            self._callbacks[j] = callback
         return fid
 
     def schedule_at(self, time, fn) -> None:
@@ -441,30 +491,34 @@ class LinkSimulator:
         queued, budget = self._queued_bytes, self._budget
         for q in self._priority:
             if queued[q] > 0 and budget[q] > 0:
-                flow = self._queues[q][0]
-                limit = flow.remaining if flow.remaining <= budget[q] else budget[q]
-                self._plan = _ServicePlan(now, now + limit / self.byte_rate, q, flow, limit)
+                j = self._queues[q][0]
+                rem = self._rem[j]
+                limit = rem if rem <= budget[q] else budget[q]
+                self._plan = _ServicePlan(now, now + limit / self.byte_rate, q, j, limit)
                 return
 
-    def _serve(self, q: int, flow, nbytes: int, when: float) -> None:
-        flow.remaining -= nbytes
+    def _serve(self, q: int, j: int, nbytes: int, when: float) -> None:
+        rem = self._rem[j] - nbytes
+        self._rem[j] = rem
         self._queued_bytes[q] -= nbytes
         self._budget[q] -= nbytes
-        i = flow.cls
+        i = self._cls[j]
         c = self.counters[i]
         c.delivered += nbytes
         c.queued -= nbytes
-        if flow.control:
+        if j in self._control:
             c.control_delivered += nbytes
-        if flow.remaining == 0:
+        if rem == 0:
             queue = self._queues[q]
-            assert queue[0] is flow
+            assert queue[0] == j
             queue.popleft()
+            self._control.discard(j)
             delivery = when + self.link.propagation_delay_s
-            self._latencies[i].append(delivery - flow.arrival)
+            self._latencies[i].append(delivery - self._arrival[j])
             self.metrics.flows_completed += 1
-            if flow.callback is not None:
-                flow.callback(self, delivery)
+            callback = self._callbacks.pop(j, None)
+            if callback is not None:
+                callback(self, delivery)
 
     def _complete(self) -> None:
         """Serve the live plan's remaining bytes at its end, then replan."""
@@ -491,11 +545,12 @@ class LinkSimulator:
 
     # -- event handlers ----------------------------------------------------
 
-    def _handle_arrival(self, t: float, i: int, size: int, fid: int,
-                        control: bool = False, callback=None) -> None:
-        """Offer a flow at t. Service is brought up to t only when the answer
-        depends on it: the drop test on the queue in service, or a preemption.
-        """
+    def _handle_arrival(self, t: float, j: int) -> None:
+        """Offer flow j of the table at t. Service is brought up to t only
+        when the answer depends on it: the drop test on the queue in
+        service, or a preemption."""
+        i = self._cls[j]
+        size = self._rem[j]
         q = self._queue_of[i]
         queued = self._queued_bytes
         free = self.link.queue_capacity_bytes - queued[q]
@@ -508,7 +563,7 @@ class LinkSimulator:
         c = self.counters[i]
         c.arrived += size
         m = self.metrics
-        if control:
+        if j in self._control:
             c.control_arrived += size
         m.flows_offered += 1
         if size > m.max_flow_size:
@@ -516,7 +571,8 @@ class LinkSimulator:
         if dropped:
             c.dropped += dropped
         if accepted > 0:
-            self._queues[q].append(_QueuedFlow(fid, i, accepted, t, control, callback))
+            self._rem[j] = accepted
+            self._queues[q].append(j)
             queued[q] += accepted
             c.queued += accepted
             if plan is None:
@@ -527,12 +583,15 @@ class LinkSimulator:
                 self._advance(t)
                 self._replan(t)
         else:
-            m.failed_flow_ids.append(fid)
+            # Dropped whole: the flow is never served, and its entry is dead.
+            m.failed_flow_ids.append(self._fid[j])
+            self._control.discard(j)
+            self._callbacks.pop(j, None)
 
     def apply_decision(self, decision: ControlDecision) -> None:
         """Install shares and priority order for the upcoming epoch; closed
         mode's queue index is the class index. The run installs one at each
-        boundary, and its completion runs rely on budgets changing only
+        boundary, and its busy periods rely on budgets changing only
         there, so a call while an epoch runs (from a query step or a flow
         callback) is refused."""
         if self.mode is not FeedbackMode.CLOSED:
@@ -584,7 +643,7 @@ class LinkSimulator:
         self._replan(t)
 
     def _active(self) -> bool:
-        return bool(self._heap) or self._pos < len(self._cursor[0]) or any(self._queued_bytes)
+        return bool(self._heap) or self._pos < self._stop or any(self._queued_bytes)
 
     # -- run loops ----------------------------------------------------------
 
@@ -592,44 +651,54 @@ class LinkSimulator:
         """Run the next epoch: begin it, handle every event strictly before
         its end boundary, then bring service up to the boundary and append
         the epoch's row. A plan end wins a tie with an arrival or a query
-        step; the boundary wins every tie at its instant. While the link is
-        busy, cursor arrivals are taken in arrival runs and completions in
-        completion runs (see the module docstring)."""
+        step; the boundary wins every tie at its instant. An event that
+        _busy_period can take starts a call of it, which goes on while
+        events can be taken in place (see the module docstring); the rest
+        go to the handlers."""
         e = self._epoch
         eps = self.link.epoch_s
         self._begin_epoch(e * eps)
         self._in_epoch = True
         t_end = (e + 1) * eps
-        heap = self._heap
+        heap, callbacks, cls, rem = self._heap, self._callbacks, self._cls, self._rem
+        queue_of, queued, budget, rank = (self._queue_of, self._queued_bytes, self._budget,
+                                          self._rank)
+        cap = self.link.queue_capacity_bytes
         inf = math.inf
         while True:
             plan = self._plan
             t_plan = plan.end if plan is not None and plan.end < t_end else t_end
-            times = self._cursor[0]
             pos = self._pos
-            t_next = times[pos] if pos < len(times) else inf
+            t_next = self._arrival[pos] if pos < self._stop else inf
             t_heap = heap[0][0] if heap else inf
-            if t_next < t_plan and (t_next < t_heap or (
-                    t_next == t_heap and heap[0] > (t_next, FLOW_ARRIVAL, self._cursor[1][pos]))):
-                if (plan is not None and t_next < t_heap
-                        and self._arrival_run(plan, t_plan if t_plan < t_heap else t_heap)):
-                    continue
-                _, _, cls, sizes, ids = self._cursor
+            if t_next < t_plan and (t_next < t_heap or (t_next == t_heap and heap[0] > (
+                    t_next, FLOW_ARRIVAL, self._seqs[pos - self._first]))):
+                if t_next < t_heap:
+                    q = queue_of[cls[pos]]
+                    if plan is None or not (
+                            (rem[pos] > cap - queued[q] and q == plan.queue)
+                            or (rank[q] < rank[plan.queue] and budget[q] > 0)):
+                        self._busy_period(t_end)
+                        continue
                 self._pos = pos + 1
                 self.now = t_next
-                self._handle_arrival(t_next, cls[pos], sizes[pos], ids[pos])
+                self._handle_arrival(t_next, pos)
             elif t_heap < t_plan:
                 time, kind, _, payload = heapq.heappop(heap)
                 self.now = time
                 if kind == FLOW_ARRIVAL:
-                    self._handle_arrival(time, *payload)
+                    self._handle_arrival(time, payload)
                 else:  # QUERY_STEP
                     self._advance(time)
                     payload(self, time)
                     if self._plan is None:
                         self._replan(time)
             elif t_plan < t_end:
-                self._completion_run(plan, t_end, t_next if t_next < t_heap else t_heap)
+                if plan.flow in callbacks:
+                    self.now = t_plan
+                    self._complete()
+                else:
+                    self._busy_period(t_end)
             else:
                 break
         self.now = t_end
@@ -638,92 +707,120 @@ class LinkSimulator:
         self._epoch = e + 1
         self._in_epoch = False
 
-    def _arrival_run(self, plan: _ServicePlan, stop: float) -> int:
-        """Take cursor arrivals strictly before `stop` while the link serves
-        `plan`, appending each to its queue in place, as long as it fits the
-        queue's free space without crediting any service and cannot preempt
-        the plan. Returns how many were taken; the first arrival that does
-        not qualify is left to _handle_arrival."""
-        times, _, cls, sizes, ids = self._cursor
-        pos = first = self._pos
-        n = len(times)
+    def _busy_period(self, t_end: float) -> None:
+        """Take events in time order, strictly before t_end, while each can
+        be taken in place (see the module docstring): a cursor arrival that
+        cannot preempt the plan and whose drop test needs no service
+        brought up to date, and a completion at the live plan's end.
+
+        An arrival's accepted bytes join its queue, and on an idle link
+        _replan starts a plan. A completion serves the plan's remaining
+        bytes; while the same queue holds bytes and budget, its head is the
+        next plan, with end = previous end + limit / byte_rate, and
+        otherwise _replan picks it. The call returns at the first event that
+        needs a handler: a preemption, a drop on the queue in service, the
+        completion of a flow with a callback, a heap entry (and any tie with
+        one), or the boundary. The caller makes sure the first event can be
+        taken.
+        """
+        heap = self._heap
+        t_heap = heap[0][0] if heap else math.inf
+        pos, stop = self._pos, self._stop
+        arrival, cls, rem = self._arrival, self._cls, self._rem
+        t_next = arrival[pos] if pos < stop else math.inf
         queue_of, queues, queued = self._queue_of, self._queues, self._queued_bytes
         budget, rank, counters = self._budget, self._rank, self.counters
+        control, callbacks, latencies = self._control, self._callbacks, self._latencies
         cap = self.link.queue_capacity_bytes
-        serving = rank[plan.queue]
-        m = self.metrics
-        largest = m.max_flow_size
-        while pos < n:
-            t = times[pos]
-            if t >= stop:
-                break
-            i = cls[pos]
-            size = sizes[pos]
-            q = queue_of[i]
-            if size > cap - queued[q] or (rank[q] < serving and budget[q] > 0):
-                break
-            c = counters[i]
-            c.arrived += size
-            c.queued += size
-            queued[q] += size
-            queues[q].append(_QueuedFlow(ids[pos], i, size, t, False, None))
-            if size > largest:
-                largest = size
-            pos += 1
-        if pos > first:
-            m.flows_offered += pos - first
-            m.max_flow_size = largest
-            self._pos = pos
-            self.now = times[pos - 1]
-        return pos - first
-
-    def _completion_run(self, plan: _ServicePlan, t_end: float, t_next: float) -> None:
-        """Complete the live plan at its end, then serve the same queue's
-        next flows back to back, reusing the plan object, while each new end
-        is at or before t_next (the next cursor arrival or heap event) and
-        strictly before t_end. A flow with a callback is completed through
-        _complete; once the queue is out of bytes or budget, _replan picks
-        the next plan."""
-        q = plan.queue
-        queue = self._queues[q]
-        queued, budget = self._queued_bytes, self._budget
-        counters, latencies = self.counters, self._latencies
         rate = self.byte_rate
         delay = self.link.propagation_delay_s
+        fid = self._fid
         m = self.metrics
+        failed = m.failed_flow_ids
+        largest = m.max_flow_size
+        completed = 0
+        now = self.now
+        replanned = True
         while True:
-            end = plan.end
-            self.now = end
-            flow = plan.flow
-            if flow.callback is not None:
-                self._complete()
-                return
-            nbytes = plan.limit - plan.done
-            flow.remaining -= nbytes
-            queued[q] -= nbytes
-            budget[q] -= nbytes
-            i = flow.cls
-            c = counters[i]
-            c.delivered += nbytes
-            c.queued -= nbytes
-            if flow.control:
-                c.control_delivered += nbytes
-            if flow.remaining == 0:
-                queue.popleft()
-                latencies[i].append(end + delay - flow.arrival)
-                m.flows_completed += 1
-            if queued[q] <= 0 or budget[q] <= 0:
-                self._replan(end)
-                return
-            head = queue[0]
-            limit = head.remaining if head.remaining <= budget[q] else budget[q]
-            plan.start = end
-            plan.end = end + limit / rate
-            plan.flow = head
-            plan.limit = limit
-            plan.done = 0
-            if not (plan.end < t_end and plan.end <= t_next):
-                return
+            if replanned:  # bind the live plan, or mark the link idle
+                replanned = False
+                plan = self._plan
+                if plan is None:
+                    end, busy, serving = math.inf, -1, -1
+                else:
+                    q, start, end, j, limit, done = (plan.queue, plan.start, plan.end, plan.flow,
+                                                     plan.limit, plan.done)
+                    queue, busy, serving = queues[q], q, rank[q]
+            if end <= t_next and end <= t_heap and end < t_end:
+                if callbacks and j in callbacks:
+                    break
+                now = end
+                nbytes = limit - done
+                left = rem[j] - nbytes
+                rem[j] = left
+                held = queued[q] - nbytes
+                queued[q] = held
+                allowed = budget[q] - nbytes
+                budget[q] = allowed
+                i = cls[j]
+                c = counters[i]
+                c.delivered += nbytes
+                c.queued -= nbytes
+                if control and j in control:
+                    c.control_delivered += nbytes
+                    if left == 0:
+                        control.discard(j)
+                if left == 0:
+                    queue.popleft()
+                    latencies[i].append(end + delay - arrival[j])
+                    completed += 1
+                if held > 0 and allowed > 0:
+                    j = queue[0]
+                    limit = rem[j]
+                    if limit > allowed:
+                        limit = allowed
+                    start = end
+                    end = end + limit / rate
+                    done = 0
+                else:
+                    self._replan(end)
+                    replanned = True
+            elif t_next < end and t_next < t_heap and t_next < t_end:
+                i = cls[pos]
+                size = rem[pos]
+                qa = queue_of[i]
+                free = cap - queued[qa]
+                if (size > free and qa == busy) or (rank[qa] < serving and budget[qa] > 0):
+                    break
+                c = counters[i]
+                c.arrived += size
+                if size > largest:
+                    largest = size
+                if size > free:
+                    c.dropped += size - free
+                    size = rem[pos] = free
+                if size > 0:
+                    c.queued += size
+                    queued[qa] += size
+                    queues[qa].append(pos)
+                else:
+                    failed.append(fid[pos])
+                now = t_next
+                pos += 1
+                t_next = arrival[pos] if pos < stop else math.inf
+                if plan is None and size > 0:
+                    self._replan(now)
+                    replanned = True
+            else:
+                break
+        if plan is not None:
+            plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
+                q, start, end, j, limit, done)
+        m.flows_offered += pos - self._pos
+        self._pos = pos
+        self.now = now
+        m.flows_completed += completed
+        m.max_flow_size = largest
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run the next n_epochs control epochs, then stop.
@@ -752,7 +849,7 @@ class LinkSimulator:
             if not self._active():
                 break
             self._run_epoch()
-            if closed and not self._heap and self._pos == len(self._cursor[0]):
+            if closed and not self._heap and self._pos == self._stop:
                 self._check_stalled()
         self.metrics.assert_conservation()
         return self.metrics

@@ -289,7 +289,7 @@ class TestConfigParsing:
         ([(("traffic", 0, "rate_per_s"), -1.0)], "config.traffic[0]",
          "rate_per_s must be finite and > 0, got -1.0"),
         ([(("traffic", 1, "zone_class"), "A"), (("traffic", 1, "app_kind"), "Web")],
-         "traffic", "duplicate class labels in traffic profile"),
+         "config.traffic", "duplicate class labels in traffic profile"),
         ([(("controller", "weights", "Q_diag"), [-1.0, 2.0, 1.0, 1.0])],
          "config.controller.weights", "Q must be positive semidefinite"),
         ([(("controller", "u_max"), 1.5)], "config.controller.u_max",
@@ -518,6 +518,15 @@ class TestCliIdentify:
             read_xu_trace_csv(path, 2, 1)
         assert main(["identify", "--trace", str(path), "--n", "2", "--m", "1"]) == 2
         assert "line 7" in capsys.readouterr().err
+
+    def test_non_numeric_field_exit_2_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,u0\n0.1,0.2,0.3\n0.1,abc,0.3\n")
+        with pytest.raises(ValueError, match="line 3: could not convert string to float: 'abc'"):
+            read_xu_trace_csv(path, 2, 1)
+        assert main(["identify", "--trace", str(path), "--n", "2", "--m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: trace ") and str(path) in err and "line 3" in err
 
 
 class TestCliScenario:

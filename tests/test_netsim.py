@@ -289,7 +289,7 @@ class TestApplyDecision:
     def test_refused_while_an_epoch_runs(self, via):
         # Five 100 B B:File flows and one 100 B A:Web flow at 1000 B/s under
         # shares (0, 1). A decision giving A:Web half the link at 0.05 s
-        # would change budgets mid-epoch, which the completion runs assume
+        # would change budgets mid-epoch, which the busy periods assume
         # never happens: unchecked, it left A:Web waiting until 0.6 s
         # instead of 0.2 s.
         sim = LinkSimulator(LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000),
@@ -483,8 +483,8 @@ def lattice_runs(draw):
 
 def conservation_checked(sim):
     """Check every class's byte conservation after each call of `sim`'s
-    ledger-changing methods: a serve, an arrival handled alone, an arrival
-    run and a completion run."""
+    ledger-changing methods: a serve, an arrival handled alone and a busy
+    period taken in place."""
     def checked(method):
         def run(*args):
             result = method(*args)
@@ -493,7 +493,7 @@ def conservation_checked(sim):
             return result
         return run
 
-    for name in ("_serve", "_handle_arrival", "_arrival_run", "_completion_run"):
+    for name in ("_serve", "_handle_arrival", "_busy_period"):
         setattr(sim, name, checked(getattr(sim, name)))
     return sim
 
@@ -755,9 +755,9 @@ class TestStall:
 
 class _RecordingSim(LinkSimulator):
     """Logs the handlers the loop runs: epoch finalize and every flow
-    offered, alone or in an arrival run, here; completion callbacks and
-    query steps through the flows and steps a test offers. `runs` lists
-    how many flows each arrival run took."""
+    offered, by the arrival handler or in a busy period, here; completion
+    callbacks and query steps through the flows and steps a test offers.
+    `runs` lists how many arrivals each busy period took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -768,17 +768,16 @@ class _RecordingSim(LinkSimulator):
         self.log.append((self.now, f"epoch {self.metrics.n_epochs}"))
         super()._finalize_epoch()
 
-    def _handle_arrival(self, t, i, size, fid, control=False, callback=None):
-        self.log.append((t, f"arrival {fid}"))
-        super()._handle_arrival(t, i, size, fid, control, callback)
+    def _handle_arrival(self, t, j):
+        self.log.append((t, f"arrival {self._fid[j]}"))
+        super()._handle_arrival(t, j)
 
-    def _arrival_run(self, plan, stop):
+    def _busy_period(self, t_end):
         first = self._pos
-        taken = super()._arrival_run(plan, stop)
-        times, ids = self._cursor[0], self._cursor[4]
-        self.log.extend((times[j], f"arrival {ids[j]}") for j in range(first, first + taken))
-        self.runs.append(taken)
-        return taken
+        super()._busy_period(t_end)
+        self.log.extend((self._arrival[j], f"arrival {self._fid[j]}")
+                        for j in range(first, self._pos))
+        self.runs.append(self._pos - first)
 
 
 class TestTraceCursor:
@@ -820,7 +819,8 @@ class TestTraceCursor:
     def test_arrival_runs_stop_at_heap_events(self):
         # The link is busy over [0, 0.5); trace flows arrive every 0.1 s
         # around an injected flow and a query step. The recorder logs each
-        # flow an arrival run takes, so the log is the order of offer.
+        # arrival a busy period takes, so the log is the order of offer, and
+        # each busy period stops at the next heap event.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
         sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
         sim.inject_flow(0.0, 500_000, A_WEB)  # id -1
@@ -832,6 +832,35 @@ class TestTraceCursor:
             "arrival -1", "arrival 1", "arrival 2", "arrival -2", "arrival 3", "query",
             "arrival 4", "epoch 0"]
         assert sim.runs == [2, 1, 1]
+
+    def test_busy_period_ending_at_a_partial_serve(self):
+        # A 1000 B flow under a 300 B budget per epoch: each epoch's busy
+        # period ends at one budget-limited serve that completes no flow;
+        # the first begins with the flow's arrival on the idle link.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000, epoch_s=1.0)
+        sim = conservation_checked(_RecordingSim(link, [A_WEB], FeedbackMode.CLOSED,
+                                                 controller=FixedShareController((0.3,))))
+        sim.add_flows([make_flow(0, 0.0, 1000)])
+        m = sim.run_epochs(3)
+        assert sim.runs == [1, 0, 0]
+        assert m.delivered == [(300,)] * 3 and m.queued[-1] == (100,)
+        assert m.flows_completed == 0 and m.latencies_s[A_WEB] == []
+        m = sim.run_epochs(1)
+        assert m.delivered[-1] == (100,) and m.latencies_s[A_WEB] == [3.1]
+
+    def test_injected_flow_dropped_whole_leaves_no_entry(self):
+        # The trace flow fills the queue at t = 0; the injected flow behind
+        # it at the same instant is dropped whole.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=1000, epoch_s=1.0)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        sim.add_flows([make_flow(0, 0.0, 1000)])
+        served = []
+        fid = sim.inject_flow(0.0, 500, A_WEB, control=True,
+                              callback=lambda s, t: served.append(t))
+        m = sim.run_epochs(2)
+        assert m.failed_flow_ids == [fid] and m.totals[A_WEB].dropped == 500
+        assert m.totals[A_WEB].control_arrived == 500 and m.totals[A_WEB].control_delivered == 0
+        assert served == [] and sim._callbacks == {} and sim._control == set()
 
     def test_second_add_flows_keeps_seq_order_on_ties(self):
         # Flows of the first call come first at a shared instant, as they

@@ -1,0 +1,154 @@
+"""Open mode against a reference worked out flow by flow.
+
+The reference shares no code with the event core: it sorts the trace,
+gives each accepted flow its departure by Lindley's recursion and reads
+the ledger at any instant from those departures. It models one drop-tail
+FIFO with eager service at the link's rate, the floor byte-count rule for
+the flow in service (by t it has served min(size - 1, floor(rate * (t -
+start))) bytes, its last one at its end), and a departure at t before an
+arrival at t.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from hcqsim.netsim import FeedbackMode, LinkSpec, run_simulation
+from hcqsim.traffic import (
+    AppKind,
+    ClassProfile,
+    FlowEvent,
+    SizeDistribution,
+    Trace,
+    TrafficClassLabel,
+    TrafficProfile,
+    Zone,
+    ZoneClass,
+    generate_trace,
+)
+
+from test_netsim import A_ENDPOINTS, A_WEB, B_ENDPOINTS, B_FILE
+
+C_ANY = TrafficClassLabel(ZoneClass.C)
+ENDPOINTS = {A_WEB: A_ENDPOINTS, B_FILE: B_ENDPOINTS, C_ANY: (Zone.INTERNET, Zone.INTERNET)}
+
+
+def open_reference(trace, link, n_epochs=None):
+    """Latencies and dropped bytes per label, failed flow ids, and the epoch
+    rows (arrived, delivered, dropped, queued) of an open run; n_epochs=None
+    runs until idle."""
+    rate, cap, eps = link.byte_rate, link.queue_capacity_bytes, link.epoch_s
+    horizon = float("inf") if n_epochs is None else n_epochs * eps
+    accepted = []  # (class, bytes, arrival, start, end), in FIFO order
+    offered = []   # (arrival, class, size, dropped)
+    failed, head, last_end = [], 0, 0.0
+
+    def served(flow, t):  # bytes of an accepted flow delivered by t
+        _, size, _, start, end = flow
+        if end <= t:
+            return size
+        return min(size - 1, int(rate * (t - start))) if t > start else 0
+
+    for j in sorted(range(len(trace)), key=lambda j: trace.time[j]):
+        t, size, c = trace.time[j], trace.size[j], trace.cls[j]
+        if t >= horizon:
+            break
+        while head < len(accepted) and accepted[head][4] <= t:
+            head += 1
+        take = min(size, cap - sum(f[1] - served(f, t) for f in accepted[head:]))
+        offered.append((t, c, size, size - take))
+        if take > 0:
+            start = max(t, last_end)
+            last_end = start + take / rate
+            accepted.append((c, take, t, start, last_end))
+        else:
+            failed.append(trace.ids[j])
+    if n_epochs is None:  # the first boundary after every arrival, at or after every departure
+        n_epochs = 0
+        while any(t >= n_epochs * eps for t in trace.time) or last_end > n_epochs * eps:
+            n_epochs += 1
+
+    k = len(trace.labels)
+    rows, at = ([], [], [], []), [(0, 0, 0)] * k
+    for e in range(n_epochs):
+        b = (e + 1) * eps
+        now = [[0, 0, 0] for _ in range(k)]  # cumulative arrived, delivered, dropped
+        for t, c, size, lost in offered:
+            if t < b:
+                now[c][0] += size
+                now[c][2] += lost
+        for f in accepted:
+            now[f[0]][1] += served(f, b)
+        for col in range(3):
+            rows[col].append(tuple(n[col] - p[col] for n, p in zip(now, at)))
+        rows[3].append(tuple(a - d - x for a, d, x in now))
+        at = now
+    b = n_epochs * eps
+    latencies = {label: [] for label in trace.labels}
+    for c, _, arrival, _, end in accepted:
+        if end <= b:
+            latencies[trace.labels[c]].append(end + link.propagation_delay_s - arrival)
+    dropped = {label: sum(lost for _, c, _, lost in offered if c == i)
+               for i, label in enumerate(trace.labels)}
+    return latencies, failed, dropped, rows
+
+
+@st.composite
+def open_runs(draw):
+    """A small open run: up to three classes, a drop-prone queue and a trace
+    on a 1/8 s lattice, where most sizes last whole lattice steps so that
+    departures, arrivals and boundaries meet, or at arbitrary times on a
+    link of odd rate. n_epochs None runs until idle."""
+    labels = [A_WEB, B_FILE, C_ANY][: draw(st.integers(1, 3))]
+    lattice = draw(st.booleans())
+    rate = draw(st.sampled_from([1000, 2000, 4000] if lattice else [987.654321, 3125.5]))
+    epoch_s = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    if lattice:
+        # whole lattice steps of bytes, or one byte off: flows that fill the
+        # queue exactly, or miss by a byte, where departures and arrivals meet
+        cap = draw(st.integers(4, 24)) * rate // 8 + draw(st.sampled_from([-1, 0, 1]))
+    else:
+        cap = draw(st.integers(int(rate) // 2, 3 * int(rate)))
+    link = LinkSpec(capacity_bps=8.0 * rate, queue_capacity_bytes=cap,
+                    propagation_delay_s=draw(st.sampled_from([0.0, 0.003])), epoch_s=epoch_s)
+    n_epochs = draw(st.one_of(st.none(), st.integers(1, 6)))
+    end = 6 * epoch_s
+    if lattice:
+        time = st.integers(0, int(8 * end)).map(lambda q: q / 8)
+        size = st.one_of(st.integers(1, 3).map(lambda n: n * rate // 8), st.integers(1, rate))
+    else:
+        time = st.floats(0.0, end, allow_nan=False)
+        size = st.integers(1, 2 * int(rate))
+    arrivals = draw(st.lists(st.tuples(time, size, st.sampled_from(labels)),
+                             min_size=1, max_size=40))
+    flows = [FlowEvent(fid, t, n, *ENDPOINTS[label], label.app_kind or AppKind.WEB)
+             for fid, (t, n, label) in enumerate(arrivals)]
+    return Trace.from_flows(flows), link, n_epochs
+
+
+def simulated(trace, link, n_epochs):
+    m = run_simulation(trace, link, FeedbackMode.OPEN, n_epochs=n_epochs)
+    dropped = {label: c.dropped for label, c in m.totals.items()}
+    return m.latencies_s, m.failed_flow_ids, dropped, (m.arrived, m.delivered, m.dropped, m.queued)
+
+
+class TestOpenReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(open_runs())
+    def test_small_runs_match_the_reference(self, case):
+        trace, link, n_epochs = case
+        assert simulated(trace, link, n_epochs) == open_reference(trace, link, n_epochs)
+
+    def test_generated_trace_matches_the_reference(self):
+        # Two on/off classes offering about three quarters of a 1 MB/s link
+        # to a 200 kB queue: long busy periods, and drops where bursts meet.
+        profile = TrafficProfile((
+            ClassProfile(A_WEB, 30.0, SizeDistribution(family="lognormal", mean_bytes=2e4,
+                                                       sigma=1.0), burst_s=2.0, idle_s=1.0),
+            ClassProfile(B_FILE, 4.0, SizeDistribution(family="exponential", mean_bytes=1.5e5),
+                         burst_s=3.0, idle_s=2.0),
+        ))
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=200_000,
+                        propagation_delay_s=0.002, epoch_s=0.5)
+        trace = generate_trace(profile, 60.0, seed=11)
+        got = simulated(trace, link, None)
+        assert got == open_reference(trace, link)
+        assert sum(map(len, got[0].values())) > 1000 and sum(got[2].values()) > 0
