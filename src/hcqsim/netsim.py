@@ -72,10 +72,12 @@ same float operations in the same order as the handlers.
 
 A call ends at the first event that needs a handler: a preemption, a drop
 on the queue in service, the completion of a flow with a callback, a heap
-entry, or the boundary. At an instant shared with a heap entry the order
-is decided by kind and seq, as in one heap, so such a tie goes to the
-handlers, which compare the full (time, kind, seq) keys. Heap events and
-query steps always go through the handlers.
+entry, or the boundary. This rule is written only in the loop: the run
+offers it every cursor arrival and completion, and hands the event to its
+handler when the loop takes none. At an instant shared with a heap entry
+the order is decided by kind and seq, as in one heap, so such a tie goes
+to the handlers, which compare the full (time, kind, seq) keys. Heap
+events and query steps always go through the handlers.
 
 The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one k-tuple to each of the epoch columns: the
@@ -346,14 +348,11 @@ class LinkSimulator:
         # The flow table: one entry per flow, trace or injected, addressed by
         # its index. Columns: class index, bytes not yet served (the bytes
         # accepted, once offered), arrival time and id. Control messages and
-        # flow callbacks are few, so they are kept apart, keyed by index. A
-        # trace added to the empty table lends it its time and id columns
-        # (_lent), copied only when the table grows past them.
+        # flow callbacks are few, so they are kept apart, keyed by index.
         self._cls = array("B")
         self._rem = array("q")
         self._arrival = array("d")
         self._fid = array("q")
-        self._lent = False
         self._control: set = set()
         self._callbacks: dict = {}
         # The cursor: unread trace arrivals are entries _pos .. _stop - 1, in
@@ -407,7 +406,10 @@ class LinkSimulator:
 
         The trace's labels are mapped to class indices once. Its flows take
         their seqs now, in trace order, and join the unread rest of the
-        cursor in (time, seq) order. A flow before `now` is refused.
+        cursor in (time, seq) order. The merge is appended to the table and
+        becomes the cursor; the old cursor's entries are reused for it when
+        no injected flow follows them, so a trace added in parts takes one
+        entry per flow. A flow before `now` is refused.
         """
         trace = Trace.from_flows(flows)
         n = len(trace)
@@ -435,29 +437,16 @@ class LinkSimulator:
             order = sorted(range(len(cols[0])), key=lambda j: (cols[0][j], cols[1][j]))
             new = tuple([col[j] for j in order] for col in cols)
         time, seqs, cls, size, ids = new
+        if b == len(self._cls):  # no flow was injected after the cursor: reuse its range
+            for col in (self._cls, self._rem, self._arrival, self._fid):
+                del col[a:]
         self._first = self._pos = len(self._cls)
         self._stop = self._pos + len(time)
         self._seqs = seqs
-        if self._pos == 0:
-            self._arrival, self._fid, self._lent = time, ids, True
-        else:
-            self._own_columns()
-            self._arrival.extend(time)
-            self._fid.extend(ids)
         self._cls.extend(cls)
         self._rem.extend(size)
-
-    def _own_columns(self) -> None:
-        """Copy the time and id columns a trace lent the table, before the
-        table grows past them: the trace stays as its caller made it."""
-        if self._lent:
-            ids = self._fid
-            self._arrival, self._fid, self._lent = array("d", self._arrival), array("q"), False
-            if isinstance(ids, range):  # a generated trace's: numpy counts faster
-                ids = memoryview(np.arange(ids.start, ids.stop, ids.step, dtype=np.int64))
-                self._fid.frombytes(ids.cast("B"))
-            else:
-                self._fid.extend(ids)
+        self._arrival.extend(time)
+        self._fid.extend(ids)
 
     def inject_flow(self, time, size, label, control=False, callback=None) -> int:
         """Dynamically offer a flow (control messages, query fetches)."""
@@ -470,7 +459,6 @@ class LinkSimulator:
         self._push(time, FLOW_ARRIVAL, j)
         fid = self._inject_id
         self._inject_id -= 1
-        self._own_columns()
         self._cls.append(i)
         self._rem.append(int(size))
         self._arrival.append(time)
@@ -651,19 +639,17 @@ class LinkSimulator:
         """Run the next epoch: begin it, handle every event strictly before
         its end boundary, then bring service up to the boundary and append
         the epoch's row. A plan end wins a tie with an arrival or a query
-        step; the boundary wins every tie at its instant. An event that
-        _busy_period can take starts a call of it, which goes on while
-        events can be taken in place (see the module docstring); the rest
-        go to the handlers."""
+        step; the boundary wins every tie at its instant. A cursor arrival
+        or a completion is first offered to _busy_period, which goes on
+        while events can be taken in place (see the module docstring); when
+        it takes none, the event goes to its handler, as heap events
+        always do."""
         e = self._epoch
         eps = self.link.epoch_s
         self._begin_epoch(e * eps)
         self._in_epoch = True
         t_end = (e + 1) * eps
-        heap, callbacks, cls, rem = self._heap, self._callbacks, self._cls, self._rem
-        queue_of, queued, budget, rank = (self._queue_of, self._queued_bytes, self._budget,
-                                          self._rank)
-        cap = self.link.queue_capacity_bytes
+        heap = self._heap
         inf = math.inf
         while True:
             plan = self._plan
@@ -673,13 +659,8 @@ class LinkSimulator:
             t_heap = heap[0][0] if heap else inf
             if t_next < t_plan and (t_next < t_heap or (t_next == t_heap and heap[0] > (
                     t_next, FLOW_ARRIVAL, self._seqs[pos - self._first]))):
-                if t_next < t_heap:
-                    q = queue_of[cls[pos]]
-                    if plan is None or not (
-                            (rem[pos] > cap - queued[q] and q == plan.queue)
-                            or (rank[q] < rank[plan.queue] and budget[q] > 0)):
-                        self._busy_period(t_end)
-                        continue
+                if self._busy_period(t_end):
+                    continue
                 self._pos = pos + 1
                 self.now = t_next
                 self._handle_arrival(t_next, pos)
@@ -694,11 +675,9 @@ class LinkSimulator:
                     if self._plan is None:
                         self._replan(time)
             elif t_plan < t_end:
-                if plan.flow in callbacks:
+                if not self._busy_period(t_end):
                     self.now = t_plan
                     self._complete()
-                else:
-                    self._busy_period(t_end)
             else:
                 break
         self.now = t_end
@@ -707,7 +686,7 @@ class LinkSimulator:
         self._epoch = e + 1
         self._in_epoch = False
 
-    def _busy_period(self, t_end: float) -> None:
+    def _busy_period(self, t_end: float) -> int:
         """Take events in time order, strictly before t_end, while each can
         be taken in place (see the module docstring): a cursor arrival that
         cannot preempt the plan and whose drop test needs no service
@@ -720,8 +699,8 @@ class LinkSimulator:
         otherwise _replan picks it. The call returns at the first event that
         needs a handler: a preemption, a drop on the queue in service, the
         completion of a flow with a callback, a heap entry (and any tie with
-        one), or the boundary. The caller makes sure the first event can be
-        taken.
+        one), or the boundary. Returns the number of events taken, 0 when
+        the first one needs a handler.
         """
         heap = self._heap
         t_heap = heap[0][0] if heap else math.inf
@@ -738,7 +717,7 @@ class LinkSimulator:
         m = self.metrics
         failed = m.failed_flow_ids
         largest = m.max_flow_size
-        completed = 0
+        completed = served = 0
         now = self.now
         replanned = True
         while True:
@@ -754,6 +733,7 @@ class LinkSimulator:
             if end <= t_next and end <= t_heap and end < t_end:
                 if callbacks and j in callbacks:
                     break
+                served += 1
                 now = end
                 nbytes = limit - done
                 left = rem[j] - nbytes
@@ -816,11 +796,13 @@ class LinkSimulator:
         if plan is not None:
             plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
                 q, start, end, j, limit, done)
-        m.flows_offered += pos - self._pos
+        taken = pos - self._pos
+        m.flows_offered += taken
         self._pos = pos
         self.now = now
         m.flows_completed += completed
         m.max_flow_size = largest
+        return taken + served
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run the next n_epochs control epochs, then stop.

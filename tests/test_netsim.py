@@ -757,7 +757,8 @@ class _RecordingSim(LinkSimulator):
     """Logs the handlers the loop runs: epoch finalize and every flow
     offered, by the arrival handler or in a busy period, here; completion
     callbacks and query steps through the flows and steps a test offers.
-    `runs` lists how many arrivals each busy period took."""
+    `runs` lists how many arrivals each busy period took, for each call
+    that took an event."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -774,10 +775,12 @@ class _RecordingSim(LinkSimulator):
 
     def _busy_period(self, t_end):
         first = self._pos
-        super()._busy_period(t_end)
+        taken = super()._busy_period(t_end)
         self.log.extend((self._arrival[j], f"arrival {self._fid[j]}")
                         for j in range(first, self._pos))
-        self.runs.append(self._pos - first)
+        if taken:
+            self.runs.append(self._pos - first)
+        return taken
 
 
 class TestTraceCursor:
@@ -917,6 +920,25 @@ class TestTraceCursor:
         split.add_flows(early)
         split.schedule_at(2.0, lambda s, t: s.add_flows(late))
         assert _outcome(whole.run_epochs(12)) == _outcome(split.run_epochs(12))
+
+    def test_trace_added_in_parts_takes_one_entry_per_flow(self):
+        # Each part is merged with the unread rest of the cursor; the rest's
+        # old entries are reused unless an injected flow follows them.
+        link = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
+        flows = regular_flows(A_WEB, 7.0, 900, 6.0)[:40]
+        whole = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        whole.add_flows(flows)
+        whole.inject_flow(1.0, 500, A_WEB)
+        parts = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        sizes = []
+        for j in range(0, len(flows), 10):
+            parts.add_flows(flows[j:j + 10])
+            sizes.append(len(parts._cls))
+        assert sizes == list(range(10, len(flows) + 1, 10))
+        parts.inject_flow(1.0, 500, A_WEB)
+        parts.add_flows([])  # the injected flow keeps its entry; the cursor moves past it
+        assert len(parts._cls) == 2 * len(flows) + 1
+        assert _outcome(whole.run_epochs(12)) == _outcome(parts.run_epochs(12))
 
 
 def _outcome(m):
