@@ -9,12 +9,13 @@ import itertools
 import json
 import os
 import random
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from hcqsim.config import load_config
+from hcqsim.config import load_config, parse_config
 from hcqsim.control import (
     COST_TIE_ABS,
     COST_TIE_REL,
@@ -295,12 +296,22 @@ GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "examples_config", "demo.json")
 
 
+def nine_class_config():
+    """The benchmark's nine-class workload at setup seed 0: all nine classes
+    closed at k = 9, grid 5, with an identified model and control messages."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    return parse_config(workloads.nine_class_dict(0), source="nine-class")
+
+
 def run_digests(s1_outcome, s2_outcome, out_dir) -> dict:
-    """SHA-256 of every file in the canned scenarios' and the demo config's
-    run directories."""
+    """SHA-256 of every file in the canned scenarios', the demo config's and
+    the nine-class workload's run directories."""
     s2 = s2_outcome[0].result
     runs = (("s1-histogram", s1_outcome[0].result), ("s2-congested", s2.congested),
-            ("s2-idle", s2.idle), ("demo", run_scenario(load_config(DEMO_CONFIG))))
+            ("s2-idle", s2.idle), ("demo", run_scenario(load_config(DEMO_CONFIG))),
+            ("nine-class", run_scenario(nine_class_config())))
     return {
         name: {rel: hashlib.sha256(blob).hexdigest()
                for rel, blob in sorted(_run_files(result, out_dir / name).items())}
