@@ -287,7 +287,7 @@ def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
         A = _matrix(mnode.take("A", object), f"{mnode.path}.A", n, n)
         B = _matrix(mnode.take("B", object), f"{mnode.path}.B", n, m)
         mnode.finish()
-        model = _build(mnode.path, StateSpaceModel, A, B, control_bounds=control_bounds)
+        model = StateSpaceModel(A, B, control_bounds=control_bounds)
     elif raw_model != IDENTIFY_FROM_WARMUP:
         raise ConfigError(
             f"{node.path}.model",

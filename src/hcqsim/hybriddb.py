@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .metrics import quantile_nearest_rank
+from .metrics import quantiles_nearest_rank
 from .netsim import FeedbackMode, LinkSimulator, LinkSpec
 from .traffic import AppKind, Trace, TrafficClassLabel, ZoneClass, canonical_class_order
 
@@ -370,10 +370,11 @@ def run_experiment(
     for proto, results in ((Protocol.LOCAL_4STEP, local_results),
                            (Protocol.HYBRID_5STEP, hybrid_results)):
         vals = sorted(r.latency_s for r in results)
+        p50, p95 = quantiles_nearest_rank(vals, (0.50, 0.95))
         summary[proto.value] = {
             "mean": sum(vals) / len(vals) if vals else float("nan"),
-            "p50": quantile_nearest_rank(vals, 0.50),
-            "p95": quantile_nearest_rank(vals, 0.95),
+            "p50": p50,
+            "p95": p95,
         }
     return ExperimentResult(scenario_id=scenario_id,
                             rows=list(zip(local_results, hybrid_results)), summary=summary,

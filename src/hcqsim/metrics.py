@@ -64,13 +64,14 @@ def build_histogram(samples, edges) -> Histogram:
     return Histogram(edges=edges, counts=tuple(counts), underflow=under, overflow=over)
 
 
-def quantile_nearest_rank(values, p: float) -> float:
-    """Nearest-rank quantile on a copy of values; nan when empty."""
+def quantiles_nearest_rank(values, ps) -> tuple[float, ...]:
+    """Nearest-rank quantile of values at each p of ps, every rank read from
+    one sorted copy; nan for each when values is empty."""
     if not values:
-        return float("nan")
+        return (float("nan"),) * len(ps)
     vals = sorted(values)
-    k = max(1, math.ceil(p * len(vals)))
-    return vals[k - 1]
+    n = len(vals)
+    return tuple(vals[max(1, math.ceil(p * n)) - 1] for p in ps)
 
 
 def variance_two_pass(values) -> float:
@@ -120,8 +121,7 @@ def _summarize(metrics, mode_name: str) -> ModeSummary:
     p95 = {}
     p99 = {}
     for label, samples in metrics.latencies_s.items():
-        p95[str(label)] = quantile_nearest_rank(samples, 0.95)
-        p99[str(label)] = quantile_nearest_rank(samples, 0.99)
+        p95[str(label)], p99[str(label)] = quantiles_nearest_rank(samples, (0.95, 0.99))
     return ModeSummary(
         mode=mode_name,
         histogram=build_histogram(util, UTILIZATION_EDGES),

@@ -28,7 +28,10 @@ The run loop goes epoch by epoch. Epoch e begins at e * epoch_s, where
 closed mode observes the state, installs the controller's decision and
 sends its control message; then every event strictly before the end
 boundary (e + 1) * epoch_s is handled; then service is brought up to the
-boundary and the epoch's row is appended. Each event is taken from the
+boundary and the epoch's row is appended. What the boundary reads of the
+link and the classes (the bytes an epoch carries, the identity permutation
+a priority order must sort to, the control class's index) is worked out
+once, when the simulator is built. Each event is taken from the
 trace cursor, the event heap or the live plan's end, whichever comes
 first. Only injected flows and query steps enter the heap: trace arrivals
 are read from a cursor over the flow table (below), and service
@@ -87,14 +90,14 @@ at the previous boundary, and the queued counter as it stands.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, sub
+from itertools import chain, cycle, repeat
+from operator import sub
 from typing import Optional
 
 import numpy as np
@@ -165,10 +168,6 @@ class ClassCounters:
     def conserved(self) -> bool:
         return self.arrived == self.delivered + self.dropped + self.queued
 
-
-# A class's (arrived, delivered, dropped) counters, and its queued counter.
-_LEDGER = attrgetter("arrived", "delivered", "dropped")
-_QUEUED = attrgetter("queued")
 
 EPOCH_CSV_HEADER = [
     "epoch",
@@ -258,30 +257,85 @@ class SimMetrics:
                 )
 
     def write_epochs_csv(self, path) -> None:
+        """One row per epoch and class, in the bytes csv.writer would write
+        (no field needs quoting; lines end in \r\n): the counters, the
+        share as "%.9g", the priority rank and the utilization as "%.9g".
+        Share and rank are empty for an epoch run open. Each distinct share
+        and each distinct delivered count is formatted once, and the rows
+        are written a block of epochs at a time."""
         per_epoch = self.link.bytes_per_epoch
         names = [str(label) for label in self.classes]
+        k = len(names)
+        blank = ("",) * k
+        # Shares are keyed by their bits: 0.0 == -0.0, but they print "0"
+        # and "-0". Utilization depends on the delivered count alone.
+        share_text = _Texts(_from_bits)
+        util_text = _Texts(lambda delivered: delivered / per_epoch)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(EPOCH_CSV_HEADER)
-            columns = zip(self.arrived, self.delivered, self.dropped, self.queued,
-                          self.shares, self.ranks)
-            for e, (arrived, delivered, dropped, queued, shares, ranks) in enumerate(columns):
-                for i, name in enumerate(names):
-                    w.writerow([
-                        e, name, arrived[i], delivered[i], dropped[i], queued[i],
-                        "" if shares is None else "%.9g" % shares[i],
-                        "" if ranks is None else ranks[i],
-                        "%.9g" % (delivered[i] / per_epoch),
-                    ])
+            fh.write(",".join(EPOCH_CSV_HEADER) + "\r\n")
+            for first in range(0, self.n_epochs, _CSV_BLOCK_EPOCHS):
+                block = slice(first, first + _CSV_BLOCK_EPOCHS)
+                delivered = self.delivered[block]
+                shares = self.shares[block]
+                if None in shares:  # epochs run open have no shares
+                    share = chain.from_iterable(
+                        blank if row is None else map(share_text.__getitem__, _bits(row))
+                        for row in shares)
+                else:
+                    share = map(share_text.__getitem__, _bits(chain.from_iterable(shares)))
+                rows = zip(
+                    chain.from_iterable(map(repeat, range(first, first + len(delivered)),
+                                            repeat(k))),
+                    cycle(names),
+                    chain.from_iterable(self.arrived[block]),
+                    chain.from_iterable(delivered),
+                    chain.from_iterable(self.dropped[block]),
+                    chain.from_iterable(self.queued[block]),
+                    share,
+                    chain.from_iterable(blank if row is None else row
+                                        for row in self.ranks[block]),
+                    map(util_text.__getitem__, chain.from_iterable(delivered)),
+                )
+                fh.write("".join(map("%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)))
+
+
+# Epochs of rows write_epochs_csv joins per write: large enough to make the
+# writes few, small enough that a long run's file is never held in memory.
+_CSV_BLOCK_EPOCHS = 256
+
+
+class _Texts(dict):
+    """The "%.9g" text of value(key), formatted once per distinct key."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def __missing__(self, key):
+        text = self[key] = "%.9g" % self.value(key)
+        return text
+
+
+def _bits(values) -> array:
+    """The IEEE 754 bit patterns of the values as doubles, as int64s."""
+    return array("q", array("d", values).tobytes())
+
+
+def _from_bits(bits: int) -> float:
+    """The double whose IEEE 754 bit pattern is the int64 bits."""
+    return array("d", array("q", (bits,)).tobytes())[0]
 
 
 def observe_state(counters, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
     """State vector: per-class backlog fractions, then per-class utilization
     of the just-ended epoch. Both sequences are in class-index order."""
-    per_epoch = link.bytes_per_epoch
-    backlog = [c.queued / link.queue_capacity_bytes for c in counters]
-    util = [d / per_epoch for d in last_epoch_delivered]
-    return np.array(backlog + util)
+    return _state(counters, link.queue_capacity_bytes, link.bytes_per_epoch,
+                  last_epoch_delivered)
+
+
+def _state(counters, queue_bytes, per_epoch, last_epoch_delivered) -> np.ndarray:
+    return np.array([c.queued / queue_bytes for c in counters]
+                    + [d / per_epoch for d in last_epoch_delivered])
 
 
 class _ServicePlan:
@@ -362,6 +416,12 @@ class LinkSimulator:
 
         k = len(self.classes)
         self._index = {label: i for i, label in enumerate(self.classes)}
+        # Fixed for the run, so the epoch boundary reads them: the bytes one
+        # epoch of full service carries, the identity permutation a priority
+        # order must sort to, and the control class's index.
+        self._per_epoch = link.bytes_per_epoch
+        self._identity = list(range(k))
+        self._control_class = self._index.get(CONTROL_LABEL)
         self._control_set = ControlBounds.simplex(k)
         self.counters = [ClassCounters() for _ in range(k)]
         if mode is FeedbackMode.CLOSED:
@@ -373,7 +433,7 @@ class LinkSimulator:
         n_queues = len(self._budget)
         self._queues = [deque() for _ in range(n_queues)]
         self._queued_bytes = [0] * n_queues
-        self._priority = list(range(n_queues))
+        self._priority = tuple(range(n_queues))
         self._rank = list(range(n_queues))
         self._shares: Optional[tuple] = None
 
@@ -455,19 +515,24 @@ class LinkSimulator:
             raise ValueError(f"injected flow class {label} not configured for this run")
         if size < 1:
             raise ValueError("injected flow size must be >= 1")
-        j = len(self._cls)
-        self._push(time, FLOW_ARRIVAL, j)
-        fid = self._inject_id
-        self._inject_id -= 1
-        self._cls.append(i)
-        self._rem.append(int(size))
-        self._arrival.append(time)
-        self._fid.append(fid)
+        j = self._inject(time, i, int(size))
         if control:
             self._control.add(j)
         if callback is not None:
             self._callbacks[j] = callback
-        return fid
+        return self._fid[j]
+
+    def _inject(self, time: float, i: int, size: int) -> int:
+        """Append a flow of class index i arriving at time to the table, with
+        the next injected id, and push its arrival; returns its entry."""
+        j = len(self._cls)
+        self._push(time, FLOW_ARRIVAL, j)
+        self._cls.append(i)
+        self._rem.append(size)
+        self._arrival.append(time)
+        self._fid.append(self._inject_id)
+        self._inject_id -= 1
+        return j
 
     def schedule_at(self, time, fn) -> None:
         self._push(time, QUERY_STEP, fn)
@@ -588,46 +653,51 @@ class LinkSimulator:
             raise SimulationError(
                 f"decision at t={self.now} inside epoch {self._epoch}: decisions are "
                 "installed only at epoch boundaries")
-        k = len(self.classes)
-        if len(decision.u) != k:
-            raise SimulationError(f"decision has {len(decision.u)} shares for {k} classes")
-        if not self._control_set.contains(decision.u, tol=1e-9):
-            raise SimulationError(f"decision shares outside the control set: {decision.u}")
-        if sorted(decision.priority_order) != list(range(k)):
-            raise SimulationError(f"invalid priority order: {decision.priority_order}")
-        per_epoch = self.link.bytes_per_epoch
+        u, order, k = decision.u, decision.priority_order, len(self._identity)
+        if len(u) != k:
+            raise SimulationError(f"decision has {len(u)} shares for {k} classes")
+        if not self._control_set.contains(u, tol=1e-9):
+            raise SimulationError(f"decision shares outside the control set: {u}")
+        if sorted(order) != self._identity:
+            raise SimulationError(f"invalid priority order: {order}")
+        per_epoch = self._per_epoch
         # 1e-6-byte nudge absorbs float representation error in u_i.
-        self._budget = [int(u * per_epoch + 1e-6) for u in decision.u]
-        self._priority = list(decision.priority_order)
-        for pos, q in enumerate(self._priority):
-            self._rank[q] = pos
-        self._shares = tuple(decision.u)
+        self._budget = [int(v * per_epoch + 1e-6) for v in u]
+        self._priority = order = tuple(order)
+        rank = self._rank
+        for pos, q in enumerate(order):
+            rank[q] = pos
+        self._shares = tuple(u)
 
     def _finalize_epoch(self) -> None:
         """Append the ending epoch's row to each column of the metrics."""
-        cs = self.counters
-        now = tuple(zip(*map(_LEDGER, cs)))
-        prev = self._at_boundary
+        arrived, delivered, dropped, queued = [], [], [], []
+        for c in self.counters:
+            arrived.append(c.arrived)
+            delivered.append(c.delivered)
+            dropped.append(c.dropped)
+            queued.append(c.queued)
+        prev_arrived, prev_delivered, prev_dropped = self._at_boundary
+        self._at_boundary = arrived, delivered, dropped
         m = self.metrics
-        m.arrived.append(tuple(map(sub, now[0], prev[0])))
-        m.delivered.append(tuple(map(sub, now[1], prev[1])))
-        m.dropped.append(tuple(map(sub, now[2], prev[2])))
-        self._at_boundary = now
-        m.queued.append(tuple(map(_QUEUED, cs)))
+        m.arrived.append(tuple(map(sub, arrived, prev_arrived)))
+        m.delivered.append(tuple(map(sub, delivered, prev_delivered)))
+        m.dropped.append(tuple(map(sub, dropped, prev_dropped)))
+        m.queued.append(tuple(queued))
         m.shares.append(self._shares)
         m.ranks.append(None if self._shares is None else tuple(self._rank))
 
     def _begin_epoch(self, t: float) -> None:
         if self.mode is not FeedbackMode.CLOSED:
             return
-        delivered = self.metrics.delivered
-        x = observe_state(self.counters, self.link,
-                          delivered[-1] if delivered else (0,) * len(self.classes))
+        m = self.metrics
+        last = m.delivered[-1] if m.delivered else (0,) * len(self._identity)
+        x = _state(self.counters, self.link.queue_capacity_bytes, self._per_epoch, last)
         decision = self.controller.decide(x, self._epoch)
         self.apply_decision(decision)
-        self.metrics.state_history.append((x, np.array(decision.u)))
+        m.state_history.append((x, np.array(decision.u)))
         if self.control_message_bytes > 0:
-            self.inject_flow(t, self.control_message_bytes, CONTROL_LABEL, control=True)
+            self._control.add(self._inject(t, self._control_class, self.control_message_bytes))
         self._replan(t)
 
     def _active(self) -> bool:
@@ -860,7 +930,7 @@ class LinkSimulator:
         m = self.metrics
         message = [0] * len(self.classes)
         if self.control_message_bytes:
-            message[self._index[CONTROL_LABEL]] = self.control_message_bytes
+            message[self._control_class] = self.control_message_bytes
         delivered = m.delivered[-1]
         if (list(m.arrived[-1]) != message
                 or any(d and q for d, q in zip(delivered, m.queued[-1]))

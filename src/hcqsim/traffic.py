@@ -108,6 +108,16 @@ class TrafficClassLabel:
             raise ValueError("class C traffic carries no app kind")
         if self.zone_class is not ZoneClass.C and not has_kind:
             raise ValueError(f"class {self.zone_class.value} traffic requires an app kind")
+        # Labels key the simulator's class index, so the hash is taken once,
+        # with the value the generated __hash__ would give.
+        object.__setattr__(self, "_hash", hash((self.zone_class, self.app_kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Enum hashes are salted per process: an unpickled label hashes anew.
+        return TrafficClassLabel, (self.zone_class, self.app_kind)
 
     def sort_key(self) -> tuple[int, int]:
         c = _CLASS_ORDER.index(self.zone_class)

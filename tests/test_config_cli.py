@@ -319,20 +319,6 @@ class TestConfigParsing:
         err = config_error_after(edits)
         assert (err.path, str(err)) == (path, f"{path}: {message}")
 
-    def test_single_fault_model_constructor(self, monkeypatch):
-        # The reader checks a fixed model's shape and finiteness itself, so a
-        # StateSpaceModel error is forced here to pin where it is reported.
-        def refuse(*args, **kwargs):
-            raise ValueError("model refused")
-
-        raw = minimal_config()
-        raw["controller"]["model"] = {"A": np.eye(4).tolist(), "B": np.ones((4, 2)).tolist()}
-        monkeypatch.setattr("hcqsim.config.StateSpaceModel", refuse)
-        with pytest.raises(ConfigError) as err:
-            parse_config(raw)
-        assert (err.value.path, str(err.value)) == (
-            "config.controller.model", "config.controller.model: model refused")
-
     @pytest.mark.parametrize("keys,path,message", [
         (("controller", "grid"), "config.controller.grid", "expected an integer, got None"),
         (("seed",), "config.seed", "expected an integer, got None"),

@@ -16,6 +16,7 @@ from hcqsim.control import (
     InfeasibleControlSetError,
     MpcController,
     StateSpaceModel,
+    _descending,
     _feasible_levels,
     allocate_control,
     check_stability,
@@ -605,7 +606,67 @@ class TestDecideBitIdentity:
                     ctrl.decide(x.tolist(), 0)
 
 
+# Values that order or compare unlike plain numbers: signed zeros, NaN and
+# the infinities, next to ties and ordinary floats.
+ODD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf, 5e-324, 1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestDescendingOrder:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(ODD_FLOATS, st.integers(-3, 3).map(float)), max_size=12))
+    def test_same_order_as_the_tuple_key(self, values):
+        # The priority sort of the parent: descending value, ties by index.
+        want = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        assert _descending(np.array(values, dtype=float)) == want
+
+    def test_ties_by_index(self):
+        assert _descending(np.array([0.5, 1.0, 0.5, -0.0, 0.0, 1.0])) == [1, 5, 0, 2, 3, 4]
+
+
+def reference_contains(bounds, u, tol=0.0):
+    """ControlBounds.contains as one loop over the components."""
+    if type(u) is not tuple:
+        u = tuple(np.asarray(u, dtype=float).reshape(-1).tolist())
+    if len(u) != len(bounds.lo):
+        return False
+    for v, lo, hi in zip(u, bounds.lo, bounds.hi):
+        if not lo - tol <= v <= hi + tol:
+            return False
+    return sum(u) <= 1.0 + tol
+
+
+@st.composite
+def bounds_and_shares(draw):
+    """A control set (the simplex, or a box in [0, 1] with edges on a 1/8
+    lattice) and shares near its edges, at a tolerance of the ones in use,
+    zero, a tiny or a negative one, or NaN."""
+    m = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        bounds = ControlBounds.simplex(m)
+    else:
+        pairs = [sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2)))
+                 for _ in range(m)]
+        bounds = ControlBounds(tuple(a / 8 for a, _ in pairs), tuple(b / 8 for _, b in pairs))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 2.0 ** -20, -1e-9, np.nan]))
+    edge = st.sampled_from([-tol, 1.0 + tol, 0.5 + tol, 1.0 / m if m else 1.0])
+    near = edge.flatmap(lambda v: st.sampled_from(
+        [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]))
+    component = st.one_of(ODD_FLOATS, near, st.integers(0, 1))
+    length = draw(st.sampled_from([m, m, m, m + 1, max(m - 1, 0)]))
+    return bounds, tuple(draw(st.lists(component, min_size=length, max_size=length))), tol
+
+
 class TestControlBoundsContains:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bounds_and_shares())
+    def test_same_verdict_as_one_loop(self, case):
+        bounds, u, tol = case
+        assert bounds.contains(u, tol=tol) == reference_contains(bounds, u, tol=tol)
+        assert bounds.contains(list(u), tol=tol) == reference_contains(bounds, list(u), tol=tol)
+
     def test_non_finite_outside(self):
         s = ControlBounds.simplex(2)
         for v in (np.nan, np.inf, -np.inf):

@@ -12,7 +12,7 @@ from hcqsim.metrics import (
     compare_modes,
     export_report,
     fmt,
-    quantile_nearest_rank,
+    quantiles_nearest_rank,
     report_rows,
     variance_two_pass,
     write_report_csv,
@@ -102,9 +102,22 @@ class TestHistogram:
 class TestQuantilesAndVariance:
     def test_nearest_rank_quantiles(self):
         vals = [1.0, 2.0, 3.0, 4.0]
-        assert quantile_nearest_rank(vals, 0.50) == 2.0
-        assert quantile_nearest_rank(vals, 0.95) == 4.0
-        assert math.isnan(quantile_nearest_rank([], 0.5))
+        assert quantiles_nearest_rank(vals, (0.50,)) == (2.0,)
+        assert quantiles_nearest_rank(vals, (0.95,)) == (4.0,)
+        p50, p95 = quantiles_nearest_rank([], (0.5, 0.95))
+        assert math.isnan(p50) and math.isnan(p95)
+
+    def test_many_ranks_from_one_sorted_copy(self):
+        # Each rank is the ceil(p * n)-th smallest value (the first at p = 0),
+        # whatever the order the values come in; the input is left as it was.
+        vals = [float(v) for v in range(1, 101)]
+        random.Random("ranks").shuffle(vals)
+        given_order = list(vals)
+        ps = (0.0, 0.01, 0.015, 0.5, 0.95, 0.99, 1.0)
+        assert quantiles_nearest_rank(vals, ps) == (1.0, 1.0, 2.0, 50.0, 95.0, 99.0, 100.0)
+        assert vals == given_order
+        assert quantiles_nearest_rank([7.0], ps) == (7.0,) * len(ps)
+        assert quantiles_nearest_rank([3.0, 1.0, 2.0], ()) == ()
 
     def test_two_pass_matches_streaming_oracle(self):
         rng = random.Random("var/oracle")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import heapq
@@ -24,9 +25,11 @@ from hcqsim.netsim import (
     CONTROL_LABEL,
     FLOW_ARRIVAL,
     QUERY_STEP,
+    EPOCH_CSV_HEADER,
     FeedbackMode,
     LinkSimulator,
     LinkSpec,
+    SimMetrics,
     SimulationError,
     observe_state,
     run_simulation,
@@ -41,6 +44,7 @@ from hcqsim.traffic import (
     TrafficProfile,
     Zone,
     ZoneClass,
+    canonical_class_order,
     classify,
     generate_trace,
 )
@@ -217,6 +221,99 @@ class TestScheduler:
         # byte budget during the first second is irrelevant at t=0)
         assert c.dropped == 6_000 - 0  # 16000 - 10000 accepted at t=0
         m.assert_conservation()
+
+
+def reference_write_epochs_csv(m, path):
+    """The epoch CSV written one csv.writer row at a time."""
+    per_epoch = m.link.bytes_per_epoch
+    names = [str(label) for label in m.classes]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(EPOCH_CSV_HEADER)
+        columns = zip(m.arrived, m.delivered, m.dropped, m.queued, m.shares, m.ranks)
+        for e, (arrived, delivered, dropped, queued, shares, ranks) in enumerate(columns):
+            for i, name in enumerate(names):
+                w.writerow([
+                    e, name, arrived[i], delivered[i], dropped[i], queued[i],
+                    "" if shares is None else "%.9g" % shares[i],
+                    "" if ranks is None else ranks[i],
+                    "%.9g" % (delivered[i] / per_epoch),
+                ])
+
+
+ALL_LABELS = canonical_class_order(
+    [TrafficClassLabel(zc, ak) for zc in (ZoneClass.A, ZoneClass.B) for ak in AppKind]
+    + [TrafficClassLabel(ZoneClass.C)])
+
+# Shares as the writer may meet them: signed zeros, which compare equal but
+# print "0" and "-0", subnormals, NaN and the infinities, ints and any float.
+ODD_SHARES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1 / 3,
+                     math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 2**70),
+)
+BYTES = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 2**80))
+# Per class count k: a row of byte counts, of shares and of ranks.
+BYTE_ROWS, SHARE_ROWS, RANK_ROWS = ({k: strategy(k) for k in range(1, 10)} for strategy in (
+    lambda k: st.tuples(*[BYTES] * k),
+    lambda k: st.tuples(*[ODD_SHARES] * k),
+    lambda k: st.permutations(range(k)).map(tuple),
+))
+
+
+@st.composite
+def epoch_columns(draw):
+    """SimMetrics with 1 to 9 classes and up to 5 epoch rows, each row open
+    (no shares or ranks) or closed, on a link with an odd epoch size."""
+    classes = tuple(label for label in ALL_LABELS if draw(st.booleans())) or ALL_LABELS[-1:]
+    k = len(classes)
+    link = LinkSpec(capacity_bps=draw(st.sampled_from([8e3, 1e7, 3e9, 12345.678])),
+                    queue_capacity_bytes=10**6,
+                    epoch_s=draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3])))
+    m = SimMetrics(scenario_id="csv", mode=FeedbackMode.CLOSED, seed=0, link=link,
+                   classes=classes)
+    for _ in range(draw(st.integers(0, 5))):
+        arrived, delivered = draw(BYTE_ROWS[k]), draw(BYTE_ROWS[k])
+        m.arrived.append(arrived)
+        m.delivered.append(delivered)
+        m.dropped.append(arrived[::-1])
+        m.queued.append(tuple(a + d for a, d in zip(arrived, delivered)))
+        closed = draw(st.booleans())
+        m.shares.append(draw(SHARE_ROWS[k]) if closed else None)
+        m.ranks.append(draw(RANK_ROWS[k]) if closed else None)
+    return m
+
+
+class TestEpochsCsv:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(epoch_columns())
+    def test_same_bytes_as_one_row_at_a_time(self, tmp_path_factory, m):
+        out = tmp_path_factory.getbasetemp()
+        reference_write_epochs_csv(m, out / "want.csv")
+        m.write_epochs_csv(out / "got.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_same_bytes_over_many_blocks(self, tmp_path):
+        # 700 epochs span several blocks of rows; open and closed rows mix
+        # within a block, and every share is one of a few values, as under
+        # the MPC grid, with -0.0 after 0.0 has been seen.
+        rng = random.Random("epoch csv")
+        link = LinkSpec(capacity_bps=1e7, queue_capacity_bytes=10**6, epoch_s=0.5)
+        classes = ALL_LABELS[:4]
+        m = SimMetrics(scenario_id="csv", mode=FeedbackMode.CLOSED, seed=0, link=link,
+                       classes=classes)
+        for e in range(700):
+            for col in (m.arrived, m.delivered, m.dropped, m.queued):
+                col.append(tuple(rng.choice([0, 0, 256, rng.randrange(10**6)]) for _ in classes))
+            closed = e < 300 or rng.random() < 0.7
+            m.shares.append(tuple(rng.choice([0.0, 0.25, 0.5, -0.0 if e > 5 else 0.0, 1.0])
+                                  for _ in classes) if closed else None)
+            m.ranks.append(tuple(rng.sample(range(4), 4)) if closed else None)
+        reference_write_epochs_csv(m, tmp_path / "want.csv")
+        m.write_epochs_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert b",-0," in (tmp_path / "got.csv").read_bytes()
 
 
 class TestObserveState:

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import math
+import pickle
 import random
 from array import array
 from operator import itemgetter
@@ -116,6 +118,30 @@ class TestLabels:
         ]
         ordered = canonical_class_order(labels)
         assert [str(x) for x in ordered] == ["A:Database", "A:Service", "B:Web", "C"]
+
+    def test_hash_and_equality_as_generated(self):
+        # The hash is taken once, with the value the dataclass would give,
+        # so sets and dicts of labels keep their order.
+        pairs = [(zc, ak) for zc in (ZoneClass.A, ZoneClass.B) for ak in AppKind]
+        pairs.append((ZoneClass.C, None))
+        labels = [TrafficClassLabel(*pair) for pair in pairs]
+        for pair, label in zip(pairs, labels):
+            assert hash(label) == hash(pair)
+            twin = TrafficClassLabel(*pair)
+            assert twin == label and hash(twin) == hash(label) and twin is not label
+        assert len(set(labels)) == 9
+        assert all(a != b for a, b in itertools.combinations(labels, 2))
+        assert TrafficClassLabel(ZoneClass.C) != (ZoneClass.C, None)
+        assert [str(x) for x in set(labels)] == [
+            str(TrafficClassLabel(*pair)) for pair in set(pairs)]
+
+    def test_unpickled_label_hashes_anew(self):
+        # Enum hashes are salted per process, so a pickled label must not
+        # carry its hash: unpickling rebuilds it through the constructor.
+        label = TrafficClassLabel(ZoneClass.B, AppKind.FILE)
+        object.__setattr__(label, "_hash", 12345)  # as if hashed in another process
+        back = pickle.loads(pickle.dumps(label))
+        assert back == label and hash(back) == hash((ZoneClass.B, AppKind.FILE))
 
 
 class TestFlowValidation:
