@@ -299,9 +299,10 @@ class SimMetrics:
                 fh.write("".join(map("%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)))
 
 
-# Epochs of rows write_epochs_csv joins per write: large enough to make the
-# writes few, small enough that a long run's file is never held in memory.
-_CSV_BLOCK_EPOCHS = 256
+# Epochs of rows write_epochs_csv joins per write: enough to make the writes
+# few, and at nine classes under the peak memory of one csv.writer row at a
+# time, so a long run's file is never held in memory.
+_CSV_BLOCK_EPOCHS = 32
 
 
 class _Texts(dict):

@@ -299,7 +299,9 @@ DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "examples_confi
 def nine_class_config():
     """The benchmark's nine-class workload at setup seed 0: all nine classes
     closed at k = 9, grid 5, with an identified model and control messages."""
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
     import workloads
 
     return parse_config(workloads.nine_class_dict(0), source="nine-class")
