@@ -258,7 +258,7 @@ class SimMetrics:
 
     def write_epochs_csv(self, path) -> None:
         """One row per epoch and class, in the bytes csv.writer would write
-        (no field needs quoting; lines end in \r\n): the counters, the
+        (no field needs quoting; lines end in CR LF): the counters, the
         share as "%.9g", the priority rank and the utilization as "%.9g".
         Share and rank are empty for an epoch run open. Each distinct share
         and each distinct delivered count is formatted once, and the rows
