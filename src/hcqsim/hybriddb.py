@@ -306,15 +306,16 @@ class ExperimentResult:
     sim_metrics: object
 
     def write_csv(self, path) -> None:
+        """One row per query and protocol, local first, in the bytes
+        csv.writer would write (no field needs quoting; lines end in CR LF),
+        the seconds as "%.9g"."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["query_id", "author", "protocol", "latency_s", "bytes",
-                        "meta_s", "transfer_s", "queue_s"])
-            for local, hybrid in self.rows:
-                for r in (local, hybrid):
-                    w.writerow([r.query_id, r.author, r.protocol.value,
-                                "%.9g" % r.latency_s, r.bytes_moved, "%.9g" % r.meta_s,
-                                "%.9g" % r.transfer_s, "%.9g" % r.queue_s])
+            fh.write("query_id,author,protocol,latency_s,bytes,meta_s,transfer_s,queue_s\r\n")
+            fh.write("".join(
+                "%s,%s,%s,%.9g,%s,%.9g,%.9g,%.9g\r\n" % (
+                    r.query_id, r.author, r.protocol.value, r.latency_s, r.bytes_moved,
+                    r.meta_s, r.transfer_s, r.queue_s)
+                for pair in self.rows for r in pair))
 
 
 def run_experiment(

@@ -82,6 +82,13 @@ the order is decided by kind and seq, as in one heap, so such a tie goes
 to the handlers, which compare the full (time, kind, seq) keys. Heap
 events and query steps always go through the handlers.
 
+An open run that has not begun an epoch and holds no heap entry offers
+the cursor alone: no callback, step or preemption can meet it, and a
+flow's departure is fixed when it is accepted. run_epochs hands such a run
+to the FIFO pass (hcqsim.fifo), which works out the departures in one pass
+and the epoch rows from them, and leaves the simulator at the horizon as
+the event core would. The event core is the pass's reference.
+
 The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one k-tuple to each of the epoch columns: the
 arrived, delivered and dropped counters differenced against their values
@@ -879,12 +886,23 @@ class LinkSimulator:
         """Run the next n_epochs control epochs, then stop.
 
         Arrivals and steps at or after the horizon, the end boundary of the
-        last epoch run, wait for the next call.
+        last epoch run, wait for the next call. An open run that has not
+        begun an epoch and holds no heap entry, so that the cursor is all it
+        offers, takes the FIFO pass (see the module docstring); every other
+        run takes the event core, the pass's reference. Either leaves the
+        same metrics and the same simulator to go on from.
         """
         if n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
-        for _ in range(n_epochs):
-            self._run_epoch()
+        if self.mode is FeedbackMode.OPEN and self._epoch == 0 and not self._heap:
+            # Imported here: a process whose runs never take the pass (closed
+            # runs only) does not load it.
+            from .fifo import fifo_pass
+
+            fifo_pass(self, n_epochs)
+        else:
+            for _ in range(n_epochs):
+                self._run_epoch()
         self.metrics.assert_conservation()
         return self.metrics
 

@@ -1,6 +1,9 @@
+import csv
+import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcqsim.hybriddb import (
     FULL_CORPUS_BYTES,
@@ -13,7 +16,9 @@ from hcqsim.hybriddb import (
     BackendLatency,
     CorpusSpec,
     ExperimentError,
+    ExperimentResult,
     Protocol,
+    QueryResult,
     HybridQueryDriver,
     build_corpus,
     execute_local,
@@ -366,3 +371,41 @@ def test_s2_seeds_that_drop_a_fetch():
             assert "fetch byte reconciliation failed" in str(exc)
             failed.append(seed)
     assert failed == [1, 2, 6, 8, 9, 18]
+
+
+def reference_write_experiment_csv(result, path):
+    """experiment.csv written one csv.writer row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["query_id", "author", "protocol", "latency_s", "bytes",
+                    "meta_s", "transfer_s", "queue_s"])
+        for local, hybrid in result.rows:
+            for r in (local, hybrid):
+                w.writerow([r.query_id, r.author, r.protocol.value,
+                            "%.9g" % r.latency_s, r.bytes_moved, "%.9g" % r.meta_s,
+                            "%.9g" % r.transfer_s, "%.9g" % r.queue_s])
+
+
+# Seconds and counts as the writer may meet them: signed zeros, subnormals,
+# NaN and the infinities, any float, and ints of any size and sign.
+ODD_SECONDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 / 3,
+                     math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+ODD_INTS = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+QUERY_RESULTS = st.builds(
+    QueryResult, query_id=ODD_INTS, author=ODD_INTS, protocol=st.sampled_from(list(Protocol)),
+    latency_s=ODD_SECONDS, bytes_moved=ODD_INTS, meta_s=ODD_SECONDS, transfer_s=ODD_SECONDS,
+    queue_s=ODD_SECONDS, article_ids=st.just(()))
+
+
+class TestExperimentCsv:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(QUERY_RESULTS, QUERY_RESULTS), max_size=12))
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, rows):
+        out = tmp_path_factory.getbasetemp()
+        result = ExperimentResult(scenario_id="csv", rows=rows, summary={}, sim_metrics=None)
+        reference_write_experiment_csv(result, out / "want.csv")
+        result.write_csv(out / "got.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

@@ -34,6 +34,8 @@ from hcqsim.netsim import (
     observe_state,
     run_simulation,
 )
+from hcqsim.runner import build_trace, run_open
+from hcqsim.scenarios import s2_congested_config
 from hcqsim.traffic import (
     AppKind,
     ClassProfile,
@@ -578,10 +580,32 @@ def lattice_runs(draw):
     return link, labels, n_epochs, trace, controller
 
 
+def hold(sim, n_epochs):
+    """Schedule a no-op query step at the end boundary of epoch n_epochs.
+    Pending at the horizon of a run of n_epochs, it keeps the heap non-empty,
+    so an open run takes the event core and not the FIFO pass, and it changes
+    no output."""
+    sim.schedule_at(n_epochs * sim.link.epoch_s, lambda s, t: None)
+
+
+def assert_rows_conserve(m):
+    """The FIFO pass makes no serve, arrival or busy-period call for
+    conservation_checked to check, so check its ledger on every epoch row:
+    each class's queued bytes are the last row's plus those arrived, less
+    those delivered and dropped, and no count is negative."""
+    backlog = (0,) * len(m.classes)
+    for row in zip(m.arrived, m.delivered, m.dropped, m.queued):
+        assert min(map(min, row)) >= 0
+        arrived, delivered, dropped, queued = row
+        backlog = tuple(q + a - d - x for q, a, d, x in zip(backlog, arrived, delivered, dropped))
+        assert queued == backlog
+
+
 def conservation_checked(sim):
     """Check every class's byte conservation after each call of `sim`'s
     ledger-changing methods: a serve, an arrival handled alone and a busy
-    period taken in place."""
+    period taken in place. These are the event core's; an open run checked
+    this way is held on it (see hold)."""
     def checked(method):
         def run(*args):
             result = method(*args)
@@ -603,6 +627,10 @@ class TestPropertyRandomLattice:
         mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
         sim = conservation_checked(LinkSimulator(link, labels, mode, controller=controller))
         sim.add_flows(trace)
+        if controller is None:
+            hold(sim, n_epochs)
+            assert_rows_conserve(run_simulation(trace, link, mode, classes=labels,
+                                                n_epochs=n_epochs))  # the FIFO pass
         m = sim.run_epochs(n_epochs)
         m.assert_conservation()
         if controller is not None:
@@ -965,13 +993,19 @@ class TestTraceCursor:
     def test_second_add_flows_keeps_seq_order_on_ties(self):
         # Flows of the first call come first at a shared instant, as they
         # did when each flow took a heap entry; the queue holds only one.
+        # The event core, held, logs the order of offer; the FIFO pass
+        # offers in the same order, so its outputs are the same.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=1000, epoch_s=1.0)
-        sim = _RecordingSim(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-        sim.add_flows([make_flow(1, 0.5, 800), make_flow(2, 0.75, 10)])
-        sim.add_flows([make_flow(3, 0.5, 800, B_FILE), make_flow(4, 0.25, 10, B_FILE)])
-        m = sim.run_epochs(2)
-        assert [what for t, what in sim.log if what.startswith("arrival")] == [
+        core = _RecordingSim(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        fifo = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        for sim in (core, fifo):
+            sim.add_flows([make_flow(1, 0.5, 800), make_flow(2, 0.75, 10)])
+            sim.add_flows([make_flow(3, 0.5, 800, B_FILE), make_flow(4, 0.25, 10, B_FILE)])
+        hold(core, 2)
+        m, passed = core.run_epochs(2), fifo.run_epochs(2)
+        assert [what for t, what in core.log if what.startswith("arrival")] == [
             "arrival 4", "arrival 1", "arrival 3", "arrival 2"]
+        assert _outcome(passed) == _outcome(m)
         assert m.totals[A_WEB].dropped == 0
         assert m.totals[B_FILE].dropped > 0
 
@@ -1038,6 +1072,60 @@ class TestTraceCursor:
         assert _outcome(whole.run_epochs(12)) == _outcome(parts.run_epochs(12))
 
 
+class TestPathSelection:
+    """An open run of a bare trace takes the FIFO pass, which makes no event
+    core call; every other run takes the event core. A change that sent bare
+    open runs back to the event core would lose the pass and fail here."""
+
+    LINK = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
+    FLOWS = regular_flows(A_WEB, 7.0, 900, 6.0) + regular_flows(B_FILE, 5.0, 1100, 6.0,
+                                                                 start=0.01, fid0=1000)
+
+    def test_a_bare_open_trace_takes_the_pass(self, core_calls):
+        m = run_simulation(self.FLOWS, self.LINK, FeedbackMode.OPEN, n_epochs=12)
+        assert m.flows_offered == len(self.FLOWS) and core_calls == []
+        cfg = s2_congested_config(3)
+        m = run_open(cfg, build_trace(cfg), cfg.classes())
+        assert m.flows_offered > 1000 and core_calls == []
+
+    def test_every_other_run_takes_the_event_core(self, core_calls):
+        def calls(prepare, controller=None, until_idle=False):
+            mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+            sim = LinkSimulator(self.LINK, [A_WEB, B_FILE], mode, controller=controller)
+            sim.add_flows(self.FLOWS)
+            prepare(sim)
+            core_calls.clear()
+            if until_idle:
+                sim.run_until_idle()
+            else:
+                sim.run_epochs(12)
+            return len(core_calls)
+
+        assert calls(lambda sim: sim.schedule_at(3.0, lambda s, t: None)) > 0
+        assert calls(lambda sim: hold(sim, 12)) > 0
+        assert calls(lambda sim: sim.inject_flow(1.0, 500, A_WEB)) > 0
+        assert calls(lambda sim: sim.run_epochs(1)) > 0  # a run that has begun
+        assert calls(lambda sim: None, until_idle=True) > 0
+        assert calls(lambda sim: None, FixedShareController((0.5, 0.5), (0, 1))) > 0
+        model, weights = toy_model_weights(2)
+        assert calls(lambda sim: None, MpcController(model, weights, 3, 11)) > 0
+
+    def test_byte_counts_past_2_53_stay_exact(self, core_calls):
+        # The pass counts bytes in ints, as the event core does: 2**53 + 1 is
+        # not a double, so a float sum would round it.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=2**62, epoch_s=1.0)
+        sizes = [2**53 - 3, 2, 2]
+        runs = []
+        for held in (False, True):
+            sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+            sim.add_flows([make_flow(j, 0.25 * j, size) for j, size in enumerate(sizes)])
+            if held:
+                assert core_calls == []  # the pass took the first run
+                hold(sim, 2)
+            runs.append(_outcome(sim.run_epochs(2)))
+        assert runs[0] == runs[1] and runs[0][0][0][0] == (2**53 + 1,)
+
+
 def _outcome(m):
     return ((m.arrived, m.delivered, m.dropped, m.queued, m.shares, m.ranks), m.totals,
             m.latencies_s, m.link_utilization, m.flows_offered, m.flows_completed,
@@ -1088,28 +1176,40 @@ class TestPropertyThreeInputs:
         link, labels, n_epochs, idle, controller, trace, shuffled, parts = case
         mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
         outcomes = []
-        for batches in ([trace], [shuffled], list(parts)):
+        # An open run of n_epochs takes the FIFO pass given the Trace or the
+        # parts, and the event core, held, given the shuffled list.
+        for batches, held in (([trace], False), ([shuffled], True), (list(parts), False)):
             sim = conservation_checked(LinkSimulator(link, labels, mode, controller=controller))
             for batch in batches:
                 sim.add_flows(batch)
-            m = sim.run_until_idle() if idle else sim.run_epochs(n_epochs)
+            if idle:
+                m = sim.run_until_idle()
+            else:
+                if held:
+                    hold(sim, n_epochs)
+                m = sim.run_epochs(n_epochs)
+            assert_rows_conserve(m)
             outcomes.append(_outcome(m))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def _run_with_steps(link, labels, controller, check, batches, run, steps):
-    """Run once, with a no-op query step at each of `steps`; each step
-    brings service up to its time before it runs. With `check`, byte
-    conservation is checked after every serve and arrival."""
+def _run_with_steps(link, labels, controller, check, batches, n_epochs, steps):
+    """Run n_epochs, or until idle when None, with a no-op query step at
+    each of `steps`; each step brings service up to its time before it runs.
+    With `check`, byte conservation is checked after every serve and
+    arrival, and an open run of n_epochs is held on the event core even with
+    no step; without it, such a run with no step takes the FIFO pass."""
     mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
     sim = LinkSimulator(link, labels, mode, controller=controller)
     if check:
         conservation_checked(sim)
+        if n_epochs is not None:
+            hold(sim, n_epochs)
     for batch in batches:
         sim.add_flows(batch)
     for t in steps:
         sim.schedule_at(t, lambda s, now: None)
-    return _outcome(run(sim))
+    return _outcome(sim.run_until_idle() if n_epochs is None else sim.run_epochs(n_epochs))
 
 
 def _instants(seed, end):
@@ -1127,8 +1227,7 @@ class TestPropertyPathIndependence:
     def test_lattice_runs(self, case, seed, check):
         link, labels, n_epochs, trace, controller = case
         steps = _instants(seed, n_epochs * link.epoch_s)
-        outcomes = [_run_with_steps(link, labels, controller, check, [trace],
-                                    lambda sim: sim.run_epochs(n_epochs), s)
+        outcomes = [_run_with_steps(link, labels, controller, check, [trace], n_epochs, s)
                     for s in ([], steps)]
         assert outcomes[0] == outcomes[1]
 
@@ -1141,8 +1240,8 @@ class TestPropertyPathIndependence:
             steps = _instants(seed, trace.time[-1]) if len(trace) else []
         else:
             steps = _instants(seed, n_epochs * link.epoch_s)
-        run = LinkSimulator.run_until_idle if idle else (lambda sim: sim.run_epochs(n_epochs))
-        outcomes = [_run_with_steps(link, labels, controller, check, list(parts), run, s)
+        outcomes = [_run_with_steps(link, labels, controller, check, list(parts),
+                                    None if idle else n_epochs, s)
                     for s in ([], steps)]
         assert outcomes[0] == outcomes[1]
 
@@ -1152,8 +1251,7 @@ class TestPropertyPathIndependence:
         link = LinkSpec(capacity_bps=8 * 1_234_567.89, queue_capacity_bytes=2 * 10**8)
         flow = [make_flow(0, 0.1, 10**8)]
         steps = sorted(random.Random(5).uniform(0.0, 90.0) for _ in range(30))
-        plain, stepped = (_run_with_steps(link, [A_WEB], None, False, [flow],
-                                          lambda sim: sim.run_epochs(90), s)
+        plain, stepped = (_run_with_steps(link, [A_WEB], None, False, [flow], 90, s)
                           for s in ([], steps))
         assert plain == stepped
         assert plain[1][A_WEB].delivered == 10**8

@@ -7,11 +7,18 @@ FIFO with eager service at the link's rate, the floor byte-count rule for
 the flow in service (by t it has served min(size - 1, floor(rate * (t -
 start))) bytes, its last one at its end), and a departure at t before an
 arrival at t.
+
+An open run of a bare trace takes the FIFO pass; the same run with a no-op
+step pending at the horizon takes the event core. Both are compared with the
+reference, and with each other on every output and on the state the pass
+hands over.
 """
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from hcqsim.netsim import FeedbackMode, LinkSpec, run_simulation
+from hcqsim.netsim import FeedbackMode, LinkSimulator, LinkSpec, SimMetrics
 from hcqsim.traffic import (
     AppKind,
     ClassProfile,
@@ -25,7 +32,15 @@ from hcqsim.traffic import (
     generate_trace,
 )
 
-from test_netsim import A_ENDPOINTS, A_WEB, B_ENDPOINTS, B_FILE
+from test_netsim import (
+    A_ENDPOINTS,
+    A_WEB,
+    B_ENDPOINTS,
+    B_FILE,
+    hold,
+    lattice_runs,
+    three_inputs,
+)
 
 C_ANY = TrafficClassLabel(ZoneClass.C)
 ENDPOINTS = {A_WEB: A_ENDPOINTS, B_FILE: B_ENDPOINTS, C_ANY: (Zone.INTERNET, Zone.INTERNET)}
@@ -124,18 +139,46 @@ def open_runs(draw):
     return Trace.from_flows(flows), link, n_epochs
 
 
-def simulated(trace, link, n_epochs):
-    m = run_simulation(trace, link, FeedbackMode.OPEN, n_epochs=n_epochs)
+def open_sim(link, labels, batches) -> LinkSimulator:
+    sim = LinkSimulator(link, labels, FeedbackMode.OPEN)
+    for batch in batches:
+        sim.add_flows(batch)
+    return sim
+
+
+def simulated(trace, link, n_epochs, held=False):
+    """An open run's outputs, as open_reference gives them: the FIFO pass,
+    or with `held` the event core. n_epochs None runs until idle, which the
+    event core does."""
+    sim = open_sim(link, trace.labels, [trace])
+    if n_epochs is None:
+        m = sim.run_until_idle()
+    else:
+        if held:
+            hold(sim, n_epochs)
+        m = sim.run_epochs(n_epochs)
     dropped = {label: c.dropped for label, c in m.totals.items()}
     return m.latencies_s, m.failed_flow_ids, dropped, (m.arrived, m.delivered, m.dropped, m.queued)
+
+
+def both_paths_match(trace, link, n_epochs=None):
+    """The run on each path, and until idle when n_epochs is None, matches
+    the reference; a run until idle is also run on both paths for as many
+    epochs as it took."""
+    want = open_reference(trace, link, n_epochs)
+    if n_epochs is None:
+        assert simulated(trace, link, None) == want
+        n_epochs = len(want[3][0])
+    assert simulated(trace, link, n_epochs) == want
+    assert simulated(trace, link, n_epochs, held=True) == want
+    return want
 
 
 class TestOpenReference:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(open_runs())
     def test_small_runs_match_the_reference(self, case):
-        trace, link, n_epochs = case
-        assert simulated(trace, link, n_epochs) == open_reference(trace, link, n_epochs)
+        both_paths_match(*case)
 
     def test_generated_trace_matches_the_reference(self):
         # Two on/off classes offering about three quarters of a 1 MB/s link
@@ -149,6 +192,73 @@ class TestOpenReference:
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=200_000,
                         propagation_delay_s=0.002, epoch_s=0.5)
         trace = generate_trace(profile, 60.0, seed=11)
-        got = simulated(trace, link, None)
-        assert got == open_reference(trace, link)
+        got = both_paths_match(trace, link)
         assert sum(map(len, got[0].values())) > 1000 and sum(got[2].values()) > 0
+
+
+def every_field(m: SimMetrics) -> dict:
+    """Each SimMetrics field by name, as its repr, so that floats compare bit
+    for bit (-0.0 apart from 0.0)."""
+    return {f.name: repr(getattr(m, f.name)) for f in dataclasses.fields(m)}
+
+
+@st.composite
+def open_cases(draw):
+    """An open run as (link, classes, batches for add_flows, n_epochs): an
+    open_runs trace, the flows of an open lattice_runs case, or the flows of
+    an open three_inputs case as one shuffled FlowEvent list or in two
+    shuffled parts. Half are open_runs, whose queues fill to the byte where
+    departures and arrivals meet."""
+    kind = draw(st.sampled_from(["open_runs"] * 3 + ["lattice_runs", "shuffled", "parts"]))
+    if kind == "open_runs":
+        trace, link, n_epochs = draw(open_runs())
+        return link, trace.labels, [trace], n_epochs or draw(st.integers(1, 6))
+    if kind == "lattice_runs":
+        link, labels, n_epochs, flows, _ = draw(lattice_runs().filter(lambda c: c[4] is None))
+        return link, labels, [flows], n_epochs
+    link, labels, n_epochs, _, _, _, shuffled, parts = draw(
+        three_inputs().filter(lambda c: c[4] is None))
+    return link, labels, [shuffled] if kind == "shuffled" else list(parts), n_epochs
+
+
+class TestFifoPass:
+    """The FIFO pass against the event core, its reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(open_cases())
+    def test_every_field_matches_the_event_core(self, case):
+        link, labels, batches, n_epochs = case
+        core = open_sim(link, labels, batches)
+        hold(core, n_epochs)
+        assert every_field(open_sim(link, labels, batches).run_epochs(n_epochs)) == every_field(
+            core.run_epochs(n_epochs))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(open_cases(), st.data())
+    def test_the_event_core_goes_on_from_the_pass(self, case, data):
+        # The pass runs j epochs; then a flow with a callback and a step that
+        # reads the ledger are offered, and the event core runs on. The run
+        # held on the event core from the start must see and give the same.
+        link, labels, batches, n_epochs = case
+        eps = link.epoch_s
+        j = data.draw(st.integers(1, n_epochs))
+        rest = n_epochs + 1 - j
+        lattice = st.integers(0, int(8 * rest * eps) - 1).map(lambda q: j * eps + q / 8)
+        t_flow, t_step = data.draw(lattice), data.draw(lattice)
+        size = data.draw(st.integers(1, 3000))
+        label = data.draw(st.sampled_from(labels))
+        runs = []
+        for held in (False, True):
+            sim = open_sim(link, labels, batches)
+            if held:
+                hold(sim, j)
+            sim.run_epochs(j)
+            if not held:
+                hold(sim, j)  # the same heap entries, in the same seq order
+            log = []
+            sim.inject_flow(t_flow, size, label,
+                            callback=lambda s, t: log.append(("served", t, s.now)))
+            sim.schedule_at(t_step, lambda s, t: log.append(
+                ("step", t, [dataclasses.astuple(c) for c in s.counters])))
+            runs.append((every_field(sim.run_epochs(rest)), log))
+        assert runs[0] == runs[1]

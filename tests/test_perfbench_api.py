@@ -69,3 +69,13 @@ def test_s1_traced_round_writes_the_untraced_files_and_passes_its_checks(tmp_pat
                                "hist.svg", "histogram.csv", "open/epochs.csv", "report.csv"]
     assert runs[0] == runs[1]
     assert checks.check_round("s1-histogram", traced, str(tmp_path)) == []
+
+
+def test_the_traced_open_run_takes_the_fifo_pass(core_calls):
+    # The traced round times the simulator through workloads._simulate, which
+    # must reach the FIFO pass as runner.run_open does.
+    from hcqsim.netsim import FeedbackMode
+
+    sc = workloads.WORKLOADS["s1-histogram"].setup(0)
+    m = workloads._simulate(sc.cfg, sc.trace, sc.classes, tracing.Tracer(), FeedbackMode.OPEN)
+    assert m.flows_offered > 40_000 and core_calls == []
