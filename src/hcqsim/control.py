@@ -308,14 +308,14 @@ def check_stability(model: StateSpaceModel) -> StabilityResult:
 
 
 def save_model_csv(model: StateSpaceModel, path) -> None:
-    """Row-major CSV with `# A n x n` / `# B n x m` section headers."""
+    """Row-major CSV with `# A n x n` / `# B n x m` section headers, each
+    value as "%.17g"."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# A {model.n} x {model.n}\n")
-        for row in model.A:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-        fh.write(f"# B {model.n} x {model.m}\n")
-        for row in model.B:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for name, M in (("A", model.A), ("B", model.B)):
+            rows, cols = M.shape
+            fh.write(f"# {name} {rows} x {cols}\n")
+            line = ",".join(["%.17g"] * cols) + "\n"
+            fh.write("".join(line % tuple(row) for row in M.tolist()))
 
 
 class MpcController:

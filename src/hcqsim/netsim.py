@@ -27,7 +27,7 @@ segment's sub-byte progress (the remainder stays queued).
 The run loop goes epoch by epoch. Epoch e begins at e * epoch_s, where
 closed mode observes the state, installs the controller's decision and
 sends its control message; then every event strictly before the end
-boundary (e + 1) * epoch_s is handled; then service is brought up to the
+boundary (e + 1) * epoch_s is taken; then service is brought up to the
 boundary and the epoch's row is appended. What the boundary reads of the
 link and the classes (the bytes an epoch carries, the identity permutation
 a priority order must sort to, the control class's index) is worked out
@@ -37,10 +37,12 @@ first. Only injected flows and query steps enter the heap: trace arrivals
 are read from a cursor over the flow table (below), and service
 completions from the live plan's end. Ties at one instant are broken by
 kind (epoch boundary, then service completion, then flow arrival, then
-query step), then by seq. A trace flow takes its seq when the trace is
-added, in trace order, so the merge breaks ties exactly as one heap
-holding every event would. The clock never goes back: a flow or step
-before `now` is refused.
+query step), then by seq: a plan end wins a tie with an arrival or a
+step, the boundary wins every tie, and a cursor arrival and a heap entry
+at one instant are ordered by their (time, kind, seq) keys. A trace flow
+takes its seq when the trace is added, in trace order, so the merge breaks
+ties exactly as one heap holding every event would. The clock never goes
+back: a flow or step before `now` is refused.
 
 Every flow, trace or injected, is one entry of a flow table: typed
 columns of class index, bytes not yet served, arrival time and id. Queues,
@@ -51,11 +53,10 @@ the range of entries so appended. Control messages and flow callbacks are
 few, so they are kept apart, in a set and a dict keyed by index, which
 forget a flow when it completes or is dropped whole.
 
-While the link is busy, a FIFO queue follows Lindley's recursion: each
-departure is max(arrival, previous departure) + size / rate. The loop
-takes a whole stretch of busy periods in one call, with its state in
-locals, event by event in time order, applying the same rules with the
-same float operations in the same order as the handlers.
+One loop takes every event of an epoch, with one copy of each rule and
+the run's state in locals. While the link is busy, a FIFO queue follows
+Lindley's recursion: each departure is max(arrival, previous departure) +
+size / rate.
 
 - A completion serves the live plan's flow at its end. If the same queue
   still holds bytes and has budget, its head is the next plan: no queue of
@@ -63,24 +64,18 @@ same float operations in the same order as the handlers.
   preempted and budgets change only at boundaries, where the plan is made
   anew. So the plan moves on to that head, with end = previous end +
   limit / byte_rate. A queue out of bytes or budget is left to the
-  priority scan. A completion is taken at or before the next cursor
-  arrival and the heap top, and strictly before the boundary.
-- A cursor arrival is taken in place when it cannot preempt the plan and
-  its drop test needs no service brought up to date: it fits its queue's
-  free space without crediting any service, or its queue is not the one
-  in service, whose flow alone can have served bytes not yet counted. The
-  accepted bytes join the queue (on an idle link they start a plan), the
-  rest are dropped. It is taken strictly before the plan end, the heap
-  top and the boundary.
+  priority scan.
+- An arrival, from the cursor or the heap, joins its queue with the bytes
+  that fit its free space (on an idle link they start a plan); the rest
+  are dropped. When its drop test or a preemption brings service up to it
+  (see above), the live plan ends after the arrival, so this serves part
+  of the plan's flow and completes none.
 
-A call ends at the first event that needs a handler: a preemption, a drop
-on the queue in service, the completion of a flow with a callback, a heap
-entry, or the boundary. This rule is written only in the loop: the run
-offers it every cursor arrival and completion, and hands the event to its
-handler when the loop takes none. At an instant shared with a heap entry
-the order is decided by kind and seq, as in one heap, so such a tie goes
-to the handlers, which compare the full (time, kind, seq) keys. Heap
-events and query steps always go through the handlers.
+Other code runs at two places only, and can change the run's state there:
+a completion callback and a query step. Around each the loop writes its
+locals back and reads them again. A completion serves its flow, runs the
+callback, then replans; a step brings service up to its time, runs, and
+replans an idle link.
 
 An open run that has not begun an epoch and holds no heap entry offers
 the cursor alone: no callback, step or preemption can meet it, and a
@@ -337,11 +332,7 @@ def _from_bits(bits: int) -> float:
 def observe_state(counters, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
     """State vector: per-class backlog fractions, then per-class utilization
     of the just-ended epoch. Both sequences are in class-index order."""
-    return _state(counters, link.queue_capacity_bytes, link.bytes_per_epoch,
-                  last_epoch_delivered)
-
-
-def _state(counters, queue_bytes, per_epoch, last_epoch_delivered) -> np.ndarray:
+    queue_bytes, per_epoch = link.queue_capacity_bytes, link.bytes_per_epoch
     return np.array([c.queued / queue_bytes for c in counters]
                     + [d / per_epoch for d in last_epoch_delivered])
 
@@ -581,12 +572,6 @@ class LinkSimulator:
             if callback is not None:
                 callback(self, delivery)
 
-    def _complete(self) -> None:
-        """Serve the live plan's remaining bytes at its end, then replan."""
-        plan = self._plan
-        self._serve(plan.queue, plan.flow, plan.limit - plan.done, plan.end)
-        self._replan(plan.end)
-
     def _advance(self, t: float) -> None:
         """Bring service up to time t.
 
@@ -595,64 +580,23 @@ class LinkSimulator:
         floor(byte_rate * (t - start))) bytes served, whatever instants it
         was advanced at before; its last byte is served only at its end.
         """
-        while self._plan is not None and self._plan.end <= t:
-            self._complete()
         plan = self._plan
+        while plan is not None and plan.end <= t:
+            self._serve(plan.queue, plan.flow, plan.limit - plan.done, plan.end)
+            self._replan(plan.end)
+            plan = self._plan
         if plan is not None and t > plan.start:
             nbytes = min(plan.limit - 1, int(self.byte_rate * (t - plan.start))) - plan.done
             if nbytes > 0:
                 self._serve(plan.queue, plan.flow, nbytes, t)
                 plan.done += nbytes
 
-    # -- event handlers ----------------------------------------------------
-
-    def _handle_arrival(self, t: float, j: int) -> None:
-        """Offer flow j of the table at t. Service is brought up to t only
-        when the answer depends on it: the drop test on the queue in
-        service, or a preemption."""
-        i = self._cls[j]
-        size = self._rem[j]
-        q = self._queue_of[i]
-        queued = self._queued_bytes
-        free = self.link.queue_capacity_bytes - queued[q]
-        plan = self._plan
-        if size > free and plan is not None and plan.queue == q:
-            self._advance(t)
-            free = self.link.queue_capacity_bytes - queued[q]
-        accepted = size if size <= free else free
-        dropped = size - accepted
-        c = self.counters[i]
-        c.arrived += size
-        m = self.metrics
-        if j in self._control:
-            c.control_arrived += size
-        m.flows_offered += 1
-        if size > m.max_flow_size:
-            m.max_flow_size = size
-        if dropped:
-            c.dropped += dropped
-        if accepted > 0:
-            self._rem[j] = accepted
-            self._queues[q].append(j)
-            queued[q] += accepted
-            c.queued += accepted
-            if plan is None:
-                self._replan(t)
-            elif self._budget[q] > 0 and self._rank[q] < self._rank[plan.queue]:
-                # Serviceable higher-priority work preempts; the cut
-                # segment's sub-byte progress is dropped.
-                self._advance(t)
-                self._replan(t)
-        else:
-            # Dropped whole: the flow is never served, and its entry is dead.
-            m.failed_flow_ids.append(self._fid[j])
-            self._control.discard(j)
-            self._callbacks.pop(j, None)
+    # -- control and epochs ------------------------------------------------
 
     def apply_decision(self, decision: ControlDecision) -> None:
         """Install shares and priority order for the upcoming epoch; closed
         mode's queue index is the class index. The run installs one at each
-        boundary, and its busy periods rely on budgets changing only
+        boundary, and its event loop relies on budgets changing only
         there, so a call while an epoch runs (from a query step or a flow
         callback) is refused."""
         if self.mode is not FeedbackMode.CLOSED:
@@ -700,7 +644,7 @@ class LinkSimulator:
             return
         m = self.metrics
         last = m.delivered[-1] if m.delivered else (0,) * len(self._identity)
-        x = _state(self.counters, self.link.queue_capacity_bytes, self._per_epoch, last)
+        x = observe_state(self.counters, self.link, last)
         decision = self.controller.decide(x, self._epoch)
         self.apply_decision(decision)
         m.state_history.append((x, np.array(decision.u)))
@@ -714,48 +658,157 @@ class LinkSimulator:
     # -- run loops ----------------------------------------------------------
 
     def _run_epoch(self) -> None:
-        """Run the next epoch: begin it, handle every event strictly before
-        its end boundary, then bring service up to the boundary and append
-        the epoch's row. A plan end wins a tie with an arrival or a query
-        step; the boundary wins every tie at its instant. A cursor arrival
-        or a completion is first offered to _busy_period, which goes on
-        while events can be taken in place (see the module docstring); when
-        it takes none, the event goes to its handler, as heap events
-        always do."""
+        """Run the next epoch: begin it, take every event strictly before
+        its end boundary in one loop (see the module docstring), then bring
+        service up to the boundary and append the epoch's row.
+
+        The inner loop holds the cursor, the live plan and the metrics'
+        counts in locals. It leaves them for a completion callback or a
+        query step, the only places other code runs; the outer loop writes
+        them back, runs that code, and reads them again.
+        """
         e = self._epoch
         eps = self.link.epoch_s
         self._begin_epoch(e * eps)
         self._in_epoch = True
         t_end = (e + 1) * eps
-        heap = self._heap
-        inf = math.inf
+        heap, heappop, inf = self._heap, heapq.heappop, math.inf
+        arrival, cls, rem, fid = self._arrival, self._cls, self._rem, self._fid
+        queue_of, queues, queued = self._queue_of, self._queues, self._queued_bytes
+        budget, rank, counters = self._budget, self._rank, self.counters
+        control, callbacks, latencies = self._control, self._callbacks, self._latencies
+        cap = self.link.queue_capacity_bytes
+        rate = self.byte_rate
+        delay = self.link.propagation_delay_s
+        m = self.metrics
+        failed = m.failed_flow_ids
         while True:
-            plan = self._plan
-            t_plan = plan.end if plan is not None and plan.end < t_end else t_end
-            pos = self._pos
-            t_next = self._arrival[pos] if pos < self._stop else inf
+            pos, stop, first, seqs = self._pos, self._stop, self._first, self._seqs
+            t_next = arrival[pos] if pos < stop else inf
             t_heap = heap[0][0] if heap else inf
-            if t_next < t_plan and (t_next < t_heap or (t_next == t_heap and heap[0] > (
-                    t_next, FLOW_ARRIVAL, self._seqs[pos - self._first]))):
-                if self._busy_period(t_end):
+            offered = completed = 0
+            largest = m.max_flow_size
+            callback = step = None
+            replanned = True
+            while True:
+                if replanned:  # bind the live plan, or mark the link idle
+                    replanned = False
+                    plan = self._plan
+                    if plan is None:
+                        end, busy, serving = inf, -1, -1
+                    else:
+                        q, start, end, j, limit, done = (plan.queue, plan.start, plan.end,
+                                                         plan.flow, plan.limit, plan.done)
+                        queue, busy, serving = queues[q], q, rank[q]
+                if end <= t_next and end <= t_heap and end < t_end:
+                    # The completion of the live plan.
+                    nbytes = limit - done
+                    left = rem[j] - nbytes
+                    rem[j] = left
+                    held = queued[q] - nbytes
+                    queued[q] = held
+                    allowed = budget[q] - nbytes
+                    budget[q] = allowed
+                    i = cls[j]
+                    c = counters[i]
+                    c.delivered += nbytes
+                    c.queued -= nbytes
+                    if control and j in control:
+                        c.control_delivered += nbytes
+                        if left == 0:
+                            control.discard(j)
+                    if left == 0:
+                        queue.popleft()
+                        latencies[i].append(end + delay - arrival[j])
+                        completed += 1
+                        if callbacks and j in callbacks:
+                            callback = callbacks.pop(j)
+                            break
+                    if held > 0 and allowed > 0:
+                        j = queue[0]
+                        limit = rem[j]
+                        if limit > allowed:
+                            limit = allowed
+                        start = end
+                        end = end + limit / rate
+                        done = 0
+                    else:
+                        self._replan(end)
+                        replanned = True
                     continue
-                self._pos = pos + 1
-                self.now = t_next
-                self._handle_arrival(t_next, pos)
-            elif t_heap < t_plan:
-                time, kind, _, payload = heapq.heappop(heap)
-                self.now = time
-                if kind == FLOW_ARRIVAL:
-                    self._handle_arrival(time, payload)
-                else:  # QUERY_STEP
-                    self._advance(time)
-                    payload(self, time)
-                    if self._plan is None:
-                        self._replan(time)
-            elif t_plan < t_end:
-                if not self._busy_period(t_end):
-                    self.now = t_plan
-                    self._complete()
+                if t_next < t_heap or (t_next == t_heap < t_end and heap[0] > (
+                        t_next, FLOW_ARRIVAL, seqs[pos - first])):
+                    if t_next >= t_end:
+                        break
+                    flow, t = pos, t_next
+                    pos += 1
+                    t_next = arrival[pos] if pos < stop else inf
+                elif t_heap < t_end:
+                    t, kind, _, flow = heappop(heap)
+                    t_heap = heap[0][0] if heap else inf
+                    if kind == QUERY_STEP:
+                        step = flow
+                        break
+                else:
+                    break
+                # The arrival of entry `flow` at t.
+                i = cls[flow]
+                size = rem[flow]
+                qa = queue_of[i]
+                free = cap - queued[qa]
+                if size > free and qa == busy:
+                    # The drop test needs the service not yet counted.
+                    plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
+                        q, start, end, j, limit, done)
+                    self._advance(t)
+                    done = plan.done
+                    free = cap - queued[qa]
+                c = counters[i]
+                c.arrived += size
+                offered += 1
+                if size > largest:
+                    largest = size
+                if control and flow in control:
+                    c.control_arrived += size
+                if size > free:
+                    c.dropped += size - free
+                    if free == 0:  # dropped whole: never served, and its entry is dead
+                        failed.append(fid[flow])
+                        control.discard(flow)
+                        callbacks.pop(flow, None)
+                        continue
+                    size = rem[flow] = free
+                c.queued += size
+                queued[qa] += size
+                queues[qa].append(flow)
+                if plan is None:
+                    self._replan(t)
+                    replanned = True
+                elif budget[qa] > 0 and rank[qa] < serving:
+                    # Serviceable higher-priority work preempts; the cut
+                    # segment's sub-byte progress is dropped.
+                    plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
+                        q, start, end, j, limit, done)
+                    self._advance(t)
+                    self._replan(t)
+                    replanned = True
+            if plan is not None:
+                plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
+                    q, start, end, j, limit, done)
+            self._pos = pos
+            m.flows_offered += offered
+            m.flows_completed += completed
+            m.max_flow_size = largest
+            if callback is not None:
+                self.now = end
+                callback(self, end + delay)
+                self._replan(end)
+            elif step is not None:
+                self.now = t
+                self._advance(t)
+                step(self, t)
+                if self._plan is None:
+                    self._replan(t)
             else:
                 break
         self.now = t_end
@@ -763,124 +816,6 @@ class LinkSimulator:
         self._finalize_epoch()
         self._epoch = e + 1
         self._in_epoch = False
-
-    def _busy_period(self, t_end: float) -> int:
-        """Take events in time order, strictly before t_end, while each can
-        be taken in place (see the module docstring): a cursor arrival that
-        cannot preempt the plan and whose drop test needs no service
-        brought up to date, and a completion at the live plan's end.
-
-        An arrival's accepted bytes join its queue, and on an idle link
-        _replan starts a plan. A completion serves the plan's remaining
-        bytes; while the same queue holds bytes and budget, its head is the
-        next plan, with end = previous end + limit / byte_rate, and
-        otherwise _replan picks it. The call returns at the first event that
-        needs a handler: a preemption, a drop on the queue in service, the
-        completion of a flow with a callback, a heap entry (and any tie with
-        one), or the boundary. Returns the number of events taken, 0 when
-        the first one needs a handler.
-        """
-        heap = self._heap
-        t_heap = heap[0][0] if heap else math.inf
-        pos, stop = self._pos, self._stop
-        arrival, cls, rem = self._arrival, self._cls, self._rem
-        t_next = arrival[pos] if pos < stop else math.inf
-        queue_of, queues, queued = self._queue_of, self._queues, self._queued_bytes
-        budget, rank, counters = self._budget, self._rank, self.counters
-        control, callbacks, latencies = self._control, self._callbacks, self._latencies
-        cap = self.link.queue_capacity_bytes
-        rate = self.byte_rate
-        delay = self.link.propagation_delay_s
-        fid = self._fid
-        m = self.metrics
-        failed = m.failed_flow_ids
-        largest = m.max_flow_size
-        completed = served = 0
-        now = self.now
-        replanned = True
-        while True:
-            if replanned:  # bind the live plan, or mark the link idle
-                replanned = False
-                plan = self._plan
-                if plan is None:
-                    end, busy, serving = math.inf, -1, -1
-                else:
-                    q, start, end, j, limit, done = (plan.queue, plan.start, plan.end, plan.flow,
-                                                     plan.limit, plan.done)
-                    queue, busy, serving = queues[q], q, rank[q]
-            if end <= t_next and end <= t_heap and end < t_end:
-                if callbacks and j in callbacks:
-                    break
-                served += 1
-                now = end
-                nbytes = limit - done
-                left = rem[j] - nbytes
-                rem[j] = left
-                held = queued[q] - nbytes
-                queued[q] = held
-                allowed = budget[q] - nbytes
-                budget[q] = allowed
-                i = cls[j]
-                c = counters[i]
-                c.delivered += nbytes
-                c.queued -= nbytes
-                if control and j in control:
-                    c.control_delivered += nbytes
-                    if left == 0:
-                        control.discard(j)
-                if left == 0:
-                    queue.popleft()
-                    latencies[i].append(end + delay - arrival[j])
-                    completed += 1
-                if held > 0 and allowed > 0:
-                    j = queue[0]
-                    limit = rem[j]
-                    if limit > allowed:
-                        limit = allowed
-                    start = end
-                    end = end + limit / rate
-                    done = 0
-                else:
-                    self._replan(end)
-                    replanned = True
-            elif t_next < end and t_next < t_heap and t_next < t_end:
-                i = cls[pos]
-                size = rem[pos]
-                qa = queue_of[i]
-                free = cap - queued[qa]
-                if (size > free and qa == busy) or (rank[qa] < serving and budget[qa] > 0):
-                    break
-                c = counters[i]
-                c.arrived += size
-                if size > largest:
-                    largest = size
-                if size > free:
-                    c.dropped += size - free
-                    size = rem[pos] = free
-                if size > 0:
-                    c.queued += size
-                    queued[qa] += size
-                    queues[qa].append(pos)
-                else:
-                    failed.append(fid[pos])
-                now = t_next
-                pos += 1
-                t_next = arrival[pos] if pos < stop else math.inf
-                if plan is None and size > 0:
-                    self._replan(now)
-                    replanned = True
-            else:
-                break
-        if plan is not None:
-            plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
-                q, start, end, j, limit, done)
-        taken = pos - self._pos
-        m.flows_offered += taken
-        self._pos = pos
-        self.now = now
-        m.flows_completed += completed
-        m.max_flow_size = largest
-        return taken + served
 
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run the next n_epochs control epochs, then stop.

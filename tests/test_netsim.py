@@ -7,6 +7,7 @@ import math
 import os
 import random
 import time
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,7 +389,7 @@ class TestApplyDecision:
     def test_refused_while_an_epoch_runs(self, via):
         # Five 100 B B:File flows and one 100 B A:Web flow at 1000 B/s under
         # shares (0, 1). A decision giving A:Web half the link at 0.05 s
-        # would change budgets mid-epoch, which the busy periods assume
+        # would change budgets mid-epoch, which the event loop assumes
         # never happens: unchecked, it left A:Web waiting until 0.6 s
         # instead of 0.2 s.
         sim = LinkSimulator(LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000),
@@ -589,7 +590,7 @@ def hold(sim, n_epochs):
 
 
 def assert_rows_conserve(m):
-    """The FIFO pass makes no serve, arrival or busy-period call for
+    """The FIFO pass makes no serve, replan or epoch call for
     conservation_checked to check, so check its ledger on every epoch row:
     each class's queued bytes are the last row's plus those arrived, less
     those delivered and dropped, and no count is negative."""
@@ -603,9 +604,10 @@ def assert_rows_conserve(m):
 
 def conservation_checked(sim):
     """Check every class's byte conservation after each call of `sim`'s
-    ledger-changing methods: a serve, an arrival handled alone and a busy
-    period taken in place. These are the event core's; an open run checked
-    this way is held on it (see hold)."""
+    methods that the event loop calls with the ledger settled: a serve, a
+    replan (mid-epoch, after a completion or an arrival) and a whole epoch.
+    These are the event core's; an open run checked this way is held on it
+    (see hold)."""
     def checked(method):
         def run(*args):
             result = method(*args)
@@ -614,7 +616,7 @@ def conservation_checked(sim):
             return result
         return run
 
-    for name in ("_serve", "_handle_arrival", "_busy_period"):
+    for name in ("_serve", "_replan", "_run_epoch"):
         setattr(sim, name, checked(getattr(sim, name)))
     return sim
 
@@ -879,33 +881,42 @@ class TestStall:
 
 
 class _RecordingSim(LinkSimulator):
-    """Logs the handlers the loop runs: epoch finalize and every flow
-    offered, by the arrival handler or in a busy period, here; completion
-    callbacks and query steps through the flows and steps a test offers.
-    `runs` lists how many arrivals each busy period took, for each call
-    that took an event."""
+    """Logs epoch finalize and every flow offered, in the order offered,
+    with its arrival time: a flow is offered when it joins its queue, or
+    when it is dropped whole and its id joins failed_flow_ids. Completion
+    callbacks and query steps log through the flows and steps a test
+    offers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
-        self.runs = []
+        self._queues = [_LoggedQueue(self) for _ in self._queues]
+        self.metrics.failed_flow_ids = _LoggedIds(self)
 
     def _finalize_epoch(self):
         self.log.append((self.now, f"epoch {self.metrics.n_epochs}"))
         super()._finalize_epoch()
 
-    def _handle_arrival(self, t, j):
-        self.log.append((t, f"arrival {self._fid[j]}"))
-        super()._handle_arrival(t, j)
 
-    def _busy_period(self, t_end):
-        first = self._pos
-        taken = super()._busy_period(t_end)
-        self.log.extend((self._arrival[j], f"arrival {self._fid[j]}")
-                        for j in range(first, self._pos))
-        if taken:
-            self.runs.append(self._pos - first)
-        return taken
+class _LoggedQueue(deque):
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+
+    def append(self, j):
+        self.sim.log.append((self.sim._arrival[j], f"arrival {self.sim._fid[j]}"))
+        super().append(j)
+
+
+class _LoggedIds(list):
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+
+    def append(self, flow_id):
+        j = self.sim._fid.index(flow_id)
+        self.sim.log.append((self.sim._arrival[j], f"arrival {flow_id}"))
+        super().append(flow_id)
 
 
 class TestTraceCursor:
@@ -947,8 +958,8 @@ class TestTraceCursor:
     def test_arrival_runs_stop_at_heap_events(self):
         # The link is busy over [0, 0.5); trace flows arrive every 0.1 s
         # around an injected flow and a query step. The recorder logs each
-        # arrival a busy period takes, so the log is the order of offer, and
-        # each busy period stops at the next heap event.
+        # arrival as it joins the queue, so the log is the order of offer:
+        # the heap events come between the trace flows in time order.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
         sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
         sim.inject_flow(0.0, 500_000, A_WEB)  # id -1
@@ -959,18 +970,18 @@ class TestTraceCursor:
         assert [what for _, what in sim.log] == [
             "arrival -1", "arrival 1", "arrival 2", "arrival -2", "arrival 3", "query",
             "arrival 4", "epoch 0"]
-        assert sim.runs == [2, 1, 1]
 
-    def test_busy_period_ending_at_a_partial_serve(self):
-        # A 1000 B flow under a 300 B budget per epoch: each epoch's busy
-        # period ends at one budget-limited serve that completes no flow;
-        # the first begins with the flow's arrival on the idle link.
+    def test_each_epoch_ends_at_a_budget_limited_serve(self):
+        # A 1000 B flow under a 300 B budget per epoch: each epoch serves
+        # the flow until its budget runs out, which completes no flow; the
+        # first begins with the flow's arrival on the idle link.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000, epoch_s=1.0)
         sim = conservation_checked(_RecordingSim(link, [A_WEB], FeedbackMode.CLOSED,
                                                  controller=FixedShareController((0.3,))))
         sim.add_flows([make_flow(0, 0.0, 1000)])
         m = sim.run_epochs(3)
-        assert sim.runs == [1, 0, 0]
+        assert sim.log == [(0.0, "arrival 0"), (1.0, "epoch 0"), (2.0, "epoch 1"),
+                           (3.0, "epoch 2")]
         assert m.delivered == [(300,)] * 3 and m.queued[-1] == (100,)
         assert m.flows_completed == 0 and m.latencies_s[A_WEB] == []
         m = sim.run_epochs(1)
@@ -980,12 +991,14 @@ class TestTraceCursor:
         # The trace flow fills the queue at t = 0; the injected flow behind
         # it at the same instant is dropped whole.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=1000, epoch_s=1.0)
-        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
         sim.add_flows([make_flow(0, 0.0, 1000)])
         served = []
         fid = sim.inject_flow(0.0, 500, A_WEB, control=True,
                               callback=lambda s, t: served.append(t))
         m = sim.run_epochs(2)
+        assert sim.log == [(0.0, "arrival 0"), (0.0, f"arrival {fid}"), (1.0, "epoch 0"),
+                           (2.0, "epoch 1")]
         assert m.failed_flow_ids == [fid] and m.totals[A_WEB].dropped == 500
         assert m.totals[A_WEB].control_arrived == 500 and m.totals[A_WEB].control_delivered == 0
         assert served == [] and sim._callbacks == {} and sim._control == set()
@@ -1042,15 +1055,31 @@ class TestTraceCursor:
         assert m.n_epochs == 4
 
     def test_add_flows_mid_run_merges_with_the_cursor(self):
+        # The late flows are added mid-run by a query step at t = 2.0, or by
+        # the completion callback of a 10 B flow injected at t = 1.6, which
+        # runs inside an epoch; the run given every flow up front injects
+        # the same flow.
         link = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
         early = regular_flows(A_WEB, 7.0, 900, 6.0)
         late = regular_flows(B_FILE, 5.0, 1100, 6.0, start=2.01, fid0=1000)
-        whole = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-        whole.add_flows(sorted(early + late, key=lambda f: f.arrival_time))
-        split = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-        split.add_flows(early)
-        split.schedule_at(2.0, lambda s, t: s.add_flows(late))
-        assert _outcome(whole.run_epochs(12)) == _outcome(split.run_epochs(12))
+        added = []
+
+        def add_late(s, t):
+            added.append(t)
+            s.add_flows(late)
+
+        for by_callback in (False, True):
+            whole = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+            whole.add_flows(sorted(early + late, key=lambda f: f.arrival_time))
+            split = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+            split.add_flows(early)
+            if by_callback:
+                whole.inject_flow(1.6, 10, A_WEB)
+                split.inject_flow(1.6, 10, A_WEB, callback=add_late)
+            else:
+                split.schedule_at(2.0, add_late)
+            assert _outcome(whole.run_epochs(12)) == _outcome(split.run_epochs(12))
+        assert added[0] == 2.0 and 1.6 < added[1] < 2.0
 
     def test_trace_added_in_parts_takes_one_entry_per_flow(self):
         # Each part is merged with the unread rest of the cursor; the rest's
