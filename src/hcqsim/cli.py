@@ -21,7 +21,7 @@ from .config import ConfigError, load_config
 from .control import check_stability, identify_model, save_model_csv
 from .metrics import fmt
 from .runner import run_scenario, write_outputs
-from .scenarios import SCENARIOS, S2Runs
+from .scenarios import SCENARIOS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -147,11 +147,7 @@ def _cmd_scenario(args) -> int:
     for line in outcome.lines():
         print(line)
     if args.out is not None:
-        if isinstance(outcome.result, S2Runs):
-            results = [("congested", outcome.result.congested), ("idle", outcome.result.idle)]
-        else:
-            results = [("", outcome.result)]
-        for sub, res in results:
+        for sub, res in outcome.runs.items():
             write_outputs(res, os.path.join(args.out, sub))
         print(f"outputs written under {args.out}")
     print(f"{args.name}: {'PASS' if outcome.passed else 'FAIL'}")

@@ -11,8 +11,8 @@ Each flow gets its accepted bytes, its start max(arrival, previous
 departure) and its departure start + accepted / byte_rate, with the event
 core's float operations. The drop test keeps a stale upper bound on the
 backlog. Only when a flow does not fit under it does the pass complete the
-flows that end by the arrival, credit the head's served bytes as _advance
-does, and test again.
+flows that end by the arrival, credit the head's served bytes as
+LinkSimulator._credit does, and test again.
 
 The ledger is kept per epoch as the flows go by, in ints, as the event
 core keeps it. A flow's offered and dropped bytes count in the epoch it
@@ -20,10 +20,11 @@ arrives in, and its accepted bytes in the one it departs in: the first
 whose end boundary is at or after its departure. A flow whose service
 crosses a boundary is the head there. It has been credited min(accepted -
 1, floor(byte_rate * (boundary - start))) bytes when the boundary is after
-its start, as _advance credits it, and the next epoch's delivered count
-takes them back. An epoch's arrived and dropped rows are appended when an
-arrival comes after its end boundary, and its delivered row when a
-departure does; the queued rows and the counters follow at the end.
+its start, as LinkSimulator._credit credits it, and the next epoch's
+delivered count takes them back. An epoch's arrived and dropped rows are
+appended when an arrival comes after its end boundary, and its delivered
+row when a departure does; the queued rows and the counters follow at the
+end.
 
 The simulator is left at the horizon as the event core leaves it: the
 waiting flows in the queue, the head's plan credited to the horizon, the
@@ -95,7 +96,7 @@ def fifo_pass(sim, n_epochs: int) -> None:
         offered_now[c] += size
         if size > room:
             # Complete the flows that end by a; then credit the head its
-            # served bytes at a, as _advance does.
+            # served bytes at a, as LinkSimulator._credit does.
             while h < j and ends[h - base] <= a:
                 prev = ends[h - base]
                 room += rem[h] - credited

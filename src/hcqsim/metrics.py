@@ -22,8 +22,6 @@ TAIL_THRESHOLD = 0.95  # tail mass: the share of epochs above this utilization
 
 
 def fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return FLOAT_FMT % x
 
 

@@ -26,23 +26,25 @@ segment's sub-byte progress (the remainder stays queued).
 
 The run loop goes epoch by epoch. Epoch e begins at e * epoch_s, where
 closed mode observes the state, installs the controller's decision and
-sends its control message; then every event strictly before the end
-boundary (e + 1) * epoch_s is taken; then service is brought up to the
-boundary and the epoch's row is appended. What the boundary reads of the
-link and the classes (the bytes an epoch carries, the identity permutation
-a priority order must sort to, the control class's index) is worked out
-once, when the simulator is built. Each event is taken from the
-trace cursor, the event heap or the live plan's end, whichever comes
-first. Only injected flows and query steps enter the heap: trace arrivals
-are read from a cursor over the flow table (below), and service
-completions from the live plan's end. Ties at one instant are broken by
-kind (epoch boundary, then service completion, then flow arrival, then
-query step), then by seq: a plan end wins a tie with an arrival or a
-step, the boundary wins every tie, and a cursor arrival and a heap entry
-at one instant are ordered by their (time, kind, seq) keys. A trace flow
-takes its seq when the trace is added, in trace order, so the merge breaks
-ties exactly as one heap holding every event would. The clock never goes
-back: a flow or step before `now` is refused.
+sends its control message; then every event before the end boundary
+(e + 1) * epoch_s is taken, and a plan end on it; then service is brought
+up to the boundary and the epoch's row is appended. What the boundary
+reads of the link and the classes (the bytes an epoch carries, the
+identity permutation a priority order must sort to, the control class's
+index) is worked out once, when the simulator is built. Each event is
+taken from the trace cursor, the event heap or the live plan's end,
+whichever comes first. Only injected flows and query steps enter the heap:
+trace arrivals are read from a cursor over the flow table (below), and
+service completions from the live plan's end. Ties at one instant are
+broken by kind (service completion, then epoch boundary, then flow
+arrival, then query step), then by seq. So a plan end on the end boundary
+is taken in the ending epoch: its bytes count in that epoch's row, and its
+callback runs while the epoch is still open. An arrival or a step on the
+boundary opens the next epoch. A cursor arrival and a heap entry at one
+instant are ordered by their (time, kind, seq) keys. A trace flow takes
+its seq when the trace is added, in trace order, so the merge breaks ties
+exactly as one heap holding every event would. The clock never goes back:
+a flow or step before `now` is refused.
 
 Every flow, trace or injected, is one entry of a flow table: typed
 columns of class index, bytes not yet served, arrival time and id. Queues,
@@ -67,9 +69,13 @@ size / rate.
   priority scan.
 - An arrival, from the cursor or the heap, joins its queue with the bytes
   that fit its free space (on an idle link they start a plan); the rest
-  are dropped. When its drop test or a preemption brings service up to it
-  (see above), the live plan ends after the arrival, so this serves part
-  of the plan's flow and completes none.
+  are dropped. Its drop test or a preemption may need service brought up
+  to it (see above).
+
+The loop is the one place a flow completes. Service short of a plan's
+end is credited by one method, _credit, for the drop test, a preemption, a
+query step and the boundary; the plan then ends after that instant, so
+this serves part of its flow and completes none.
 
 Other code runs at two places only, and can change the run's state there:
 a completion callback and a query step. Around each the loop writes its
@@ -549,47 +555,24 @@ class LinkSimulator:
                 self._plan = _ServicePlan(now, now + limit / self.byte_rate, q, j, limit)
                 return
 
-    def _serve(self, q: int, j: int, nbytes: int, when: float) -> None:
-        rem = self._rem[j] - nbytes
-        self._rem[j] = rem
+    def _credit(self, q: int, j: int, start: float, limit: int, done: int, t: float) -> int:
+        """Serve the live plan, `limit` bytes of flow j of queue q from
+        `start` with `done` served, up to time t before its end; returns the
+        new count, min(limit - 1, floor(byte_rate * (t - start))), whatever
+        instants it was credited at before. Its last byte is served only at
+        its end, where the run loop completes the flow."""
+        nbytes = min(limit - 1, int(self.byte_rate * (t - start))) - done
+        if nbytes <= 0:
+            return done
+        self._rem[j] -= nbytes
         self._queued_bytes[q] -= nbytes
         self._budget[q] -= nbytes
-        i = self._cls[j]
-        c = self.counters[i]
+        c = self.counters[self._cls[j]]
         c.delivered += nbytes
         c.queued -= nbytes
         if j in self._control:
             c.control_delivered += nbytes
-        if rem == 0:
-            queue = self._queues[q]
-            assert queue[0] == j
-            queue.popleft()
-            self._control.discard(j)
-            delivery = when + self.link.propagation_delay_s
-            self._latencies[i].append(delivery - self._arrival[j])
-            self.metrics.flows_completed += 1
-            callback = self._callbacks.pop(j, None)
-            if callback is not None:
-                callback(self, delivery)
-
-    def _advance(self, t: float) -> None:
-        """Bring service up to time t.
-
-        Plans that end by t serve their remaining bytes and are replanned at
-        their end. The live plan then stands at min(limit - 1,
-        floor(byte_rate * (t - start))) bytes served, whatever instants it
-        was advanced at before; its last byte is served only at its end.
-        """
-        plan = self._plan
-        while plan is not None and plan.end <= t:
-            self._serve(plan.queue, plan.flow, plan.limit - plan.done, plan.end)
-            self._replan(plan.end)
-            plan = self._plan
-        if plan is not None and t > plan.start:
-            nbytes = min(plan.limit - 1, int(self.byte_rate * (t - plan.start))) - plan.done
-            if nbytes > 0:
-                self._serve(plan.queue, plan.flow, nbytes, t)
-                plan.done += nbytes
+        return done + nbytes
 
     # -- control and epochs ------------------------------------------------
 
@@ -658,14 +641,16 @@ class LinkSimulator:
     # -- run loops ----------------------------------------------------------
 
     def _run_epoch(self) -> None:
-        """Run the next epoch: begin it, take every event strictly before
-        its end boundary in one loop (see the module docstring), then bring
-        service up to the boundary and append the epoch's row.
+        """Run the next epoch: begin it, take in one loop every event before
+        its end boundary and a plan end on it (see the module docstring),
+        then credit the live plan up to the boundary and append the epoch's
+        row.
 
         The inner loop holds the cursor, the live plan and the metrics'
         counts in locals. It leaves them for a completion callback or a
-        query step, the only places other code runs; the outer loop writes
-        them back, runs that code, and reads them again.
+        query step, the only places other code runs, and for the boundary;
+        the outer loop writes them back, runs that code, and reads them
+        again.
         """
         e = self._epoch
         eps = self.link.epoch_s
@@ -700,7 +685,7 @@ class LinkSimulator:
                         q, start, end, j, limit, done = (plan.queue, plan.start, plan.end,
                                                          plan.flow, plan.limit, plan.done)
                         queue, busy, serving = queues[q], q, rank[q]
-                if end <= t_next and end <= t_heap and end < t_end:
+                if end <= t_next and end <= t_heap and end <= t_end:
                     # The completion of the live plan.
                     nbytes = limit - done
                     left = rem[j] - nbytes
@@ -758,10 +743,7 @@ class LinkSimulator:
                 free = cap - queued[qa]
                 if size > free and qa == busy:
                     # The drop test needs the service not yet counted.
-                    plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
-                        q, start, end, j, limit, done)
-                    self._advance(t)
-                    done = plan.done
+                    done = self._credit(q, j, start, limit, done, t)
                     free = cap - queued[qa]
                 c = counters[i]
                 c.arrived += size
@@ -787,12 +769,13 @@ class LinkSimulator:
                 elif budget[qa] > 0 and rank[qa] < serving:
                     # Serviceable higher-priority work preempts; the cut
                     # segment's sub-byte progress is dropped.
-                    plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
-                        q, start, end, j, limit, done)
-                    self._advance(t)
+                    self._credit(q, j, start, limit, done, t)
                     self._replan(t)
                     replanned = True
-            if plan is not None:
+            if plan is not None and callback is None:
+                # The plan outlives a step and the boundary: credit it up to
+                # either and write it back. After a callback it is replanned.
+                done = self._credit(q, j, start, limit, done, t_end if step is None else t)
                 plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
                     q, start, end, j, limit, done)
             self._pos = pos
@@ -805,14 +788,12 @@ class LinkSimulator:
                 self._replan(end)
             elif step is not None:
                 self.now = t
-                self._advance(t)
                 step(self, t)
                 if self._plan is None:
                     self._replan(t)
             else:
                 break
         self.now = t_end
-        self._advance(t_end)
         self._finalize_epoch()
         self._epoch = e + 1
         self._in_epoch = False

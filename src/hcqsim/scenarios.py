@@ -229,9 +229,13 @@ class Check:
 
 @dataclass
 class ScenarioOutcome:
+    """A canned scenario's checks and its runs, each keyed by the
+    subdirectory of the output directory it is written to ("" for the
+    directory itself)."""
+
     name: str
     checks: list
-    result: object
+    runs: dict[str, RunResult]
 
     @property
     def passed(self) -> bool:
@@ -260,17 +264,11 @@ def evaluate_s1(result: RunResult) -> ScenarioOutcome:
         Check("tail mass (>0.95) relative reduction", tail_red, S1_TAIL_REDUCTION,
               tail_red >= S1_TAIL_REDUCTION),
     ]
-    return ScenarioOutcome(name="s1-histogram", checks=checks, result=result)
+    return ScenarioOutcome(name="s1-histogram", checks=checks, runs={"": result})
 
 
 def run_s1(seed: int = S1_SEED) -> ScenarioOutcome:
     return evaluate_s1(run_scenario(s1_config(seed)))
-
-
-@dataclass
-class S2Runs:
-    congested: RunResult
-    idle: RunResult
 
 
 def evaluate_s2(congested: RunResult, idle: RunResult) -> ScenarioOutcome:
@@ -293,7 +291,8 @@ def evaluate_s2(congested: RunResult, idle: RunResult) -> ScenarioOutcome:
             isum[Protocol.HYBRID_5STEP.value]["p50"] < isum[Protocol.LOCAL_4STEP.value]["p50"],
         ),
     ]
-    return ScenarioOutcome(name="s2-hybrid-db", checks=checks, result=S2Runs(congested, idle))
+    return ScenarioOutcome(name="s2-hybrid-db", checks=checks,
+                           runs={"congested": congested, "idle": idle})
 
 
 def run_s2(seed: int = S2_SEED) -> ScenarioOutcome:

@@ -271,15 +271,15 @@ def test_criterion_6_determinism(tmp_path, s1_outcome, s2_outcome):
     t0 = time.perf_counter()
     mismatched = []
 
-    first = _run_files(s1_outcome[0].result, tmp_path / "s1a")
-    second = _run_files(run_s1().result, tmp_path / "s1b")
+    first = _run_files(s1_outcome[0].runs[""], tmp_path / "s1a")
+    second = _run_files(run_s1().runs[""], tmp_path / "s1b")
     if first != second:
         mismatched.append("s1-histogram")
 
-    s2a = s2_outcome[0].result
-    s2b = run_s2().result
-    for name, a, b in (("s2-congested", s2a.congested, s2b.congested),
-                       ("s2-idle", s2a.idle, s2b.idle)):
+    s2a = s2_outcome[0].runs
+    s2b = run_s2().runs
+    for kind in ("congested", "idle"):
+        name, a, b = f"s2-{kind}", s2a[kind], s2b[kind]
         fa = _run_files(a, tmp_path / f"{name}-a")
         fb = _run_files(b, tmp_path / f"{name}-b")
         if fa != fb:
@@ -310,9 +310,9 @@ def nine_class_config():
 def run_digests(s1_outcome, s2_outcome, out_dir) -> dict:
     """SHA-256 of every file in the canned scenarios', the demo config's and
     the nine-class workload's run directories."""
-    s2 = s2_outcome[0].result
-    runs = (("s1-histogram", s1_outcome[0].result), ("s2-congested", s2.congested),
-            ("s2-idle", s2.idle), ("demo", run_scenario(load_config(DEMO_CONFIG))),
+    s2 = s2_outcome[0].runs
+    runs = (("s1-histogram", s1_outcome[0].runs[""]), ("s2-congested", s2["congested"]),
+            ("s2-idle", s2["idle"]), ("demo", run_scenario(load_config(DEMO_CONFIG))),
             ("nine-class", run_scenario(nine_class_config())))
     return {
         name: {rel: hashlib.sha256(blob).hexdigest()

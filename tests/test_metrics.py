@@ -2,6 +2,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -169,6 +170,14 @@ class TestCompare:
 
 
 class TestExport:
+    @pytest.mark.parametrize("x, text", [
+        (math.nan, "nan"), (-math.nan, "nan"), (np.float64("nan"), "nan"),
+        (np.float32("nan"), "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (-0.0, "-0"), (3, "3"), (np.float64(0.1), "0.1"), (1 / 3, "0.333333333")])
+    def test_fmt_is_nine_significant_digits(self, x, text):
+        # Every NaN prints "nan", whatever its sign or type.
+        assert fmt(x) == "%.9g" % x == text
+
     def make_report(self):
         return compare_modes(small_run(seed=3), small_run(seed=4))
 

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from collections import deque
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hcqsim
 from hcqsim.control import (
     ControlDecision,
     CostWeights,
@@ -590,7 +593,7 @@ def hold(sim, n_epochs):
 
 
 def assert_rows_conserve(m):
-    """The FIFO pass makes no serve, replan or epoch call for
+    """The FIFO pass makes no credit, replan or epoch call for
     conservation_checked to check, so check its ledger on every epoch row:
     each class's queued bytes are the last row's plus those arrived, less
     those delivered and dropped, and no count is negative."""
@@ -604,7 +607,7 @@ def assert_rows_conserve(m):
 
 def conservation_checked(sim):
     """Check every class's byte conservation after each call of `sim`'s
-    methods that the event loop calls with the ledger settled: a serve, a
+    methods that the event loop calls with the ledger settled: a credit, a
     replan (mid-epoch, after a completion or an arrival) and a whole epoch.
     These are the event core's; an open run checked this way is held on it
     (see hold)."""
@@ -616,7 +619,7 @@ def conservation_checked(sim):
             return result
         return run
 
-    for name in ("_serve", "_replan", "_run_epoch"):
+    for name in ("_credit", "_replan", "_run_epoch"):
         setattr(sim, name, checked(getattr(sim, name)))
     return sim
 
@@ -688,6 +691,47 @@ class TestEventOrdering:
         assert sum(map(sum, m.arrived)) == 100
         assert m.flows_offered == 1
         m.assert_conservation()
+
+    @pytest.mark.parametrize("mode", [FeedbackMode.OPEN, FeedbackMode.CLOSED])
+    def test_service_ending_on_a_boundary_is_taken_in_the_ending_epoch(self, mode):
+        # At 1000 B/s, a 1000 B trace flow at t = 0 ends on boundary 1, and a
+        # 750 B flow injected at 1.25 ends on boundary 2. Each counts in the
+        # ending epoch's row. The callback runs at the boundary, inside
+        # epoch 1: before its row and before epoch 2's decision.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000,
+                        propagation_delay_s=0.25, epoch_s=1.0)
+        log = []
+
+        class Logged(FixedShareController):
+            def decide(self, x, epoch_index):
+                log.append(("decide", epoch_index))
+                return super().decide(x, epoch_index)
+
+        def served(s, t):
+            log.append(("served", s.now, t, s.metrics.n_epochs))
+            with pytest.raises(SimulationError, match=refusal):
+                s.apply_decision(ControlDecision(u=(1.0,), priority_order=(0,)))
+
+        if mode is FeedbackMode.OPEN:
+            sim = LinkSimulator(link, [A_WEB], mode)
+            hold(sim, 3)  # keep the run on the event core
+            refusal = "open mode takes no control decisions"
+        else:
+            sim = LinkSimulator(link, [A_WEB], mode, controller=Logged((1.0,)))
+            refusal = r"decision at t=2.0 inside epoch 1: decisions are installed only"
+        sim.add_flows([make_flow(0, 0.0, 1000)])
+        fid = sim.inject_flow(1.25, 750, A_WEB, callback=served)
+        m = conservation_checked(sim).run_epochs(3)
+        assert m.delivered == [(1000,), (750,), (0,)]
+        assert m.queued == [(0,), (0,), (0,)]
+        assert m.latencies_s[A_WEB] == [1.25, 1.0]  # exact: (end + delay) - arrival
+        assert m.flows_completed == 2 and fid not in m.failed_flow_ids
+        # now is the boundary, the delivery is a delay later, one row is done
+        served_at = [("served", 2.0, 2.25, 1)]
+        if mode is FeedbackMode.OPEN:
+            assert log == served_at
+        else:
+            assert log == [("decide", 0), ("decide", 1), *served_at, ("decide", 2)]
 
     def test_conservation_checks_epoch_rows(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
@@ -1138,6 +1182,30 @@ class TestPathSelection:
         assert calls(lambda sim: None, FixedShareController((0.5, 0.5), (0, 1))) > 0
         model, weights = toy_model_weights(2)
         assert calls(lambda sim: None, MpcController(model, weights, 3, 11)) > 0
+
+    def test_only_a_run_that_takes_the_pass_loads_it(self):
+        # hcqsim.fifo is imported by the first run that takes it, so a
+        # process of closed runs never pays for the module. A fresh
+        # interpreter shows what a run loads.
+        script = "\n".join([
+            "import json, sys",
+            "from hcqsim.config import parse_config",
+            "from hcqsim.runner import run_scenario",
+            "with open(sys.argv[1]) as fh:",
+            "    cfg = dict(json.load(fh), n_epochs=20)",
+            "loaded = []",
+            "for mode in ('closed', 'open'):",
+            "    run_scenario(parse_config(dict(cfg, mode=mode)))",
+            "    loaded.append('hcqsim.fifo' in sys.modules)",
+            "print(loaded)",
+        ])
+        src = os.path.dirname(os.path.dirname(hcqsim.__file__))
+        demo = os.path.join(os.path.dirname(__file__), os.pardir, "examples_config", "demo.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", script, demo],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "[False, True]\n"
 
     def test_byte_counts_past_2_53_stay_exact(self, core_calls):
         # The pass counts bytes in ints, as the event core does: 2**53 + 1 is
