@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ControlBounds, CostWeights, StateSpaceModel
+from .control import ControlBounds, CostWeights, StateSpaceModel, check_grid_size
 from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, QUERY_LABEL, BackendLatency, CorpusSpec
 from .netsim import CONTROL_LABEL, LinkSpec
 from .traffic import (
@@ -299,12 +299,16 @@ def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
         raise ConfigError(f"{node.path}.warmup_epochs",
                           f"need at least {n + m + 2} warmup epochs to identify a "
                           f"{n}x{m} model, got {warmup}")
+    excitation_seed = node.take("excitation_seed", int, 1)
+    horizon = node.take("horizon", int, 3, at_least=1)
+    grid = node.take("grid", int, 11, at_least=2)
+    _build(f"{node.path}.grid", check_grid_size, m, grid)
     config = ControllerConfig(
         model=model,
         warmup_epochs=warmup,
-        excitation_seed=node.take("excitation_seed", int, 1),
-        horizon=node.take("horizon", int, 3, at_least=1),
-        grid=node.take("grid", int, 11, at_least=2),
+        excitation_seed=excitation_seed,
+        horizon=horizon,
+        grid=grid,
         weights=_parse_weights(node.child("weights"), n, m),
         control_message_bytes=msg_bytes,
         control_bounds=control_bounds,

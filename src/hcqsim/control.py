@@ -244,6 +244,23 @@ def identify_model(
     return model, residual_rms
 
 
+# The most share vectors a controller may enumerate. MpcController holds
+# every one: its int64 levels, U and 2U take 24 bytes per share, so a
+# million vectors of nine shares take about 220 MB.
+MAX_GRID_POINTS = 1_000_000
+
+
+def check_grid_size(m: int, grid: int) -> None:
+    """Refuse a grid whose share vectors number more than MAX_GRID_POINTS.
+    _feasible_levels builds every point of the simplex grid, K = C(grid - 1
+    + m, m) of them, before any other bound prunes one."""
+    count = math.comb(grid - 1 + m, m)
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"{m} shares on a grid of {grid} levels give K = C({grid - 1 + m}, {m}) "
+                         f"= {count:,} share vectors, more than the {MAX_GRID_POINTS:,} a "
+                         f"controller may enumerate")
+
+
 def _feasible_levels(bounds: ControlBounds, grid: int) -> np.ndarray:
     """Integer levels (u_i = level_i / (grid-1)) of the grid points inside the
     bounded simplex: an m x K array, one column per point, the columns in
@@ -368,6 +385,7 @@ class MpcController:
         if model.n < model.m:
             raise ValueError(f"the priority order needs m={model.m} backlog states, "
                              f"the model has n={model.n}")
+        check_grid_size(model.m, grid)
         levels = _feasible_levels(model.control_bounds, grid)
         if levels.shape[1] == 0:
             raise InfeasibleControlSetError(

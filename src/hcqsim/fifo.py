@@ -1,194 +1,388 @@
-"""The open FIFO pass: an open run of a bare trace without the event core.
+"""The FIFO pass: an open run from epoch 0 without the event core.
 
-An open LinkSimulator that has not begun an epoch and holds no heap entry
-offers the trace cursor alone: no callback, step or preemption can meet the
-run, and in one drop-tail FIFO with no budget a flow's departure is fixed
-when it is accepted (Lindley's recursion). LinkSimulator.run_epochs hands
-such a run here, and it is taken in one pass over the flows before the
-horizon, in offered order, instead of event by event.
+An open LinkSimulator serves one drop-tail FIFO with no budget, so a flow's
+departure is fixed when it is accepted (Lindley's recursion): its start is
+max(arrival, previous departure) and its departure start + accepted /
+byte_rate, with the event core's float operations. LinkSimulator.run_epochs
+and run_until_idle hand every open run that has not begun an epoch here,
+and the pass takes its events in the event core's order without the event
+core's work per event:
 
-Each flow gets its accepted bytes, its start max(arrival, previous
-departure) and its departure start + accepted / byte_rate, with the event
-core's float operations. The drop test keeps a stale upper bound on the
-backlog. Only when a flow does not fit under it does the pass complete the
-flows that end by the arrival, credit the head's served bytes as
-LinkSimulator._credit does, and test again.
+- trace arrivals, from the cursor, in runs: every arrival before the next
+  heap entry, the next completion with a callback and the horizon;
+- injected arrivals and query steps, from the heap, one at a time;
+- completions with a callback. A flow's departure is known when it is
+  accepted and departures keep FIFO order, so a deque holds these flows in
+  the order they fall due. No other completion is an event.
 
-The ledger is kept per epoch as the flows go by, in ints, as the event
-core keeps it. A flow's offered and dropped bytes count in the epoch it
-arrives in, and its accepted bytes in the one it departs in: the first
-whose end boundary is at or after its departure. A flow whose service
-crosses a boundary is the head there. It has been credited min(accepted -
-1, floor(byte_rate * (boundary - start))) bytes when the boundary is after
-its start, as LinkSimulator._credit credits it, and the next epoch's
-delivered count takes them back. An epoch's arrived and dropped rows are
-appended when an arrival comes after its end boundary, and its delivered
-row when a departure does; the queued rows and the counters follow at the
-end.
+Ties at one instant keep the event core's order: completion, epoch
+boundary, arrival, step, then seq. A cursor arrival and a heap entry at one
+instant are ordered by their (time, kind, seq) keys.
 
-The simulator is left at the horizon as the event core leaves it: the
-waiting flows in the queue, the head's plan credited to the horizon, the
-counters, the cursor and the clock. A later run, injected flow or step
-goes on in the event core, which is the pass's reference. The pass reads
-and writes the simulator's flow table and ledger; it is kept apart from the
-event core in netsim because it shares none of its code.
+The drop test keeps a stale lower bound on the free space. Only when a flow
+does not fit under it does the pass complete the flows that depart by the
+arrival, credit the head its served bytes as LinkSimulator._credit does,
+min(accepted - 1, floor(byte_rate * (t - start))), and test again.
+
+The ledger is kept per epoch, in ints, as the event core keeps it. A flow's
+offered and dropped bytes count in the epoch it arrives in, and its
+accepted bytes in the one it departs in: the first whose end boundary is at
+or after its departure. A flow whose service crosses a boundary is the head
+there; the bytes credited to it at the boundary count in the ending epoch,
+and the next epoch's delivered count takes them back. Delivered rows are
+worked out when a departure is accepted, ahead of the clock, and are held
+back until their epoch has ended. A latency is appended when its flow is
+accepted if the flow departs before any callback or step can run, and
+otherwise when it departs.
+
+A completion callback or a query step sees the simulator as the event core
+leaves it at that instant: `now` (the departure for a callback, which is
+called with the delivery a propagation delay later, or the step's time),
+the counters, the rows of the epochs that have ended (a departure on a
+boundary is taken before it, a step on a boundary after it), the latencies,
+the flows offered and completed, failed_flow_ids and max_flow_size, the
+cursor position, the queue, its queued bytes and the head's rem credited up
+to `now`. The pass reads the cursor and the heap again when the code
+returns, since it may add flows, inject flows or schedule steps.
+
+The simulator is left at the end boundary as the event core leaves it: the
+waiting flows in the queue, the head's plan credited to the boundary, the
+counters, the cursor, the heap and the clock. A later run goes on in the
+event core, which is the pass's reference. The pass reads and writes the
+simulator's flow table and ledger; it is kept apart from the event core in
+netsim because it shares none of its code.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
-from itertools import islice, repeat
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
+from collections import deque
+from heapq import heappop
+from itertools import islice
+from operator import add, sub
+
+import numpy as np
+
+from .netsim import FLOW_ARRIVAL, QUERY_STEP
 
 
-def fifo_pass(sim, n_epochs: int) -> None:
-    """Run the first n_epochs of sim, an open LinkSimulator that has not
-    begun an epoch and holds no heap entry, and leave it as the event core
-    would at the horizon."""
+def _zero(rem: array, entries: array) -> None:
+    """rem[j] = 0 for every entry j: the flows in entries have departed."""
+    if entries:
+        np.frombuffer(rem, dtype=np.int64)[np.frombuffer(entries, dtype=np.int64)] = 0
+
+
+def _close(rows: list, total: list, at: list, zero: tuple) -> list:
+    """Append to rows the bytes by class counted in total since at, the
+    totals when the epoch began, and return the totals it ends with."""
+    if total == at:
+        rows.append(zero)
+        return at
+    rows.append(tuple(map(sub, total, at)))
+    return total[:]
+
+
+def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
+    """Run sim, an open LinkSimulator that has not begun an epoch, for
+    n_epochs epochs, or with until_idle up to the first epoch boundary at
+    which nothing is queued or pending, if that comes within n_epochs; leave
+    it as the event core would at that boundary."""
     link = sim.link
     eps, rate = link.epoch_s, sim.byte_rate
     cap, delay = link.queue_capacity_bytes, link.propagation_delay_s
     horizon = n_epochs * eps
     k = len(sim.classes)
     arrival, rem, cls, fid = sim._arrival, sim._rem, sim._cls, sim._fid
-    pos = sim._pos
-    read = bisect_left(arrival, horizon, pos, sim._stop)
-    largest = max(islice(rem, pos, read), default=0)
+    heap, callbacks, control = sim._heap, sim._callbacks, sim._control
+    queue, counters = sim._queues[0], sim.counters
     appends = [lat.append for lat in sim._latencies]
-    failed = sim.metrics.failed_flow_ids
-    whole = {}  # the size of each flow dropped whole, by entry
-    # The rows of each epoch are appended once it ends: arrived and dropped
-    # when an arrival comes after its end boundary, delivered when a
-    # departure does. Until then its bytes by class are counted in lists.
     m = sim.metrics
-    arrived_rows, dropped_rows, delivered_rows = m.arrived, m.dropped, m.delivered
+    failed = m.failed_flow_ids
+    arrived_rows, dropped_rows = m.arrived, m.dropped
+    delivered_append, queued_append = m.delivered.append, m.queued.append
+    shares_append, ranks_append = m.shares.append, m.ranks.append
+    inf, never = math.inf, -math.inf
     zero = (0,) * k  # one tuple for every row that is all zero
-    offered_now, dropped_now, departed_now = [0] * k, [0] * k, [0] * k
-    lent, lent_cls = 0, 0  # the bytes credited to the head at the last boundary, its class
-    # ends[j - base] is flow j's departure (for a flow dropped whole, that of
-    # the flow before it): the flows from h on, whose departures the drop
-    # test may still need.
-    ends, base = array("d"), pos
-    # room is cap less the bytes accepted from flow h on, plus the bytes
-    # credited to flow h: never more than the free space.
-    room, h, credited = cap, pos, 0
-    tail = prev = -math.inf  # the last departure, and the one before flow h
-    head, head_start = read, 0.0  # the head at the horizon, and its start
-    ea, arrive_by = 0, eps  # the arrival epoch and its end boundary
-    e, depart_by = 0, eps  # the departure epoch and its end boundary
-    for j in range(pos, read):
-        a = arrival[j]
-        size = rem[j]
-        c = cls[j]
-        if a >= arrive_by:
-            arrived_rows.append(tuple(offered_now) if any(offered_now) else zero)
-            dropped_rows.append(tuple(dropped_now) if any(dropped_now) else zero)
-            offered_now, dropped_now = [0] * k, [0] * k
-            ea += 1
-            arrive_by = (ea + 1) * eps
-            while a >= arrive_by:
-                arrived_rows.append(zero)
-                dropped_rows.append(zero)
-                ea += 1
-                arrive_by = (ea + 1) * eps
-        offered_now[c] += size
-        if size > room:
-            # Complete the flows that end by a; then credit the head its
-            # served bytes at a, as LinkSimulator._credit does.
-            while h < j and ends[h - base] <= a:
-                prev = ends[h - base]
-                room += rem[h] - credited
-                credited = 0
-                h += 1
-            if h < j:
-                ah = arrival[h]
-                start = ah if ah > prev else prev
-                if a > start:
-                    got = int(rate * (a - start))
-                    if got >= rem[h]:
-                        got = rem[h] - 1
-                    room += got - credited
-                    credited = got
-            if h - base > len(ends) >> 1:
-                del ends[:h - base]
-                base = h
-            if size > room:
-                dropped_now[c] += size - room
-                if not room:  # dropped whole: it takes no place in the FIFO
-                    failed.append(fid[j])
-                    whole[j] = size
-                    rem[j] = 0
-                    ends.append(tail)
-                    continue
-                size = rem[j] = room
-        start = a if a > tail else tail
-        tail = start + size / rate
-        room -= size
-        ends.append(tail)
-        while tail > depart_by:  # j is the head at each boundary it crosses
-            departed_now[lent_cls] -= lent
-            lent = 0
-            if depart_by > start:
-                lent = int(rate * (depart_by - start))
-                if lent >= size:
-                    lent = size - 1
-            departed_now[c] += lent
-            delivered_rows.append(tuple(departed_now) if any(departed_now) else zero)
-            departed_now, lent_cls = [0] * k, c
-            head, head_start = j, start
-            e += 1
-            depart_by = (e + 1) * eps if e < n_epochs else math.inf
-        departed_now[c] += size
-        appends[c](tail + delay - a)
-    del ends
-    # The epochs that end after the last arrival or departure, and the
-    # queued rows and counters.
-    while ea < n_epochs:
-        arrived_rows.append(tuple(offered_now) if any(offered_now) else zero)
-        dropped_rows.append(tuple(dropped_now) if any(dropped_now) else zero)
-        offered_now = dropped_now = zero
-        ea += 1
-    if e < n_epochs:
-        head = read  # every accepted flow departs by the horizon
-        departed_now[lent_cls] -= lent
-        lent = 0
-        while e < n_epochs:
-            delivered_rows.append(tuple(departed_now) if any(departed_now) else zero)
-            departed_now = zero
-            e += 1
-    queued = zero
-    for row in zip(arrived_rows, delivered_rows, dropped_rows):
-        queued = tuple(q + a - d - x for q, a, d, x in zip(queued, *row))
-        m.queued.append(queued if any(queued) else zero)
-    m.shares.extend(repeat(None, n_epochs))
-    m.ranks.extend(repeat(None, n_epochs))
-    totals = [[sum(map(itemgetter(i), rows)) for i in range(k)]
-              for rows in (arrived_rows, delivered_rows, dropped_rows)]
-    for counters, *ledger in zip(sim.counters, *totals, queued):
-        counters.arrived, counters.delivered, counters.dropped, counters.queued = ledger
-    sim._at_boundary = tuple(map(tuple, totals))
 
-    # The flows that depart after the horizon wait in the queue, and have no
-    # latency yet; the head has been credited lent bytes at the horizon.
-    waiting = [j for j in range(head, read) if rem[j]]
-    for j in reversed(waiting):
-        sim._latencies[cls[j]].pop()
-    m.flows_offered += read - pos
-    m.flows_completed += head - pos - sum(j < head for j in whole)
-    m.max_flow_size = max(m.max_flow_size, largest)
-    if waiting:
-        sim._queues[0].extend(waiting)
-        sim._queued_bytes[0] = sum(rem[j] for j in waiting) - lent
-        sim._replan(head_start)  # the head's plan, as made when it began service
-        sim._plan.done = lent
-        rem[head] -= lent
-    zeros = array("q", bytes(8 * 1024))
-    for j in range(pos, head, 1024):  # the flows that departed have no bytes left
-        rem[j:min(j + 1024, head)] = zeros[:min(1024, head - j)]
-    for j, size in whole.items():  # a flow dropped whole keeps its size
+    # The flows offered, in order, from FIFO index `base` on: their entries
+    # and departures. A flow dropped whole keeps its place with no bytes
+    # (rem 0 until the pass ends) and the departure before it; `holes` holds
+    # the FIFO indices of such flows, and `whole` their entries and sizes.
+    # Flows before h have departed by the last drop test; room is cap less
+    # the bytes accepted from flow h on, plus the bytes credited to flow h,
+    # never more than the free space.
+    fifo, ends, base = array("q"), array("d"), 0
+    fifo_append, fifo_frombytes, ends_append = fifo.append, fifo.frombytes, ends.append
+    holes, whole = [], []
+    h, room, credited = 0, cap, 0
+    tail = prev = never  # the last departure, and the one before flow h
+    lat_n = -1  # the first flow whose latency waits for its departure, or -1
+    due = deque()  # (departure, FIFO index, entry) of each flow with a callback
+    ctl = deque()  # (FIFO index, entry, class, bytes accepted) of each control flow
+    ctl_arrived, ctl_done, ctl_seen = [0] * k, [0] * k, False
+    # The bytes offered and dropped by class, in all and at the end boundary
+    # of the last arrival's epoch; that epoch's arrived and dropped rows are
+    # appended once an arrival comes after it.
+    ea, arrive_by = 0, eps
+    arr_cum, drp_cum, arr_at, drp_at = [0] * k, [0] * k, [0] * k, [0] * k
+    # The last departure's epoch, its end boundary and its bytes so far by
+    # class. Its delivered row is worked out once a departure comes after
+    # it, into `ahead`, and shown with its queued row once it has ended.
+    e, depart_by = 0, eps
+    departed_now = [0] * k
+    lent, lent_cls = 0, 0  # the bytes credited to the head at the last boundary, its class
+    ahead, shown, shown_by, queued = deque(), 0, eps, zero  # shown_by: the next end boundary
+    offered, largest = 0, m.max_flow_size
+    pos, stop, first, seqs = sim._pos, sim._stop, sim._first, sim._seqs
+    s_offered = s_w = s_got = -1  # what the ledger was last set from
+    sim._in_epoch = True
+    while True:
+        t_due = due[0][0] if due else inf
+        t_heap = heap[0][0] if heap else inf
+        t_next = arrival[pos] if pos < stop else inf
+        batch = fn = None
+        if t_due <= t_next and t_due <= t_heap and t_due <= horizon:
+            # A completion with a callback: its flow and those before it
+            # have departed, and the boundary at t_due is still ahead.
+            t, w, j = due.popleft()
+            w += 1
+            fn, at, after_boundary = callbacks.pop(j), t + delay, False
+        elif t_next < t_heap or (t_next == t_heap < horizon and heap[0] > (
+                t_next, FLOW_ARRIVAL, seqs[pos - first])):
+            if t_next < horizon:
+                # The cursor's arrivals before the next event of another kind.
+                bound = t_due if t_due < t_heap else t_heap
+                if bound > horizon:
+                    bound = horizon
+                read = bisect_left(arrival, bound, pos, stop)
+                if read == pos:  # tied with the heap entry, and first
+                    read = pos + 1
+                batch, injected = range(pos, read), -1
+                fifo_frombytes(np.arange(pos, read, dtype=np.int64).tobytes())
+                size0 = max(islice(rem, pos, read))
+                if size0 > largest:
+                    largest = size0
+                offered += read - pos
+                pos = read
+        elif t_heap < horizon:
+            t, kind, _, j = heappop(heap)
+            if kind == QUERY_STEP:
+                fn, at, after_boundary = j, t, True
+            else:
+                batch, injected = (j,), j
+                fifo_append(j)
+                bound = heap[0][0] if heap else inf
+                if t_due < bound:
+                    bound = t_due
+                if bound > horizon:
+                    bound = horizon
+                size0 = rem[j]
+                if size0 > largest:
+                    largest = size0
+                offered += 1
+        if batch is not None:
+            # Latencies are appended on acceptance while none waits, for the
+            # flows that depart before any code can run.
+            lat_ok = bound if lat_n < 0 else never
+            for j in batch:
+                a = arrival[j]
+                size = rem[j]
+                c = cls[j]
+                while a >= arrive_by:
+                    arr_at = _close(arrived_rows, arr_cum, arr_at, zero)
+                    drp_at = _close(dropped_rows, drp_cum, drp_at, zero)
+                    ea += 1
+                    arrive_by = (ea + 1) * eps
+                arr_cum[c] += size
+                if size > room:
+                    # Complete the flows that depart by a; then credit the
+                    # head its served bytes at a.
+                    i, top = h - base, len(ends)
+                    if i < top and ends[i] <= a:
+                        room -= credited
+                        credited = 0
+                        while i < top and ends[i] <= a:
+                            room += rem[fifo[i]]
+                            i += 1
+                        prev = ends[i - 1]
+                        h = base + i
+                    if i < top:
+                        hj = fifo[i]
+                        ah = arrival[hj]
+                        start = ah if ah > prev else prev
+                        if a > start:
+                            served = int(rate * (a - start))
+                            if served >= rem[hj]:
+                                served = rem[hj] - 1
+                            room += served - credited
+                            credited = served
+                    if i > 1024 and i > top >> 1:
+                        cut = i if lat_n < 0 or lat_n >= h else lat_n - base
+                        _zero(rem, fifo[:cut])
+                        del fifo[:cut], ends[:cut]
+                        base += cut
+                    if size > room:
+                        drp_cum[c] += size - room
+                        if not room:  # dropped whole
+                            failed.append(fid[j])
+                            holes.append(base + len(ends))
+                            whole.append((j, size))
+                            rem[j] = 0
+                            ends_append(tail)
+                            continue
+                        size = rem[j] = room
+                start = a if a > tail else tail
+                tail = start + size / rate
+                room -= size
+                ends_append(tail)
+                while tail > depart_by:  # j is the head at each boundary it crosses
+                    departed_now[lent_cls] -= lent
+                    lent = 0
+                    if depart_by > start:
+                        lent = int(rate * (depart_by - start))
+                        if lent >= size:
+                            lent = size - 1
+                    departed_now[c] += lent
+                    ahead.append(tuple(departed_now) if any(departed_now) else zero)
+                    departed_now, lent_cls = [0] * k, c
+                    e += 1
+                    depart_by = (e + 1) * eps if e < n_epochs else inf
+                departed_now[c] += size
+                if tail < lat_ok:
+                    appends[c](tail + delay - a)
+                elif lat_n < 0:
+                    lat_n = base + len(ends) - 1
+            if injected >= 0:
+                accepted = rem[injected] > 0
+                if control and injected in control:
+                    ctl_seen = True
+                    c = cls[injected]
+                    ctl_arrived[c] += size0
+                    if accepted:
+                        ctl.append((base + len(ends) - 1, injected, c, rem[injected]))
+                    else:
+                        control.discard(injected)
+                if callbacks and injected in callbacks:
+                    if accepted:
+                        due.append((tail, base + len(ends) - 1, injected))
+                    else:
+                        del callbacks[injected]
+            continue
+
+        if fn is None:
+            # Nothing is taken before the horizon; a run until idle that has
+            # drained ends at the boundary after its last event.
+            t = horizon
+            if until_idle and pos == stop and not heap and not due:
+                n = (ea if ea > e else e) + 1
+                if n < n_epochs:
+                    t = n * eps
+            after_boundary = True
+        # The flows from w on wait at t: those after a callback's own, or
+        # those that depart after t; credit the head its served bytes at t.
+        # h and room are left to the next drop test.
+        top = base + len(ends)
+        got = 0
+        if after_boundary:
+            w = bisect_right(ends, t, h - base) + base
+            if w < top:
+                head = fifo[w - base]
+                ah = arrival[head]
+                before = ends[w - 1 - base] if w > h else prev
+                head_start = ah if ah > before else before
+                if t > head_start:
+                    got = int(rate * (t - head_start))
+                    if got >= rem[head]:
+                        got = rem[head] - 1
+        if lat_n >= 0:
+            for j, end in zip(fifo[lat_n - base:w - base], ends[lat_n - base:w - base]):
+                if rem[j]:  # not dropped whole
+                    appends[cls[j]](end + delay - arrival[j])
+            lat_n = w if w < top else -1
+        # Show the rows of the epochs that have ended by t.
+        n = shown
+        if shown_by < t or (after_boundary and shown_by == t):
+            n += 1
+            if after_boundary:
+                while (n + 1) * eps <= t:
+                    n += 1
+            else:
+                while (n + 1) * eps < t:
+                    n += 1
+            while ea < n:
+                arr_at = _close(arrived_rows, arr_cum, arr_at, zero)
+                drp_at = _close(dropped_rows, drp_cum, drp_at, zero)
+                ea += 1
+            arrive_by = (ea + 1) * eps
+            while e < n:  # no accepted flow crosses the boundary: close the epoch
+                departed_now[lent_cls] -= lent
+                lent = 0
+                ahead.append(tuple(departed_now) if any(departed_now) else zero)
+                departed_now = [0] * k
+                e += 1
+                depart_by = (e + 1) * eps if e < n_epochs else inf
+            for i in range(shown, n):
+                arr, drp, dlv = arrived_rows[i], dropped_rows[i], ahead.popleft()
+                if arr is not zero or dlv is not zero or drp is not zero:
+                    queued = tuple(map(sub, map(sub, map(add, queued, arr), dlv), drp))
+                delivered_append(dlv)
+                queued_append(queued)
+                shares_append(None)
+                ranks_append(None)
+            shown, shown_by = n, (n + 1) * eps
+        # The ledger, the queue and the counts at t. They are as the last
+        # code left them if no flow has arrived or departed since and the
+        # head's credit is the same.
+        if offered != s_offered or w != s_w or got != s_got or fn is None:
+            s_offered, s_w, s_got = offered, w, got
+            waiting = fifo[w - base:]
+            completed = w
+            if holes:
+                completed -= bisect_left(holes, w)
+                if holes[-1] >= w:
+                    waiting = [j for j in waiting if rem[j]]
+            held = [0] * k
+            for j in waiting:
+                held[cls[j]] += rem[j]
+            if got:
+                held[cls[head]] -= got
+            for c, arr, drp, q in zip(counters, arr_cum, drp_cum, held):
+                c.arrived = arr
+                c.dropped = drp
+                c.queued = q
+                c.delivered = arr - drp - q
+            if ctl_seen:
+                while ctl and ctl[0][0] < w:
+                    _, j, c, size = ctl.popleft()
+                    ctl_done[c] += size
+                    control.discard(j)
+                for c, arr, done in zip(counters, ctl_arrived, ctl_done):
+                    c.control_arrived, c.control_delivered = arr, done
+                if got and ctl and ctl[0][0] == w:
+                    counters[ctl[0][2]].control_delivered += got
+            queue.clear()
+            queue.extend(waiting)
+            sim._queued_bytes[0] = sum(held)
+            m.flows_offered, m.flows_completed, m.max_flow_size = offered, completed, largest
+        sim._pos, sim.now, sim._epoch = pos, t, n
+        if fn is None:
+            break
+        if got:
+            rem[head] -= got
+        fn(sim, at)
+        if got:
+            rem[head] += got
+        pos, stop, first, seqs = sim._pos, sim._stop, sim._first, sim._seqs
+
+    _zero(rem, fifo[:w - base])
+    for j, size in whole:
         rem[j] = size
-    sim._pos = read
-    sim.now = horizon
-    sim._epoch = n_epochs
+    if waiting:
+        sim._replan(head_start)  # the head's plan, as made when it began service
+        sim._plan.done = got
+        rem[head] -= got
+    sim._at_boundary = (tuple(arr_cum), tuple(map(sub, map(sub, arr_cum, drp_cum), queued)),
+                        tuple(drp_cum))
+    sim._in_epoch = False

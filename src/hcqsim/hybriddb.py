@@ -192,7 +192,12 @@ def _plan_cost(plan: QueryPlan, corpus: Corpus,
 def execute_local(plan: QueryPlan, corpus: Corpus, backends: BackendLatency) -> QueryResult:
     """Local protocol: lookup, then metadata plus all bodies over the local
     store path. Never touches the bottleneck link."""
-    meta_s, meta_bytes, body_bytes = _plan_cost(plan, corpus, backends)
+    return _local_result(plan, _plan_cost(plan, corpus, backends), backends)
+
+
+def _local_result(plan: QueryPlan, cost, backends: BackendLatency) -> QueryResult:
+    """execute_local's result, given the plan's _plan_cost."""
+    meta_s, meta_bytes, body_bytes = cost
     nbytes = meta_bytes + body_bytes
     transfer_s = nbytes / backends.local_bytes_per_s
     return QueryResult(
@@ -225,6 +230,7 @@ class HybridQueryDriver:
         self.corpus = corpus
         self.backends = backends
         self.plans = list(plans)
+        self.costs = [_plan_cost(plan, corpus, backends) for plan in self.plans]
         self.parallel = parallel
         self.results: list[QueryResult] = []
 
@@ -234,7 +240,7 @@ class HybridQueryDriver:
 
     def _submit(self, qi: int, t: float) -> None:
         plan = self.plans[qi]
-        meta_s, meta_bytes, body_bytes = _plan_cost(plan, self.corpus, self.backends)
+        meta_s, meta_bytes, body_bytes = self.costs[qi]
         meta_transfer = meta_bytes / self.backends.local_bytes_per_s
         rows = len(plan.article_ids)
         state = {
@@ -334,12 +340,15 @@ def run_experiment(
 
     The hybrid side shares one open-mode simulation with the background
     trace (a Trace, or FlowEvents), which must not use the query class; this
-    is checked before anything is simulated. Fetch bytes are reconciled
-    against the link's per-class delivered counters and any dropped fetch
-    byte is an error (size the queue above the largest article).
+    is checked before anything is simulated. The simulation starts at epoch
+    0, so it takes the FIFO pass (hcqsim.fifo), which runs the driver's
+    fetch callbacks and query steps as the event core would, until idle.
+    Each plan's cost is worked out once, for both protocols and the fetch
+    byte total. Fetch bytes are reconciled against the link's per-class
+    delivered counters and any dropped fetch byte is an error (size the
+    queue above the largest article).
     """
     plans = [plan_query(corpus, i, a) for i, a in enumerate(authors)]
-    local_results = [execute_local(p, corpus, backends) for p in plans]
 
     background = Trace.from_flows(background)
     if QUERY_LABEL in background.labels:
@@ -350,6 +359,7 @@ def run_experiment(
                         FeedbackMode.OPEN, scenario_id=scenario_id, seed=seed)
     sim.add_flows(background)
     driver = HybridQueryDriver(sim, corpus, backends, plans, parallel=parallel)
+    local_results = [_local_result(p, cost, backends) for p, cost in zip(plans, driver.costs)]
     driver.start(start_time)
     metrics = sim.run_until_idle()
 
@@ -359,7 +369,7 @@ def run_experiment(
             f"failed flow ids: {metrics.failed_flow_ids}"
         )
     hybrid_results = sorted(driver.results, key=lambda r: r.query_id)
-    fetch_bytes = sum(corpus.articles[i].body_size for p in plans for i in p.article_ids)
+    fetch_bytes = sum(body_bytes for _, _, body_bytes in driver.costs)
     tot = metrics.totals[QUERY_LABEL]
     if tot.dropped or tot.queued or tot.delivered != fetch_bytes:
         raise ExperimentError(

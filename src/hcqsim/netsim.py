@@ -83,12 +83,15 @@ locals back and reads them again. A completion serves its flow, runs the
 callback, then replans; a step brings service up to its time, runs, and
 replans an idle link.
 
-An open run that has not begun an epoch and holds no heap entry offers
-the cursor alone: no callback, step or preemption can meet it, and a
-flow's departure is fixed when it is accepted. run_epochs hands such a run
-to the FIFO pass (hcqsim.fifo), which works out the departures in one pass
-and the epoch rows from them, and leaves the simulator at the horizon as
-the event core would. The event core is the pass's reference.
+An open run serves one FIFO with no budget, so no preemption can meet it
+and a flow's departure is fixed when it is accepted. run_epochs and
+run_until_idle hand every open run that has not begun an epoch to the FIFO
+pass (hcqsim.fifo), whatever it holds: a trace, injected flows, completion
+callbacks and query steps. The pass takes the events in this loop's order,
+shows each callback and step the state this loop would show it, and leaves
+the simulator at the end boundary as this loop would. The route depends on
+the mode and the epoch alone (_takes_pass). A closed run, or one that has
+begun, takes the event core, which is the pass's reference.
 
 The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one k-tuple to each of the epoch columns: the
@@ -798,19 +801,24 @@ class LinkSimulator:
         self._epoch = e + 1
         self._in_epoch = False
 
+    def _takes_pass(self) -> bool:
+        """Whether the next run takes the FIFO pass: an open run that has
+        not begun an epoch (see the module docstring)."""
+        return self.mode is FeedbackMode.OPEN and self._epoch == 0
+
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run the next n_epochs control epochs, then stop.
 
         Arrivals and steps at or after the horizon, the end boundary of the
-        last epoch run, wait for the next call. An open run that has not
-        begun an epoch and holds no heap entry, so that the cursor is all it
-        offers, takes the FIFO pass (see the module docstring); every other
-        run takes the event core, the pass's reference. Either leaves the
-        same metrics and the same simulator to go on from.
+        last epoch run, wait for the next call; a completion on it is taken.
+        An open run that has not begun an epoch takes the FIFO pass, with
+        whatever it holds: a trace, injected flows, callbacks and steps.
+        Every other run takes the event core, the pass's reference. Either
+        leaves the same metrics and the same simulator to go on from.
         """
         if n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
-        if self.mode is FeedbackMode.OPEN and self._epoch == 0 and not self._heap:
+        if self._takes_pass():
             # Imported here: a process whose runs never take the pass (closed
             # runs only) does not load it.
             from .fifo import fifo_pass
@@ -826,8 +834,11 @@ class LinkSimulator:
         """Run epoch by epoch until no backlog or pending events remain at an
         epoch boundary; reaching boundary max_epochs + 1 is an error.
 
-        A closed run that stalls is an error too (see _check_stalled); the
-        error names each class that still holds bytes.
+        An open run that has not begun an epoch takes the FIFO pass, which
+        stops at the first idle boundary or at boundary max_epochs + 1,
+        whichever comes first, as the event core would. A closed run that
+        stalls is an error too (see _check_stalled); the error names each
+        class that still holds bytes.
         """
         closed = self.mode is FeedbackMode.CLOSED
         while True:
@@ -835,6 +846,11 @@ class LinkSimulator:
                 raise SimulationError(f"exceeded max_epochs={max_epochs} without draining")
             if not self._active():
                 break
+            if self._takes_pass():
+                from .fifo import fifo_pass
+
+                fifo_pass(self, max_epochs + 1, until_idle=True)
+                continue
             self._run_epoch()
             if closed and not self._heap and self._pos == self._stop:
                 self._check_stalled()

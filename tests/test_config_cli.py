@@ -340,6 +340,29 @@ class TestConfigParsing:
         assert str(cfg.traffic.classes[1].label) == "C"
         assert cfg.controller.control_bounds.hi == (1.0, 1.0)
 
+    def test_a_share_grid_over_the_budget_is_refused(self):
+        # All nine classes: the default grid 11 gives K = 92,378 share
+        # vectors and grid 13 gives 293,930; grid 41 would give
+        # 2,054,455,634 and is refused at parse time, before any is built.
+        raw = minimal_config()
+        raw["traffic"] = [
+            {"zone_class": zone, "rate_per_s": 1.0, "size": {"family": "fixed", "size_bytes": 1e3},
+             **({"app_kind": app} if app else {})}
+            for zone, app in [(z, a) for z in "AB" for a in ("Database", "Web", "File", "Service")]
+            + [("C", None)]]
+        raw["controller"]["warmup_epochs"] = 29
+        raw["controller"]["weights"] = {"Q_diag": [1.0] * 18, "R_diag": [0.1] * 9,
+                                        "x_ref": [0.0] * 18}
+        del raw["controller"]["grid"]
+        assert parse_config(raw).controller.grid == 11
+        raw["controller"]["grid"] = 13
+        assert parse_config(raw).controller.grid == 13
+        raw["controller"]["grid"] = 41
+        with pytest.raises(ConfigError, match=r"K = C\(49, 9\) = 2,054,455,634 share vectors, "
+                                              r"more than the 1,000,000") as err:
+            parse_config(raw)
+        assert err.value.path == "config.controller.grid"
+
     def test_query_class_under_hybrid_db_names_the_class(self):
         # The hybrid run's fetches travel in B:Database, so background
         # traffic there is refused before anything is simulated.

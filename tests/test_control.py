@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from hcqsim.control import (
     ExcitationController,
     IdentifiabilityError,
     InfeasibleControlSetError,
+    MAX_GRID_POINTS,
     MpcController,
     StateSpaceModel,
     _descending,
     _feasible_levels,
     allocate_control,
+    check_grid_size,
     check_stability,
     identify_model,
     save_model_csv,
@@ -747,6 +750,29 @@ class TestFeasibleLevels:
         levels = _feasible_levels(ControlBounds(lo, hi), grid)
         assert levels.shape == (2, 0)
         assert brute_force_levels(ControlBounds(lo, hi), grid) == []
+
+    @pytest.mark.parametrize("m, grid", [(2, 41), (9, 5), (3, 21), (9, 11), (9, 13), (9, 15)])
+    def test_grid_sizes_within_the_budget(self, m, grid):
+        # K = C(grid - 1 + m, m): s1 861, nine-class 715, demo 1,771, the
+        # default grid at nine shares 92,378, then 293,930 and 817,190.
+        assert math.comb(grid - 1 + m, m) <= MAX_GRID_POINTS
+        check_grid_size(m, grid)
+
+    def test_controller_refuses_a_huge_grid_before_building_it(self, monkeypatch):
+        # Nine shares at grid 41 would be 2,054,455,634 candidates; the
+        # grid is never built.
+        def refused(bounds, grid):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr("hcqsim.control._feasible_levels", refused)
+        m, n = 9, 18
+        model = StateSpaceModel(0.5 * np.eye(n), np.zeros((n, m)))
+        weights = CostWeights(Q=np.eye(n), R=np.eye(m), x_ref=np.zeros(n))
+        with pytest.raises(ValueError, match=r"K = C\(49, 9\) = 2,054,455,634 share vectors, "
+                                             r"more than the 1,000,000"):
+            MpcController(model, weights, horizon=3, grid=41)
+        with pytest.raises(ValueError, match=r"K = C\(25, 9\) = 2,042,975 share vectors"):
+            MpcController(model, weights, horizon=3, grid=17)
 
     def test_on_grid_bounds_keep_their_level(self):
         bounds = ControlBounds((0.1, 0.2), (0.3, 0.7))

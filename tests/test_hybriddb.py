@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -27,7 +28,8 @@ from hcqsim.hybriddb import (
     sample_query_authors,
 )
 from hcqsim.netsim import FeedbackMode, LinkSimulator, LinkSpec
-from hcqsim.scenarios import evaluate_s2, run_s2
+from hcqsim.runner import build_trace
+from hcqsim.scenarios import evaluate_s2, run_s2, s2_congested_config, s2_idle_config
 from hcqsim.traffic import (
     AppKind,
     ClassProfile,
@@ -371,6 +373,48 @@ def test_s2_seeds_that_drop_a_fetch():
             assert "fetch byte reconciliation failed" in str(exc)
             failed.append(seed)
     assert failed == [1, 2, 6, 8, 9, 18]
+
+
+def experiment_outcome(cfg, trace, corpus, authors, parallel):
+    """What run_experiment gives for a canned s2 config: the rows, the
+    summary and every SimMetrics field as their reprs, or its error."""
+    hc = cfg.hybrid_db
+    try:
+        result = run_experiment(corpus, authors, hc.backends, cfg.link, background=trace,
+                                scenario_id=cfg.scenario_id, seed=cfg.seed,
+                                start_time=hc.query_start_s, parallel=parallel)
+    except ExperimentError as exc:
+        return "error", str(exc)
+    m = result.sim_metrics
+    return (repr(result.rows), repr(result.summary),
+            {f.name: repr(getattr(m, f.name)) for f in dataclasses.fields(m)})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_experiments_on_the_pass_match_the_event_core(seed, core_calls, monkeypatch):
+    # run_experiment's open run, with its callback-injected fetches and query
+    # steps, takes the FIFO pass and runs no event core epoch; kept on the
+    # event core, it gives the same rows, metrics or error, for the canned
+    # s2 configs with sequential and parallel fetches. Seeds 1, 2, 6, 8 and
+    # 9 drop a fetch on the congested config.
+    failed = []
+    for make in (s2_congested_config, s2_idle_config):
+        cfg = make(seed)
+        trace = build_trace(cfg)
+        hc = cfg.hybrid_db
+        corpus = build_corpus(hc.corpus_spec)
+        authors = sample_query_authors(corpus, hc.n_queries, hc.query_seed)
+        for parallel in (False, True):
+            core_calls.clear()
+            passed = experiment_outcome(cfg, trace, corpus, authors, parallel)
+            assert core_calls == []
+            with monkeypatch.context() as patch:
+                patch.setattr(LinkSimulator, "_takes_pass", lambda self: False)
+                assert experiment_outcome(cfg, trace, corpus, authors, parallel) == passed
+            assert core_calls
+            if parallel == hc.parallel_fetch and passed[0] == "error":
+                failed.append(cfg.scenario_id)
+    assert failed == (["s2-hybrid-db-congested"] if seed in (1, 2, 6, 8, 9) else [])
 
 
 def reference_write_experiment_csv(result, path):

@@ -584,12 +584,12 @@ def lattice_runs(draw):
     return link, labels, n_epochs, trace, controller
 
 
-def hold(sim, n_epochs):
-    """Schedule a no-op query step at the end boundary of epoch n_epochs.
-    Pending at the horizon of a run of n_epochs, it keeps the heap non-empty,
-    so an open run takes the event core and not the FIFO pass, and it changes
-    no output."""
-    sim.schedule_at(n_epochs * sim.link.epoch_s, lambda s, t: None)
+def on_event_core(sim):
+    """Keep sim's runs on the event core, the FIFO pass's reference: an open
+    run that has not begun an epoch takes the pass otherwise. The routing
+    predicate is the one seam for this, and it changes no output."""
+    sim._takes_pass = lambda: False
+    return sim
 
 
 def assert_rows_conserve(m):
@@ -609,8 +609,8 @@ def conservation_checked(sim):
     """Check every class's byte conservation after each call of `sim`'s
     methods that the event loop calls with the ledger settled: a credit, a
     replan (mid-epoch, after a completion or an arrival) and a whole epoch.
-    These are the event core's; an open run checked this way is held on it
-    (see hold)."""
+    These are the event core's, so the run is kept on it (see
+    on_event_core)."""
     def checked(method):
         def run(*args):
             result = method(*args)
@@ -621,7 +621,7 @@ def conservation_checked(sim):
 
     for name in ("_credit", "_replan", "_run_epoch"):
         setattr(sim, name, checked(getattr(sim, name)))
-    return sim
+    return on_event_core(sim)
 
 
 class TestPropertyRandomLattice:
@@ -633,7 +633,6 @@ class TestPropertyRandomLattice:
         sim = conservation_checked(LinkSimulator(link, labels, mode, controller=controller))
         sim.add_flows(trace)
         if controller is None:
-            hold(sim, n_epochs)
             assert_rows_conserve(run_simulation(trace, link, mode, classes=labels,
                                                 n_epochs=n_epochs))  # the FIFO pass
         m = sim.run_epochs(n_epochs)
@@ -697,7 +696,12 @@ class TestEventOrdering:
         # At 1000 B/s, a 1000 B trace flow at t = 0 ends on boundary 1, and a
         # 750 B flow injected at 1.25 ends on boundary 2. Each counts in the
         # ending epoch's row. The callback runs at the boundary, inside
-        # epoch 1: before its row and before epoch 2's decision.
+        # epoch 1: before its row and before epoch 2's decision. An open run
+        # is made on the event core and on the FIFO pass.
+        for core in (True, False) if mode is FeedbackMode.OPEN else (True,):
+            self.check_service_ending_on_a_boundary(mode, core)
+
+    def check_service_ending_on_a_boundary(self, mode, core):
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000,
                         propagation_delay_s=0.25, epoch_s=1.0)
         log = []
@@ -714,14 +718,13 @@ class TestEventOrdering:
 
         if mode is FeedbackMode.OPEN:
             sim = LinkSimulator(link, [A_WEB], mode)
-            hold(sim, 3)  # keep the run on the event core
             refusal = "open mode takes no control decisions"
         else:
             sim = LinkSimulator(link, [A_WEB], mode, controller=Logged((1.0,)))
             refusal = r"decision at t=2.0 inside epoch 1: decisions are installed only"
         sim.add_flows([make_flow(0, 0.0, 1000)])
         fid = sim.inject_flow(1.25, 750, A_WEB, callback=served)
-        m = conservation_checked(sim).run_epochs(3)
+        m = (conservation_checked(sim) if core else sim).run_epochs(3)
         assert m.delivered == [(1000,), (750,), (0,)]
         assert m.queued == [(0,), (0,), (0,)]
         assert m.latencies_s[A_WEB] == [1.25, 1.0]  # exact: (end + delay) - arrival
@@ -937,6 +940,9 @@ class _RecordingSim(LinkSimulator):
         self._queues = [_LoggedQueue(self) for _ in self._queues]
         self.metrics.failed_flow_ids = _LoggedIds(self)
 
+    def _takes_pass(self):
+        return False  # the log is of the event core's queue appends and epochs
+
     def _finalize_epoch(self):
         self.log.append((self.now, f"epoch {self.metrics.n_epochs}"))
         super()._finalize_epoch()
@@ -1050,15 +1056,14 @@ class TestTraceCursor:
     def test_second_add_flows_keeps_seq_order_on_ties(self):
         # Flows of the first call come first at a shared instant, as they
         # did when each flow took a heap entry; the queue holds only one.
-        # The event core, held, logs the order of offer; the FIFO pass
-        # offers in the same order, so its outputs are the same.
+        # The event core logs the order of offer; the FIFO pass offers in
+        # the same order, so its outputs are the same.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=1000, epoch_s=1.0)
         core = _RecordingSim(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
         fifo = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
         for sim in (core, fifo):
             sim.add_flows([make_flow(1, 0.5, 800), make_flow(2, 0.75, 10)])
             sim.add_flows([make_flow(3, 0.5, 800, B_FILE), make_flow(4, 0.25, 10, B_FILE)])
-        hold(core, 2)
         m, passed = core.run_epochs(2), fifo.run_epochs(2)
         assert [what for t, what in core.log if what.startswith("arrival")] == [
             "arrival 4", "arrival 1", "arrival 3", "arrival 2"]
@@ -1146,13 +1151,27 @@ class TestTraceCursor:
 
 
 class TestPathSelection:
-    """An open run of a bare trace takes the FIFO pass, which makes no event
-    core call; every other run takes the event core. A change that sent bare
-    open runs back to the event core would lose the pass and fail here."""
+    """An open run that has not begun an epoch takes the FIFO pass, which
+    makes no event core call, whatever it holds; every other run takes the
+    event core. A change that sent such runs back to the event core would
+    lose the pass and fail here."""
 
     LINK = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
     FLOWS = regular_flows(A_WEB, 7.0, 900, 6.0) + regular_flows(B_FILE, 5.0, 1100, 6.0,
                                                                  start=0.01, fid0=1000)
+
+    def calls(self, core_calls, prepare, controller=None, until_idle=False):
+        """The event core epochs run by a run of FLOWS made ready by prepare."""
+        mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
+        sim = LinkSimulator(self.LINK, [A_WEB, B_FILE], mode, controller=controller)
+        sim.add_flows(self.FLOWS)
+        prepare(sim)
+        core_calls.clear()
+        if until_idle:
+            sim.run_until_idle()
+        else:
+            sim.run_epochs(12)
+        return len(core_calls)
 
     def test_a_bare_open_trace_takes_the_pass(self, core_calls):
         m = run_simulation(self.FLOWS, self.LINK, FeedbackMode.OPEN, n_epochs=12)
@@ -1161,27 +1180,28 @@ class TestPathSelection:
         m = run_open(cfg, build_trace(cfg), cfg.classes())
         assert m.flows_offered > 1000 and core_calls == []
 
-    def test_every_other_run_takes_the_event_core(self, core_calls):
-        def calls(prepare, controller=None, until_idle=False):
-            mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
-            sim = LinkSimulator(self.LINK, [A_WEB, B_FILE], mode, controller=controller)
-            sim.add_flows(self.FLOWS)
-            prepare(sim)
-            core_calls.clear()
-            if until_idle:
-                sim.run_until_idle()
-            else:
-                sim.run_epochs(12)
-            return len(core_calls)
+    def test_an_open_run_with_callbacks_and_steps_takes_the_pass(self, core_calls):
+        def fetch(sim):  # a callback that chains a fetch, adds a flow and schedules a step
+            def served(s, t):
+                s.add_flows([make_flow(5000, t + 0.25, 400)])
+                s.schedule_at(t, lambda s2, t2: s2.inject_flow(t2, 300, B_FILE))
+            sim.inject_flow(1.0, 500, A_WEB, callback=served)
 
-        assert calls(lambda sim: sim.schedule_at(3.0, lambda s, t: None)) > 0
-        assert calls(lambda sim: hold(sim, 12)) > 0
-        assert calls(lambda sim: sim.inject_flow(1.0, 500, A_WEB)) > 0
-        assert calls(lambda sim: sim.run_epochs(1)) > 0  # a run that has begun
-        assert calls(lambda sim: None, until_idle=True) > 0
-        assert calls(lambda sim: None, FixedShareController((0.5, 0.5), (0, 1))) > 0
+        for until_idle in (False, True):
+            assert self.calls(core_calls, lambda sim: None, until_idle=until_idle) == 0
+            assert self.calls(core_calls, lambda sim: sim.schedule_at(3.0, lambda s, t: None),
+                              until_idle=until_idle) == 0
+            assert self.calls(core_calls, fetch, until_idle=until_idle) == 0
+
+    def test_every_other_run_takes_the_event_core(self, core_calls):
+        assert self.calls(core_calls, on_event_core) > 0
+        assert self.calls(core_calls, on_event_core, until_idle=True) > 0
+        assert self.calls(core_calls, lambda sim: sim.run_epochs(1)) > 0  # a run that has begun
+        assert self.calls(core_calls, lambda sim: sim.run_epochs(1), until_idle=True) > 0
+        assert self.calls(core_calls, lambda sim: None,
+                          FixedShareController((0.5, 0.5), (0, 1))) > 0
         model, weights = toy_model_weights(2)
-        assert calls(lambda sim: None, MpcController(model, weights, 3, 11)) > 0
+        assert self.calls(core_calls, lambda sim: None, MpcController(model, weights, 3, 11)) > 0
 
     def test_only_a_run_that_takes_the_pass_loads_it(self):
         # hcqsim.fifo is imported by the first run that takes it, so a
@@ -1218,7 +1238,7 @@ class TestPathSelection:
             sim.add_flows([make_flow(j, 0.25 * j, size) for j, size in enumerate(sizes)])
             if held:
                 assert core_calls == []  # the pass took the first run
-                hold(sim, 2)
+                on_event_core(sim)
             runs.append(_outcome(sim.run_epochs(2)))
         assert runs[0] == runs[1] and runs[0][0][0][0] == (2**53 + 1,)
 
@@ -1273,18 +1293,15 @@ class TestPropertyThreeInputs:
         link, labels, n_epochs, idle, controller, trace, shuffled, parts = case
         mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
         outcomes = []
-        # An open run of n_epochs takes the FIFO pass given the Trace or the
-        # parts, and the event core, held, given the shuffled list.
+        # An open run takes the FIFO pass given the Trace or the parts, and
+        # the event core, checked, given the shuffled list.
         for batches, held in (([trace], False), ([shuffled], True), (list(parts), False)):
-            sim = conservation_checked(LinkSimulator(link, labels, mode, controller=controller))
+            sim = LinkSimulator(link, labels, mode, controller=controller)
+            if held or controller is not None:
+                conservation_checked(sim)
             for batch in batches:
                 sim.add_flows(batch)
-            if idle:
-                m = sim.run_until_idle()
-            else:
-                if held:
-                    hold(sim, n_epochs)
-                m = sim.run_epochs(n_epochs)
+            m = sim.run_until_idle() if idle else sim.run_epochs(n_epochs)
             assert_rows_conserve(m)
             outcomes.append(_outcome(m))
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -1293,15 +1310,13 @@ class TestPropertyThreeInputs:
 def _run_with_steps(link, labels, controller, check, batches, n_epochs, steps):
     """Run n_epochs, or until idle when None, with a no-op query step at
     each of `steps`; each step brings service up to its time before it runs.
-    With `check`, byte conservation is checked after every serve and
-    arrival, and an open run of n_epochs is held on the event core even with
-    no step; without it, such a run with no step takes the FIFO pass."""
+    With `check`, the run takes the event core and byte conservation is
+    checked after every serve and arrival; without it, an open run takes the
+    FIFO pass."""
     mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
     sim = LinkSimulator(link, labels, mode, controller=controller)
     if check:
         conservation_checked(sim)
-        if n_epochs is not None:
-            hold(sim, n_epochs)
     for batch in batches:
         sim.add_flows(batch)
     for t in steps:
@@ -1358,7 +1373,7 @@ GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 EVENT_CORE_KEY = "event-core"
 
 
-def event_core_run(seed):
+def event_core_run(seed, core=True):
     """One small random run that leans on every corner of the event loop.
 
     Times sit on a 1/8 s lattice and most sizes last a whole number of
@@ -1369,7 +1384,8 @@ def event_core_run(seed):
     (excitation) and control messages. Injected flows carry callbacks that
     chain further fetches, and query steps record the ledger, inject flows
     and add trace flows mid-run. Returns the metrics and the log of what
-    the callbacks and steps saw.
+    the callbacks and steps saw. With `core` the run is kept on the event
+    core; without it, an open run takes the FIFO pass.
     """
     rng = random.Random(f"event-core/{seed}")
     b_db = TrafficClassLabel(ZoneClass.B, AppKind.DATABASE)
@@ -1411,6 +1427,8 @@ def event_core_run(seed):
     mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
     sim = LinkSimulator(link, labels, mode, controller=controller, seed=seed,
                         control_message_bytes=message)
+    if core:
+        on_event_core(sim)
     log = []
 
     def fetch(t, depth):
@@ -1472,8 +1490,8 @@ def metrics_digest(m, log) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def event_core_digests() -> dict:
-    return {f"run-{seed:02d}": metrics_digest(*event_core_run(seed)) for seed in range(32)}
+def event_core_digests(core=True) -> dict:
+    return {f"run-{seed:02d}": metrics_digest(*event_core_run(seed, core)) for seed in range(32)}
 
 
 class TestEventCorePins:
@@ -1483,3 +1501,16 @@ class TestEventCorePins:
         got = event_core_digests()
         assert sorted(name for name in want if want[name] != got.get(name)) == []
         assert got.keys() == want.keys()
+
+    def test_open_runs_on_the_pass_match_their_pins(self, core_calls):
+        # The same runs, with the open ones on the FIFO pass: they must give
+        # the pins made on the event core, and make no event core call.
+        with open(GOLDEN_DIGESTS) as fh:
+            want = json.load(fh)[EVENT_CORE_KEY]
+        got, opened = {}, 0
+        for seed in range(32):
+            core_calls.clear()
+            got[f"run-{seed:02d}"] = metrics_digest(*event_core_run(seed, core=False))
+            opened += not core_calls
+        assert sorted(name for name in want if want[name] != got.get(name)) == []
+        assert opened >= 8  # open runs, none of which ran an event core epoch

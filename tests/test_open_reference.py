@@ -8,17 +8,18 @@ the flow in service (by t it has served min(size - 1, floor(rate * (t -
 start))) bytes, its last one at its end), and a departure at t before an
 arrival at t.
 
-An open run of a bare trace takes the FIFO pass; the same run with a no-op
-step pending at the horizon takes the event core. Both are compared with the
-reference, and with each other on every output and on the state the pass
-hands over.
+An open run from epoch 0 takes the FIFO pass; the same run kept on the
+event core takes the event core. Both are compared with the reference, and
+with each other on every output, on what each completion callback and query
+step sees, and on the state the pass hands over.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcqsim.netsim import FeedbackMode, LinkSimulator, LinkSpec, SimMetrics
+from hcqsim.netsim import FeedbackMode, LinkSimulator, LinkSpec, SimMetrics, SimulationError
 from hcqsim.traffic import (
     AppKind,
     ClassProfile,
@@ -37,8 +38,8 @@ from test_netsim import (
     A_WEB,
     B_ENDPOINTS,
     B_FILE,
-    hold,
     lattice_runs,
+    on_event_core,
     three_inputs,
 )
 
@@ -148,15 +149,11 @@ def open_sim(link, labels, batches) -> LinkSimulator:
 
 def simulated(trace, link, n_epochs, held=False):
     """An open run's outputs, as open_reference gives them: the FIFO pass,
-    or with `held` the event core. n_epochs None runs until idle, which the
-    event core does."""
+    or with `held` the event core. n_epochs None runs until idle."""
     sim = open_sim(link, trace.labels, [trace])
-    if n_epochs is None:
-        m = sim.run_until_idle()
-    else:
-        if held:
-            hold(sim, n_epochs)
-        m = sim.run_epochs(n_epochs)
+    if held:
+        on_event_core(sim)
+    m = sim.run_until_idle() if n_epochs is None else sim.run_epochs(n_epochs)
     dropped = {label: c.dropped for label, c in m.totals.items()}
     return m.latencies_s, m.failed_flow_ids, dropped, (m.arrived, m.delivered, m.dropped, m.queued)
 
@@ -168,6 +165,7 @@ def both_paths_match(trace, link, n_epochs=None):
     want = open_reference(trace, link, n_epochs)
     if n_epochs is None:
         assert simulated(trace, link, None) == want
+        assert simulated(trace, link, None, held=True) == want
         n_epochs = len(want[3][0])
     assert simulated(trace, link, n_epochs) == want
     assert simulated(trace, link, n_epochs, held=True) == want
@@ -228,8 +226,7 @@ class TestFifoPass:
     @given(open_cases())
     def test_every_field_matches_the_event_core(self, case):
         link, labels, batches, n_epochs = case
-        core = open_sim(link, labels, batches)
-        hold(core, n_epochs)
+        core = on_event_core(open_sim(link, labels, batches))
         assert every_field(open_sim(link, labels, batches).run_epochs(n_epochs)) == every_field(
             core.run_epochs(n_epochs))
 
@@ -251,10 +248,8 @@ class TestFifoPass:
         for held in (False, True):
             sim = open_sim(link, labels, batches)
             if held:
-                hold(sim, j)
+                on_event_core(sim)
             sim.run_epochs(j)
-            if not held:
-                hold(sim, j)  # the same heap entries, in the same seq order
             log = []
             sim.inject_flow(t_flow, size, label,
                             callback=lambda s, t: log.append(("served", t, s.now)))
@@ -262,3 +257,119 @@ class TestFifoPass:
                 ("step", t, [dataclasses.astuple(c) for c in s.counters])))
             runs.append((every_field(sim.run_epochs(rest)), log))
         assert runs[0] == runs[1]
+
+
+def flow(fid, t, size, label) -> FlowEvent:
+    src, dst = {ZoneClass.A: A_ENDPOINTS, ZoneClass.B: B_ENDPOINTS,
+                ZoneClass.C: (Zone.INTERNET, Zone.INTERNET)}[label.zone_class]
+    return FlowEvent(fid, t, size, src, dst, label.app_kind or AppKind.WEB)
+
+
+@st.composite
+def driven_runs(draw):
+    """An open_cases run with code running inside it: flows injected up front
+    with callbacks, some of them control messages, query steps, and a script
+    of what each callback or step does when it runs (inject a flow with a
+    callback, schedule a step, add a trace flow, or nothing). Times sit on the 1/8 s lattice and many sizes
+    last whole lattice steps, so departures, arrivals, steps and boundaries
+    meet; sizes reach twice the queue, so that callback flows are dropped in
+    part or whole. Half the runs go until idle."""
+    link, labels, batches, n_epochs = draw(open_cases())
+    rate, cap = int(link.byte_rate), link.queue_capacity_bytes
+    end = int(8 * n_epochs * link.epoch_s)
+    size = st.one_of(st.integers(1, 3).map(lambda q: max(1, q * rate // 8)),
+                     st.integers(1, 2 * cap))
+    label = st.sampled_from(labels)
+    flows = draw(st.lists(st.tuples(st.integers(0, end), size, label, st.booleans()),
+                          max_size=6))
+    steps = draw(st.lists(st.integers(0, end), max_size=4))
+    script = draw(st.lists(st.tuples(st.sampled_from(["inject", "step", "add", "none"]),
+                                     st.integers(0, 8), size, label), max_size=12))
+    return link, labels, batches, n_epochs, flows, steps, script, draw(st.booleans())
+
+
+def driven(case, core):
+    """Every SimMetrics field of a driven_runs case, on the event core or the
+    FIFO pass, and a log of what each callback and step saw: the clock, the
+    cursor, the epochs, the queue, its bytes, the head's rem and every
+    SimMetrics field."""
+    link, labels, batches, n_epochs, flows, steps, script, until_idle = case
+    sim = open_sim(link, labels, batches)
+    if core:
+        on_event_core(sim)
+    todo, log = iter(script), []
+
+    def run(kind, s, t):
+        q = s._queues[0]
+        log.append((kind, t, s.now, s._pos, s.metrics.n_epochs, list(q), s._queued_bytes[0],
+                    s._rem[q[0]] if q else None, every_field(s.metrics)))
+        what, dt, size, label = next(todo, ("none", 0, 0, None))
+        if what == "inject":
+            s.inject_flow(t + dt / 8, size, label, callback=served)
+        elif what == "step":
+            s.schedule_at(t + dt / 8, stepped)
+        elif what == "add":
+            s.add_flows([flow(9000 + len(log), t + dt / 8, size, label)])
+
+    def served(s, t):
+        run("served", s, t)
+
+    def stepped(s, t):
+        run("step", s, t)
+
+    for q, size, label, control in flows:
+        sim.inject_flow(q / 8, size, label, control=control, callback=served)
+    for q in steps:
+        sim.schedule_at(q / 8, stepped)
+    m = sim.run_until_idle() if until_idle else sim.run_epochs(n_epochs)
+    return every_field(m), log
+
+
+class TestFifoPassDriven:
+    """The FIFO pass against the event core on runs with callbacks and steps."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(driven_runs())
+    def test_what_the_code_sees_and_gives_matches_the_event_core(self, case):
+        assert driven(case, core=False) == driven(case, core=True)
+
+    def test_callback_flows_dropped_in_part_or_whole(self):
+        # A 1000 B queue at 1000 B/s: a trace flow fills 800 B at t = 0; at
+        # 0.125, when 125 B of it are served, a callback flow of 500 B fits
+        # 325 B, and one of 50 B behind it fits none. Only the first
+        # callback runs.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=1000, epoch_s=0.5)
+        runs = []
+        for core in (True, False):
+            sim = open_sim(link, [A_WEB], [[flow(0, 0.0, 800, A_WEB)]])
+            if core:
+                on_event_core(sim)
+            seen = []
+            for size in (500, 50):
+                sim.inject_flow(0.125, size, A_WEB, callback=lambda s, at, size=size: seen.append(
+                    (size, at, s.now, [dataclasses.astuple(c) for c in s.counters])))
+            m = sim.run_until_idle()
+            assert m.totals[A_WEB].dropped == 175 + 50 and len(m.failed_flow_ids) == 1
+            assert [size for size, *_ in seen] == [500] and sim._callbacks == {}
+            runs.append((every_field(m), seen))
+        assert runs[0] == runs[1]
+
+    def test_a_run_that_never_drains_exceeds_max_epochs(self):
+        # A step that schedules itself 0.75 s later keeps the run going for
+        # ever; boundary max_epochs + 1 is an error on either path, and each
+        # leaves the same simulator.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000, epoch_s=0.5)
+        runs = []
+        for core in (True, False):
+            sim = open_sim(link, [A_WEB], [[flow(0, 0.1, 700, A_WEB)]])
+            if core:
+                on_event_core(sim)
+
+            def again(s, t):
+                s.schedule_at(t + 0.75, again)
+
+            sim.schedule_at(0.0, again)
+            with pytest.raises(SimulationError, match="exceeded max_epochs=20 without draining"):
+                sim.run_until_idle(max_epochs=20)
+            runs.append((every_field(sim.metrics), sim.now, sim._epoch, sim._heap[0][0]))
+        assert runs[0] == runs[1] and runs[0][1:3] == (10.5, 21)
