@@ -38,6 +38,7 @@ from .traffic import (
     TrafficProfile,
     ZoneClass,
     canonical_class_order,
+    check_flow_count,
 )
 
 IDENTIFY_FROM_WARMUP = "identify-from-warmup"
@@ -356,6 +357,13 @@ def parse_config(data, source: str = "config") -> ScenarioConfig:
     link = _build(f"{source}.link", LinkSpec, **link_kwargs)
 
     traffic = _parse_traffic(root)
+    # generate_trace's bound on the expected flow count, at the class that
+    # brings the total over it.
+    rate = 0
+    for i, cp in enumerate(traffic.classes):
+        rate += cp.rate_per_s
+        _build(f"{source}.traffic[{i}].rate_per_s", check_flow_count, rate,
+               n_epochs * link.epoch_s)
 
     cnode = root.child("controller", required=False)
     controller = _parse_controller(cnode, traffic) if cnode is not None else None

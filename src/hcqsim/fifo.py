@@ -30,10 +30,13 @@ accepted bytes in the one it departs in: the first whose end boundary is at
 or after its departure. A flow whose service crosses a boundary is the head
 there; the bytes credited to it at the boundary count in the ending epoch,
 and the next epoch's delivered count takes them back. Delivered rows are
-worked out when a departure is accepted, ahead of the clock, and are held
-back until their epoch has ended. A latency is appended when its flow is
-accepted if the flow departs before any callback or step can run, and
-otherwise when it departs.
+worked out when a departure is accepted, ahead of the clock, and arrived
+and dropped rows once an arrival comes after their epoch. Each waits in a
+deque of the pass until its epoch has ended; then the epoch's four rows,
+the queued row worked out from the others, are written to the flat arrays
+of the metrics' epoch columns. The pass never reads a row back. A latency
+is appended when its flow is accepted if the flow departs before any
+callback or step can run, and otherwise when it departs.
 
 A completion callback or a query step sees the simulator as the event core
 leaves it at that instant: `now` (the departure for a callback, which is
@@ -74,13 +77,13 @@ def _zero(rem: array, entries: array) -> None:
         np.frombuffer(rem, dtype=np.int64)[np.frombuffer(entries, dtype=np.int64)] = 0
 
 
-def _close(rows: list, total: list, at: list, zero: tuple) -> list:
+def _close(rows: deque, total: list, at: list, zero: list) -> list:
     """Append to rows the bytes by class counted in total since at, the
     totals when the epoch began, and return the totals it ends with."""
     if total == at:
         rows.append(zero)
         return at
-    rows.append(tuple(map(sub, total, at)))
+    rows.append(list(map(sub, total, at)))
     return total[:]
 
 
@@ -95,16 +98,16 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
     horizon = n_epochs * eps
     k = len(sim.classes)
     arrival, rem, cls, fid = sim._arrival, sim._rem, sim._cls, sim._fid
-    heap, callbacks, control = sim._heap, sim._callbacks, sim._control
+    heap, callbacks = sim._heap, sim._callbacks
     queue, counters = sim._queues[0], sim.counters
     appends = [lat.append for lat in sim._latencies]
     m = sim.metrics
     failed = m.failed_flow_ids
-    arrived_rows, dropped_rows = m.arrived, m.dropped
-    delivered_append, queued_append = m.delivered.append, m.queued.append
+    arrived_fromlist, delivered_fromlist, dropped_fromlist, queued_fromlist = (
+        col.flat.fromlist for col in (m.arrived, m.delivered, m.dropped, m.queued))
     shares_append, ranks_append = m.shares.append, m.ranks.append
     inf, never = math.inf, -math.inf
-    zero = (0,) * k  # one tuple for every row that is all zero
+    zero = [0] * k  # one list, never changed, for every row that is all zero
 
     # The flows offered, in order, from FIFO index `base` on: their entries
     # and departures. A flow dropped whole keeps its place with no bytes
@@ -120,13 +123,13 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
     tail = prev = never  # the last departure, and the one before flow h
     lat_n = -1  # the first flow whose latency waits for its departure, or -1
     due = deque()  # (departure, FIFO index, entry) of each flow with a callback
-    ctl = deque()  # (FIFO index, entry, class, bytes accepted) of each control flow
-    ctl_arrived, ctl_done, ctl_seen = [0] * k, [0] * k, False
     # The bytes offered and dropped by class, in all and at the end boundary
     # of the last arrival's epoch; that epoch's arrived and dropped rows are
-    # appended once an arrival comes after it.
+    # worked out once an arrival comes after it, into arrived_rows and
+    # dropped_rows, and shown once it has ended.
     ea, arrive_by = 0, eps
     arr_cum, drp_cum, arr_at, drp_at = [0] * k, [0] * k, [0] * k, [0] * k
+    arrived_rows, dropped_rows = deque(), deque()
     # The last departure's epoch, its end boundary and its bytes so far by
     # class. Its delivered row is worked out once a departure comes after
     # it, into `ahead`, and shown with its queued row once it has ended.
@@ -245,7 +248,7 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                         if lent >= size:
                             lent = size - 1
                     departed_now[c] += lent
-                    ahead.append(tuple(departed_now) if any(departed_now) else zero)
+                    ahead.append(departed_now if any(departed_now) else zero)
                     departed_now, lent_cls = [0] * k, c
                     e += 1
                     depart_by = (e + 1) * eps if e < n_epochs else inf
@@ -254,21 +257,11 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                     appends[c](tail + delay - a)
                 elif lat_n < 0:
                     lat_n = base + len(ends) - 1
-            if injected >= 0:
-                accepted = rem[injected] > 0
-                if control and injected in control:
-                    ctl_seen = True
-                    c = cls[injected]
-                    ctl_arrived[c] += size0
-                    if accepted:
-                        ctl.append((base + len(ends) - 1, injected, c, rem[injected]))
-                    else:
-                        control.discard(injected)
-                if callbacks and injected in callbacks:
-                    if accepted:
-                        due.append((tail, base + len(ends) - 1, injected))
-                    else:
-                        del callbacks[injected]
+            if injected >= 0 and callbacks and injected in callbacks:
+                if rem[injected]:
+                    due.append((tail, base + len(ends) - 1, injected))
+                else:  # dropped whole
+                    del callbacks[injected]
             continue
 
         if fn is None:
@@ -319,16 +312,18 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
             while e < n:  # no accepted flow crosses the boundary: close the epoch
                 departed_now[lent_cls] -= lent
                 lent = 0
-                ahead.append(tuple(departed_now) if any(departed_now) else zero)
+                ahead.append(departed_now if any(departed_now) else zero)
                 departed_now = [0] * k
                 e += 1
                 depart_by = (e + 1) * eps if e < n_epochs else inf
-            for i in range(shown, n):
-                arr, drp, dlv = arrived_rows[i], dropped_rows[i], ahead.popleft()
+            for _ in range(n - shown):
+                arr, drp, dlv = arrived_rows.popleft(), dropped_rows.popleft(), ahead.popleft()
                 if arr is not zero or dlv is not zero or drp is not zero:
-                    queued = tuple(map(sub, map(sub, map(add, queued, arr), dlv), drp))
-                delivered_append(dlv)
-                queued_append(queued)
+                    queued = list(map(sub, map(sub, map(add, queued, arr), dlv), drp))
+                arrived_fromlist(arr)
+                delivered_fromlist(dlv)
+                dropped_fromlist(drp)
+                queued_fromlist(queued)
                 shares_append(None)
                 ranks_append(None)
             shown, shown_by = n, (n + 1) * eps
@@ -353,15 +348,6 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                 c.dropped = drp
                 c.queued = q
                 c.delivered = arr - drp - q
-            if ctl_seen:
-                while ctl and ctl[0][0] < w:
-                    _, j, c, size = ctl.popleft()
-                    ctl_done[c] += size
-                    control.discard(j)
-                for c, arr, done in zip(counters, ctl_arrived, ctl_done):
-                    c.control_arrived, c.control_delivered = arr, done
-                if got and ctl and ctl[0][0] == w:
-                    counters[ctl[0][2]].control_delivered += got
             queue.clear()
             queue.extend(waiting)
             sim._queued_bytes[0] = sum(held)
@@ -383,6 +369,5 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
         sim._replan(head_start)  # the head's plan, as made when it began service
         sim._plan.done = got
         rem[head] -= got
-    sim._at_boundary = (tuple(arr_cum), tuple(map(sub, map(sub, arr_cum, drp_cum), queued)),
-                        tuple(drp_cum))
+    sim._at_boundary = list(zip(arr_cum, map(sub, map(sub, arr_cum, drp_cum), queued), drp_cum))
     sim._in_epoch = False

@@ -16,6 +16,8 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 FLOAT_FMT = "%.9g"
 UTILIZATION_EDGES = tuple(i / 20 for i in range(21))  # twenty equal bins over [0, 1]
 TAIL_THRESHOLD = 0.95  # tail mass: the share of epochs above this utilization
@@ -63,13 +65,15 @@ def build_histogram(samples, edges) -> Histogram:
 
 
 def quantiles_nearest_rank(values, ps) -> tuple[float, ...]:
-    """Nearest-rank quantile of values at each p of ps, every rank read from
-    one sorted copy; nan for each when values is empty."""
-    if not values:
+    """Nearest-rank quantile of values at each p of ps; nan for each when
+    values is empty. One np.partition puts every rank's element where a
+    sort would, so each is the sorted copy's element at that rank."""
+    n = len(values)
+    if not n or not ps:
         return (float("nan"),) * len(ps)
-    vals = sorted(values)
-    n = len(vals)
-    return tuple(vals[max(1, math.ceil(p * n)) - 1] for p in ps)
+    ranks = [max(1, math.ceil(p * n)) - 1 for p in ps]
+    vals = np.partition(np.asarray(values), ranks)
+    return tuple(vals[r].item() for r in ranks)
 
 
 def variance_two_pass(values) -> float:

@@ -94,9 +94,13 @@ the mode and the epoch alone (_takes_pass). A closed run, or one that has
 begun, takes the event core, which is the pass's reference.
 
 The per-class ClassCounters are the one byte ledger. At each epoch
-boundary the run appends one k-tuple to each of the epoch columns: the
-arrived, delivered and dropped counters differenced against their values
-at the previous boundary, and the queued counter as it stands.
+boundary the run appends one row of k counts to each epoch column of the
+metrics (an EpochColumn, held as one flat array('q')): the arrived,
+delivered and dropped counters differenced against each class's values at
+the previous boundary, and the queued counter as it stands. The boundary
+writes the flat arrays and keeps the delivered row for the next closed
+epoch to observe, so no row is read back while a run goes on. Latencies
+are appended to one array('d') per class as flows complete.
 """
 
 from __future__ import annotations
@@ -108,11 +112,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, cycle, repeat
-from operator import sub
 from typing import Optional
 
 import numpy as np
 
+from .columns import EpochColumn
 from .control import ControlBounds, ControlDecision
 from .traffic import (
     AppKind,
@@ -192,15 +196,20 @@ EPOCH_CSV_HEADER = [
     "utilization",
 ]
 
+
 @dataclass
 class SimMetrics:
     """Everything one run produced, sufficient to rebuild every report.
 
-    `totals` maps each class to its cumulative ClassCounters. The epoch
-    columns hold one k-tuple per epoch, in class order: `arrived`,
-    `delivered` and `dropped` are the counters differenced at the epoch's
-    two boundaries, `queued` the counter at its end. `shares` and `ranks`
-    are the installed shares and priority ranks, None in open mode.
+    `totals` maps each class to its cumulative ClassCounters, and
+    `latencies_s` each class to the latencies of its completed flows, an
+    array('d') in completion order. The epoch columns `arrived`,
+    `delivered`, `dropped` and `queued` are EpochColumns, one k-tuple per
+    epoch in class order: the first three are the counters differenced at
+    the epoch's two boundaries, `queued` the counter at its end. `shares`
+    and `ranks` are lists of the installed shares and priority ranks, None
+    in open mode. Latencies and counts are held in typed arrays, about 8
+    bytes per latency and 8 per count of an epoch column.
     """
 
     scenario_id: str
@@ -210,10 +219,10 @@ class SimMetrics:
     classes: tuple[TrafficClassLabel, ...]
     totals: dict = field(default_factory=dict)
     latencies_s: dict = field(default_factory=dict)
-    arrived: list[tuple] = field(default_factory=list)
-    delivered: list[tuple] = field(default_factory=list)
-    dropped: list[tuple] = field(default_factory=list)
-    queued: list[tuple] = field(default_factory=list)
+    arrived: EpochColumn = field(init=False)
+    delivered: EpochColumn = field(init=False)
+    dropped: EpochColumn = field(init=False)
+    queued: EpochColumn = field(init=False)
     shares: list[Optional[tuple]] = field(default_factory=list)
     ranks: list[Optional[tuple]] = field(default_factory=list)
     flows_offered: int = 0
@@ -222,6 +231,11 @@ class SimMetrics:
     max_flow_size: int = 0
     state_history: list = field(default_factory=list)
 
+    def __post_init__(self):
+        k = len(self.classes)
+        self.arrived, self.delivered, self.dropped, self.queued = (
+            EpochColumn(k), EpochColumn(k), EpochColumn(k), EpochColumn(k))
+
     @property
     def n_epochs(self) -> int:
         return len(self.delivered)
@@ -229,7 +243,7 @@ class SimMetrics:
     @property
     def link_utilization(self) -> list[float]:
         per_epoch = self.link.bytes_per_epoch
-        return [sum(row) / per_epoch for row in self.delivered]
+        return [total / per_epoch for total in map(sum, self.delivered)]
 
     @property
     def control_bytes_injected(self) -> int:
@@ -251,6 +265,7 @@ class SimMetrics:
     def assert_conservation(self) -> None:
         """Per class: arrived == delivered + dropped + queued, and the epoch
         rows' arrived/delivered/dropped sum to the totals."""
+        k = len(self.classes)
         for i, label in enumerate(self.classes):
             c = self.totals[label]
             if not c.conserved():
@@ -258,7 +273,7 @@ class SimMetrics:
                     f"byte conservation violated for {label}: arrived={c.arrived} "
                     f"delivered={c.delivered} dropped={c.dropped} queued={c.queued}"
                 )
-            arrived, delivered, dropped = (sum(row[i] for row in col)
+            arrived, delivered, dropped = (sum(col.flat[i::k])
                                            for col in (self.arrived, self.delivered, self.dropped))
             if (arrived, delivered, dropped) != (c.arrived, c.delivered, c.dropped):
                 raise SimulationError(
@@ -282,11 +297,13 @@ class SimMetrics:
         # and "-0". Utilization depends on the delivered count alone.
         share_text = _Texts(_from_bits)
         util_text = _Texts(lambda delivered: delivered / per_epoch)
+        arrived, delivered, dropped, queued = (
+            col.flat for col in (self.arrived, self.delivered, self.dropped, self.queued))
         with open(path, "w", newline="") as fh:
             fh.write(",".join(EPOCH_CSV_HEADER) + "\r\n")
             for first in range(0, self.n_epochs, _CSV_BLOCK_EPOCHS):
                 block = slice(first, first + _CSV_BLOCK_EPOCHS)
-                delivered = self.delivered[block]
+                values = slice(first * k, (first + _CSV_BLOCK_EPOCHS) * k)
                 shares = self.shares[block]
                 if None in shares:  # epochs run open have no shares
                     share = chain.from_iterable(
@@ -295,17 +312,17 @@ class SimMetrics:
                 else:
                     share = map(share_text.__getitem__, _bits(chain.from_iterable(shares)))
                 rows = zip(
-                    chain.from_iterable(map(repeat, range(first, first + len(delivered)),
+                    chain.from_iterable(map(repeat, range(first, first + len(shares)),
                                             repeat(k))),
                     cycle(names),
-                    chain.from_iterable(self.arrived[block]),
-                    chain.from_iterable(delivered),
-                    chain.from_iterable(self.dropped[block]),
-                    chain.from_iterable(self.queued[block]),
+                    arrived[values],
+                    delivered[values],
+                    dropped[values],
+                    queued[values],
                     share,
                     chain.from_iterable(blank if row is None else row
                                         for row in self.ranks[block]),
-                    map(util_text.__getitem__, chain.from_iterable(delivered)),
+                    map(util_text.__getitem__, delivered[values]),
                 )
                 fh.write("".join(map("%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)))
 
@@ -445,9 +462,12 @@ class LinkSimulator:
         self._rank = list(range(n_queues))
         self._shares: Optional[tuple] = None
 
-        # (arrived, delivered, dropped) per class at the last epoch boundary
-        self._at_boundary = ((0,) * k,) * 3
-        self._latencies = [[] for _ in range(k)]
+        # Each class's (arrived, delivered, dropped) at the last epoch
+        # boundary, and the last epoch's delivered row, which closed mode
+        # observes
+        self._at_boundary = [(0, 0, 0)] * k
+        self._last_delivered = [0] * k
+        self._latencies = [array("d") for _ in range(k)]
 
         self._inject_id = -1
 
@@ -516,16 +536,16 @@ class LinkSimulator:
         self._arrival.extend(time)
         self._fid.extend(ids)
 
-    def inject_flow(self, time, size, label, control=False, callback=None) -> int:
-        """Dynamically offer a flow (control messages, query fetches)."""
+    def inject_flow(self, time, size, label, callback=None) -> int:
+        """Dynamically offer a flow (query fetches); callback(sim, t) runs
+        when it is delivered at t. Closed runs send their control messages
+        themselves (see _begin_epoch)."""
         i = self._index.get(label)
         if i is None:
             raise ValueError(f"injected flow class {label} not configured for this run")
         if size < 1:
             raise ValueError("injected flow size must be >= 1")
         j = self._inject(time, i, int(size))
-        if control:
-            self._control.add(j)
         if callback is not None:
             self._callbacks[j] = callback
         return self._fid[j]
@@ -610,18 +630,20 @@ class LinkSimulator:
     def _finalize_epoch(self) -> None:
         """Append the ending epoch's row to each column of the metrics."""
         arrived, delivered, dropped, queued = [], [], [], []
-        for c in self.counters:
-            arrived.append(c.arrived)
-            delivered.append(c.delivered)
-            dropped.append(c.dropped)
+        at = self._at_boundary
+        for i, c in enumerate(self.counters):
+            a0, d0, r0 = at[i]
+            at[i] = a, d, r = c.arrived, c.delivered, c.dropped
+            arrived.append(a - a0)
+            delivered.append(d - d0)
+            dropped.append(r - r0)
             queued.append(c.queued)
-        prev_arrived, prev_delivered, prev_dropped = self._at_boundary
-        self._at_boundary = arrived, delivered, dropped
+        self._last_delivered = delivered
         m = self.metrics
-        m.arrived.append(tuple(map(sub, arrived, prev_arrived)))
-        m.delivered.append(tuple(map(sub, delivered, prev_delivered)))
-        m.dropped.append(tuple(map(sub, dropped, prev_dropped)))
-        m.queued.append(tuple(queued))
+        m.arrived.flat.fromlist(arrived)
+        m.delivered.flat.fromlist(delivered)
+        m.dropped.flat.fromlist(dropped)
+        m.queued.flat.fromlist(queued)
         m.shares.append(self._shares)
         m.ranks.append(None if self._shares is None else tuple(self._rank))
 
@@ -629,8 +651,7 @@ class LinkSimulator:
         if self.mode is not FeedbackMode.CLOSED:
             return
         m = self.metrics
-        last = m.delivered[-1] if m.delivered else (0,) * len(self._identity)
-        x = observe_state(self.counters, self.link, last)
+        x = observe_state(self.counters, self.link, self._last_delivered)
         decision = self.controller.decide(x, self._epoch)
         self.apply_decision(decision)
         m.state_history.append((x, np.array(decision.u)))
@@ -882,7 +903,7 @@ class LinkSimulator:
         message = [0] * len(self.classes)
         if self.control_message_bytes:
             message[self._control_class] = self.control_message_bytes
-        delivered = m.delivered[-1]
+        delivered = self._last_delivered
         if (list(m.arrived[-1]) != message
                 or any(d and q for d, q in zip(delivered, m.queued[-1]))
                 or not np.array_equal(observe_state(self.counters, self.link, delivered),

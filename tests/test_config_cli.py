@@ -363,6 +363,25 @@ class TestConfigParsing:
             parse_config(raw)
         assert err.value.path == "config.controller.grid"
 
+    def test_a_trace_over_the_flow_budget_is_refused(self):
+        # The bound is on the trace's expected flow count, rate_per_s summed
+        # over the sources times n_epochs * epoch_s; it is refused at the
+        # source that brings it over, at parse time.
+        raw = minimal_config()  # 25 flows/s over 20 s
+        raw["traffic"][1]["rate_per_s"] = 499_985.0  # 10,000,000 flows in all
+        parse_config(raw)
+        raw["traffic"][1]["rate_per_s"] = 499_986.0
+        with pytest.raises(ConfigError, match=r"sources of 500001 flows/s in all over 20 s "
+                                              r"expect 10,000,020 flows, more than the "
+                                              r"10,000,000 a trace may hold") as err:
+            parse_config(raw)
+        assert err.value.path == "config.traffic[1].rate_per_s"
+        raw["traffic"][0]["rate_per_s"] = 1e12
+        raw["n_epochs"] = 10**6
+        with pytest.raises(ConfigError, match=r"1e\+12 flows/s in all over 1e\+06 s") as err:
+            parse_config(raw)
+        assert err.value.path == "config.traffic[0].rate_per_s"
+
     def test_query_class_under_hybrid_db_names_the_class(self):
         # The hybrid run's fetches travel in B:Database, so background
         # traffic there is refused before anything is simulated.

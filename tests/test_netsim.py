@@ -9,6 +9,8 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from array import array
 from collections import deque
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hcqsim
+from hcqsim.columns import EpochColumn
 from hcqsim.control import (
     ControlDecision,
     CostWeights,
@@ -259,7 +262,9 @@ ODD_SHARES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(0, 2**70),
 )
-BYTES = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 2**80))
+# Up to 2**62, so that a queued count (arrived + delivered below) fits the
+# columns' int64.
+BYTES = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 2**62))
 # Per class count k: a row of byte counts, of shares and of ranks.
 BYTE_ROWS, SHARE_ROWS, RANK_ROWS = ({k: strategy(k) for k in range(1, 10)} for strategy in (
     lambda k: st.tuples(*[BYTES] * k),
@@ -289,6 +294,46 @@ def epoch_columns(draw):
         m.shares.append(draw(SHARE_ROWS[k]) if closed else None)
         m.ranks.append(draw(RANK_ROWS[k]) if closed else None)
     return m
+
+
+class TestEpochColumn:
+    """An EpochColumn reads as the list of k-tuples it holds flat."""
+
+    def test_reads_as_a_list_of_tuples(self):
+        rows = [(1, 2, 3), (0, 0, 0), (2**63 - 1, -5, 7)]
+        col = EpochColumn(3)
+        for row in rows:
+            col.append(row)
+        assert col.flat == array("q", [1, 2, 3, 0, 0, 0, 2**63 - 1, -5, 7])
+        assert len(col) == 3 and list(col) == rows and col == rows and rows == col
+        assert [col[e] for e in range(-3, 3)] == rows + rows
+        assert col[1:] == rows[1:] and col[::-2] == rows[::-2] and col[5:] == []
+        assert repr(col) == repr(rows)
+        assert col != rows[:2] and col != [list(row) for row in rows]
+        with pytest.raises(IndexError):
+            col[3]
+        with pytest.raises(IndexError):
+            col[-4]
+
+    def test_columns_compare_by_rows(self):
+        a, b, c = EpochColumn(2), EpochColumn(2), EpochColumn(1)
+        assert a == b == c == []  # no rows, whatever k
+        a.append((1, 2))
+        b.append([1, 2])
+        c.append((1,))
+        c.append((2,))
+        assert a == b and a.flat == c.flat and a != c
+
+    def test_a_row_is_appended_whole_or_not_at_all(self):
+        col = EpochColumn(2)
+        col.append((4, 5))
+        with pytest.raises(OverflowError):
+            col.append((1, 2**63))
+        with pytest.raises(ValueError, match="a row of 3 values for 2 classes"):
+            col.append((1, 2, 3))
+        assert col == [(4, 5)]
+        with pytest.raises(ValueError, match="at least one class"):
+            EpochColumn(0)
 
 
 class TestEpochsCsv:
@@ -727,7 +772,7 @@ class TestEventOrdering:
         m = (conservation_checked(sim) if core else sim).run_epochs(3)
         assert m.delivered == [(1000,), (750,), (0,)]
         assert m.queued == [(0,), (0,), (0,)]
-        assert m.latencies_s[A_WEB] == [1.25, 1.0]  # exact: (end + delay) - arrival
+        assert list(m.latencies_s[A_WEB]) == [1.25, 1.0]  # exact: (end + delay) - arrival
         assert m.flows_completed == 2 and fid not in m.failed_flow_ids
         # now is the boundary, the delivery is a delay later, one row is done
         served_at = [("served", 2.0, 2.25, 1)]
@@ -740,7 +785,7 @@ class TestEventOrdering:
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=1.0)
         m = run_simulation([make_flow(0, 0.5, 100)], link, FeedbackMode.OPEN,
                            classes=[A_WEB], n_epochs=2)
-        m.arrived[0] = (m.arrived[0][0] + 1,)
+        m.arrived.flat[0] += 1
         with pytest.raises(SimulationError, match="epoch rows disagree"):
             m.assert_conservation()
 
@@ -1033,9 +1078,9 @@ class TestTraceCursor:
         assert sim.log == [(0.0, "arrival 0"), (1.0, "epoch 0"), (2.0, "epoch 1"),
                            (3.0, "epoch 2")]
         assert m.delivered == [(300,)] * 3 and m.queued[-1] == (100,)
-        assert m.flows_completed == 0 and m.latencies_s[A_WEB] == []
+        assert m.flows_completed == 0 and list(m.latencies_s[A_WEB]) == []
         m = sim.run_epochs(1)
-        assert m.delivered[-1] == (100,) and m.latencies_s[A_WEB] == [3.1]
+        assert m.delivered[-1] == (100,) and list(m.latencies_s[A_WEB]) == [3.1]
 
     def test_injected_flow_dropped_whole_leaves_no_entry(self):
         # The trace flow fills the queue at t = 0; the injected flow behind
@@ -1044,14 +1089,12 @@ class TestTraceCursor:
         sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
         sim.add_flows([make_flow(0, 0.0, 1000)])
         served = []
-        fid = sim.inject_flow(0.0, 500, A_WEB, control=True,
-                              callback=lambda s, t: served.append(t))
+        fid = sim.inject_flow(0.0, 500, A_WEB, callback=lambda s, t: served.append(t))
         m = sim.run_epochs(2)
         assert sim.log == [(0.0, "arrival 0"), (0.0, f"arrival {fid}"), (1.0, "epoch 0"),
                            (2.0, "epoch 1")]
         assert m.failed_flow_ids == [fid] and m.totals[A_WEB].dropped == 500
-        assert m.totals[A_WEB].control_arrived == 500 and m.totals[A_WEB].control_delivered == 0
-        assert served == [] and sim._callbacks == {} and sim._control == set()
+        assert served == [] and sim._callbacks == {}
 
     def test_second_add_flows_keeps_seq_order_on_ties(self):
         # Flows of the first call come first at a shared instant, as they
@@ -1482,7 +1525,7 @@ def metrics_digest(m, log) -> str:
     blob = repr((
         (m.arrived, m.delivered, m.dropped, m.queued, m.shares, m.ranks),
         [dataclasses.astuple(m.totals[label]) for label in m.classes],
-        [m.latencies_s[label] for label in m.classes],
+        [list(m.latencies_s[label]) for label in m.classes],
         m.failed_flow_ids, m.flows_offered, m.flows_completed, m.max_flow_size,
         [(x.tolist(), list(map(float, u))) for x, u in m.state_history],
         list(log),
@@ -1514,3 +1557,31 @@ class TestEventCorePins:
             opened += not core_calls
         assert sorted(name for name in want if want[name] != got.get(name)) == []
         assert opened >= 8  # open runs, none of which ran an event core epoch
+
+
+class TestRunRecordMemory:
+    def test_a_finished_open_run_keeps_about_8_bytes_per_number(self):
+        # A run's records are typed columns: 8 bytes per latency and per
+        # epoch column entry, and about 1/16 more while an array grows. Each
+        # part is measured by what dropping it frees. As lists of floats and
+        # of tuples they took about 33 bytes per latency.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6, epoch_s=0.1)
+        size = SizeDistribution(family="fixed", size_bytes=1000.0)
+        profile = TrafficProfile((ClassProfile(A_WEB, 100.0, size),
+                                  ClassProfile(B_FILE, 100.0, size)))
+        trace = generate_trace(profile, 50.0, seed=8)
+        run_simulation(generate_trace(profile, 1.0, seed=9), link, FeedbackMode.OPEN)  # warm
+        tracemalloc.start()
+        try:
+            m = run_simulation(trace, link, FeedbackMode.OPEN)
+            completed, entries = m.flows_completed, m.n_epochs * len(m.classes)
+            kept = tracemalloc.get_traced_memory()[0]
+            m.latencies_s = None
+            without_latencies = tracemalloc.get_traced_memory()[0]
+            m.arrived = m.delivered = m.dropped = m.queued = None
+            without_columns = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert completed == len(trace) > 8_000 and entries >= 1000
+        assert (kept - without_latencies) / completed <= 9
+        assert (without_latencies - without_columns) / entries <= 4 * 9

@@ -155,7 +155,8 @@ def simulated(trace, link, n_epochs, held=False):
         on_event_core(sim)
     m = sim.run_until_idle() if n_epochs is None else sim.run_epochs(n_epochs)
     dropped = {label: c.dropped for label, c in m.totals.items()}
-    return m.latencies_s, m.failed_flow_ids, dropped, (m.arrived, m.delivered, m.dropped, m.queued)
+    latencies = {label: list(values) for label, values in m.latencies_s.items()}
+    return latencies, m.failed_flow_ids, dropped, (m.arrived, m.delivered, m.dropped, m.queued)
 
 
 def both_paths_match(trace, link, n_epochs=None):
@@ -268,9 +269,9 @@ def flow(fid, t, size, label) -> FlowEvent:
 @st.composite
 def driven_runs(draw):
     """An open_cases run with code running inside it: flows injected up front
-    with callbacks, some of them control messages, query steps, and a script
-    of what each callback or step does when it runs (inject a flow with a
-    callback, schedule a step, add a trace flow, or nothing). Times sit on the 1/8 s lattice and many sizes
+    with callbacks, query steps, and a script of what each callback or step
+    does when it runs (inject a flow with a callback, schedule a step, add a
+    trace flow, or nothing). Times sit on the 1/8 s lattice and many sizes
     last whole lattice steps, so departures, arrivals, steps and boundaries
     meet; sizes reach twice the queue, so that callback flows are dropped in
     part or whole. Half the runs go until idle."""
@@ -280,8 +281,7 @@ def driven_runs(draw):
     size = st.one_of(st.integers(1, 3).map(lambda q: max(1, q * rate // 8)),
                      st.integers(1, 2 * cap))
     label = st.sampled_from(labels)
-    flows = draw(st.lists(st.tuples(st.integers(0, end), size, label, st.booleans()),
-                          max_size=6))
+    flows = draw(st.lists(st.tuples(st.integers(0, end), size, label), max_size=6))
     steps = draw(st.lists(st.integers(0, end), max_size=4))
     script = draw(st.lists(st.tuples(st.sampled_from(["inject", "step", "add", "none"]),
                                      st.integers(0, 8), size, label), max_size=12))
@@ -317,8 +317,8 @@ def driven(case, core):
     def stepped(s, t):
         run("step", s, t)
 
-    for q, size, label, control in flows:
-        sim.inject_flow(q / 8, size, label, control=control, callback=served)
+    for q, size, label in flows:
+        sim.inject_flow(q / 8, size, label, callback=served)
     for q in steps:
         sim.schedule_at(q / 8, stepped)
     m = sim.run_until_idle() if until_idle else sim.run_epochs(n_epochs)

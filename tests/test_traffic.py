@@ -253,6 +253,24 @@ class TestGenerateTrace:
             (0.5, "B:File", 2), (0.5, "C", 1), (0.5, "C", 2),
             (1.0, "B:Database", 3), (1.0, "B:File", 3), (1.0, "C", 3)]
 
+    def test_sources_over_the_flow_budget_are_refused_before_drawing(self, monkeypatch):
+        # Two sources of 2,500,000 flows/s over 2 s expect 10,000,000 flows,
+        # the most a trace may hold; one more flow/s is refused before any
+        # source draws.
+        drawn = []
+        monkeypatch.setattr(traffic, "_class_arrivals",
+                            lambda cp, duration_s, rng: drawn.append(cp) or ([], [], []))
+        fixed = SizeDistribution(family="fixed", size_bytes=1.0)
+
+        def profile(rate_c):
+            return TrafficProfile((ClassProfile(B_FILE, 2_500_000.0, fixed),
+                                   ClassProfile(C, rate_c, fixed)))
+        assert len(generate_trace(profile(2_500_000.0), 2.0, seed=0)) == 0 and len(drawn) == 2
+        with pytest.raises(ValueError, match=r"sources of 5e\+06 flows/s in all over 2 s expect "
+                                             r"10,000,002 flows, more than the 10,000,000"):
+            generate_trace(profile(2_500_001.0), 2.0, seed=0)
+        assert len(drawn) == 2
+
     def test_empirical_rate_converges(self):
         # On/off modulated source: long-run rate should still match.
         profile = single_class_profile(rate=8.0, idle=3.0, burst=5.0)
