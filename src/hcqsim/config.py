@@ -29,7 +29,7 @@ import numpy as np
 
 from .control import ControlBounds, CostWeights, StateSpaceModel, check_grid_size
 from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, QUERY_LABEL, BackendLatency, CorpusSpec
-from .netsim import CONTROL_LABEL, LinkSpec
+from .netsim import CONTROL_LABEL, LinkSpec, check_epoch_count
 from .traffic import (
     AppKind,
     ClassProfile,
@@ -300,6 +300,7 @@ def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
         raise ConfigError(f"{node.path}.warmup_epochs",
                           f"need at least {n + m + 2} warmup epochs to identify a "
                           f"{n}x{m} model, got {warmup}")
+    _build(f"{node.path}.warmup_epochs", check_epoch_count, warmup)
     excitation_seed = node.take("excitation_seed", int, 1)
     horizon = node.take("horizon", int, 3, at_least=1)
     grid = node.take("grid", int, 11, at_least=2)
@@ -343,6 +344,7 @@ def parse_config(data, source: str = "config") -> ScenarioConfig:
     scenario_id = root.take("scenario_id", str)
     seed = root.take("seed", int, 0)
     n_epochs = root.take("n_epochs", int, at_least=1)
+    _build(f"{source}.n_epochs", check_epoch_count, n_epochs)
     mode = root.take("mode", str, "both", choices=MODES)
     output_dir = root.take("output_dir", str, None)
 

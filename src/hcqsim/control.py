@@ -353,20 +353,30 @@ class MpcController:
     the stacked maps x -> (e_0 .. e_{H-1}) and x -> g. A decision is then a
     few small products plus one m x K product.
 
-    What a decision costs: about 28 us at 18 x 9 with K = 715 (grid 5) and
-    23 us at 4 x 2 with K = 861 (grid 41) on a 2-vCPU x86 host (best of
-    five; the shared host's speed moves by up to about 1.9x), mostly fixed
-    numpy call overhead; the m x K product is about 6 us of it. The checks
-    stay off the numpy path: x is checked by its shape, and for finiteness
-    through the scalar c(x) (a non-finite x makes c non-finite), and the
-    shares by ControlBounds.contains in plain Python, which on the simplex
-    is a min, a max and a sum. The priority order is one stable sort of the
-    class indices by negated backlog.
+    What a decision costs: about 16 us at 18 x 9 with K = 715 (grid 5) and
+    13 us at 4 x 2 with K = 861 (grid 41) on a 2-vCPU x86 host (best of
+    five; the shared host's speed moves by up to about 1.9x), mostly the
+    fixed overhead of about twenty numpy calls; the m x K product is about
+    1 us of it. A decision allocates no array of its own: e,
+    g, the K costs, the tie mask and the rollout's two states are arrays
+    made here and written in place by the out= forms of the same calls.
+    The checks stay off the numpy path: x is checked by its shape, and for
+    finiteness through the scalar c(x) (a non-finite x makes c non-finite).
+    The priority order is one stable sort of the class indices by negated
+    backlog.
+
+    The first decision that chooses a candidate checks its shares with
+    ControlBounds.contains and, if they pass, keeps the share tuple and its
+    column B u*; a later choice of it reads both. Shares that fail raise
+    AssertionError on every call that chooses them and are never kept. So
+    the cache holds one entry per distinct candidate a run chooses, about
+    250 bytes at 4 x 2 and 650 at 18 x 9, at most K of them.
 
     These steps keep their order of operations, and with it the bits of
     every decision: c(x) by one einsum over e; g = GQ e; the costs as
     (g' 2U) + c + quad, where 2U is exact; the tie band; and the priority
-    rollout as H plain steps A x_h + B u*, with B u* formed once.
+    rollout as H plain steps A x_h + B u*, with B u* formed once per
+    candidate.
 
     Costs within COST_TIE_REL/COST_TIE_ABS of the minimum full cost count
     as tied and the first tied candidate, the lexicographically smallest
@@ -413,6 +423,19 @@ class MpcController:
         self._E_ref = np.tile(weights.x_ref, horizon)
         self._GQ = np.hstack([G.T @ Q for G in gains])  # m x (H n): e -> g
 
+        # A decision's work arrays, written in place by every call: e with
+        # its (H, n) view, g, the costs, the tie mask and the two states the
+        # priority rollout alternates between.
+        self._e = np.empty(horizon * model.n)
+        self._eh = self._e.reshape(horizon, model.n)
+        self._g = np.empty(model.m)
+        self._cost = np.empty(levels.shape[1])
+        self._tie = np.empty(levels.shape[1], dtype=bool)
+        self._xh = (np.empty(model.n), np.empty(model.n))
+        # Per chosen candidate, its share tuple and B u, made by the first
+        # decision that chooses it once its shares pass the control set.
+        self._chosen: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
+
     @property
     def m(self) -> int:
         return self.model.m
@@ -422,30 +445,35 @@ class MpcController:
         n, m = model.n, model.m
         if type(x) is not np.ndarray or x.shape != (n,):
             x = _as_vector(x, n, "x")
-        e = self._E @ x
-        e -= self._E_ref
-        eh = e.reshape(self.horizon, n)
+        e, eh, cost, tie = self._e, self._eh, self._cost, self._tie
+        np.matmul(self._E, x, out=e)
+        np.subtract(e, self._E_ref, out=e)
         c = float(np.einsum("hi,ij,hj->", eh, self.weights.Q, eh))
         if not math.isfinite(c):
             _as_vector(x, n, "x")  # a non-finite x is refused; a huge finite one goes on
-        cost = self._GQ @ e @ self._U2
-        cost += c
-        cost += self._quad
+        np.matmul(np.matmul(self._GQ, e, out=self._g), self._U2, out=cost)
+        np.add(cost, c, out=cost)
+        np.add(cost, self._quad, out=cost)
         c_min = float(cost.min())
-        tie = cost <= c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min)
+        np.less_equal(cost, c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min), out=tie)
         best = int(tie.argmax())  # first tied index == lexicographic smallest u
-        u = self._U[:, best]
+        chosen = self._chosen.get(best)
+        if chosen is None:
+            u = self._U[:, best]
+            shares = tuple(u.tolist())
+            if not model.control_bounds.contains(shares, tol=1e-12):
+                raise AssertionError(f"allocated shares violate the control set: {shares}")
+            chosen = self._chosen[best] = (shares, model.B @ u)
+        shares, bu = chosen
 
-        A, bu = model.A, model.B @ u
-        xh = x
-        for _ in range(self.horizon):
-            xh = A @ xh
-            xh += bu
-        decision = ControlDecision(u=tuple(u.tolist()),
-                                   priority_order=tuple(_descending(xh[:m])))
-        if not model.control_bounds.contains(decision.u, tol=1e-12):
-            raise AssertionError(f"allocated shares violate the control set: {decision.u}")
-        return decision
+        A, (xh, spare) = model.A, self._xh
+        np.matmul(A, x, out=xh)
+        np.add(xh, bu, out=xh)
+        for _ in range(1, self.horizon):
+            np.matmul(A, xh, out=spare)
+            np.add(spare, bu, out=spare)
+            xh, spare = spare, xh
+        return ControlDecision(u=shares, priority_order=tuple(_descending(xh[:m])))
 
 
 class ExcitationController:

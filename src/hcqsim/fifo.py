@@ -63,7 +63,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heappop
-from itertools import islice
 from operator import add, sub
 
 import numpy as np
@@ -75,6 +74,18 @@ def _zero(rem: array, entries: array) -> None:
     """rem[j] = 0 for every entry j: the flows in entries have departed."""
     if entries:
         np.frombuffer(rem, dtype=np.int64)[np.frombuffer(entries, dtype=np.int64)] = 0
+
+
+def _records(rem: array, a: int, b: int) -> tuple[array, array]:
+    """The entries j of a .. b - 1 whose size rem[j] is larger than every
+    size before it from a on, then b as an end mark; and those sizes."""
+    if a == b:
+        return array("q", [b]), array("q")
+    top = np.maximum.accumulate(np.frombuffer(rem, dtype=np.int64)[a:b])
+    at = np.flatnonzero(np.concatenate(([True], top[1:] > top[:-1])))
+    rec_at = array("q", (at + a).tobytes())
+    rec_at.append(b)
+    return rec_at, array("q", top[at].tobytes())
 
 
 def _close(rows: deque, total: list, at: list, zero: list) -> list:
@@ -139,6 +150,11 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
     ahead, shown, shown_by, queued = deque(), 0, eps, zero  # shown_by: the next end boundary
     offered, largest = 0, m.max_flow_size
     pos, stop, first, seqs = sim._pos, sim._stop, sim._first, sim._seqs
+    # The cursor's record sizes: the largest flow offered so far from the
+    # cursor is the last record read. They are made again whenever code adds
+    # flows, which makes a new cursor; r is the next record to read.
+    rec_at, rec_size = _records(rem, pos, stop)
+    r = 0
     s_offered = s_w = s_got = -1  # what the ledger was last set from
     sim._in_epoch = True
     while True:
@@ -164,9 +180,10 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                     read = pos + 1
                 batch, injected = range(pos, read), -1
                 fifo_frombytes(np.arange(pos, read, dtype=np.int64).tobytes())
-                size0 = max(islice(rem, pos, read))
-                if size0 > largest:
-                    largest = size0
+                while rec_at[r] < read:
+                    r += 1
+                if rec_size[r - 1] > largest:
+                    largest = rec_size[r - 1]
                 offered += read - pos
                 pos = read
         elif t_heap < horizon:
@@ -360,6 +377,9 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
         fn(sim, at)
         if got:
             rem[head] += got
+        if sim._seqs is not seqs:
+            rec_at, rec_size = _records(rem, sim._pos, sim._stop)
+            r = 0
         pos, stop, first, seqs = sim._pos, sim._stop, sim._first, sim._seqs
 
     _zero(rem, fifo[:w - base])

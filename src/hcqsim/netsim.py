@@ -142,6 +142,18 @@ class FeedbackMode(Enum):
 # Heap event kinds, in tie-break order.
 FLOW_ARRIVAL, QUERY_STEP = range(2)
 
+# The most epochs one run may take, and run_until_idle's default cap. A
+# closed run keeps about 0.9 KB per epoch at nine classes (its epoch columns,
+# shares, ranks and observed states) and spends about 26 us on an idle
+# epoch with an MPC decision, so a million epochs take about 0.9 GB and 26 s.
+MAX_EPOCHS = 1_000_000
+
+
+def check_epoch_count(n_epochs: int) -> None:
+    """Refuse a run of more than MAX_EPOCHS epochs."""
+    if n_epochs > MAX_EPOCHS:
+        raise ValueError(f"{n_epochs:,} epochs are more than the {MAX_EPOCHS:,} a run may take")
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -497,7 +509,10 @@ class LinkSimulator:
         cursor in (time, seq) order. The merge is appended to the table and
         becomes the cursor; the old cursor's entries are reused for it when
         no injected flow follows them, so a trace added in parts takes one
-        entry per flow. A flow before `now` is refused.
+        entry per flow. The columns are copied whole: a range of ids, as
+        every generated trace has, is written as one block of int64s, and
+        lists and arrays are extended as they stand. A flow before `now` is
+        refused.
         """
         trace = Trace.from_flows(flows)
         n = len(trace)
@@ -534,7 +549,10 @@ class LinkSimulator:
         self._cls.extend(cls)
         self._rem.extend(size)
         self._arrival.extend(time)
-        self._fid.extend(ids)
+        if type(ids) is range:
+            self._fid.frombytes(np.arange(ids.start, ids.stop, ids.step, dtype=np.int64).tobytes())
+        else:
+            self._fid.extend(ids)
 
     def inject_flow(self, time, size, label, callback=None) -> int:
         """Dynamically offer a flow (query fetches); callback(sim, t) runs
@@ -839,6 +857,7 @@ class LinkSimulator:
         """
         if n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
+        check_epoch_count(n_epochs)
         if self._takes_pass():
             # Imported here: a process whose runs never take the pass (closed
             # runs only) does not load it.
@@ -851,7 +870,7 @@ class LinkSimulator:
         self.metrics.assert_conservation()
         return self.metrics
 
-    def run_until_idle(self, max_epochs: int = 1_000_000) -> SimMetrics:
+    def run_until_idle(self, max_epochs: int = MAX_EPOCHS) -> SimMetrics:
         """Run epoch by epoch until no backlog or pending events remain at an
         epoch boundary; reaching boundary max_epochs + 1 is an error.
 

@@ -183,16 +183,18 @@ class Trace:
                 f"trace columns differ in length: time {n}, size {len(size)}, "
                 f"endpoint {len(endpoint)}, ids {len(self.ids)}"
             )
-        if n and min(size) < 1:
-            raise ValueError(f"flow size must be >= 1 byte, got {min(size)}")
-        t = np.asarray(time, dtype=float)
-        if n and not 0.0 <= t.min() <= t.max() < math.inf:  # NaN fails too
-            bad = next(v for v in time if not 0.0 <= v < math.inf)
-            raise ValueError(f"arrival_time must be finite and >= 0, got {bad}")
+        if n:
+            smallest = int(np.asarray(size).min())
+            if smallest < 1:
+                raise ValueError(f"flow size must be >= 1 byte, got {smallest}")
+            t = np.asarray(time, dtype=float)
+            if not 0.0 <= t.min() <= t.max() < math.inf:  # NaN fails too
+                bad = next(v for v in time if not 0.0 <= v < math.inf)
+                raise ValueError(f"arrival_time must be finite and >= 0, got {bad}")
         self.time = time
         self.size = size
         self.endpoint = endpoint
-        codes = set(endpoint)
+        codes = np.flatnonzero(np.bincount(np.asarray(endpoint))).tolist()  # those that occur
         self.labels = canonical_class_order({_ENDPOINT_LABEL[c] for c in codes})
         table = bytearray(256)
         for c in codes:

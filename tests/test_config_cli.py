@@ -10,6 +10,7 @@ from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
 from hcqsim.config import ConfigError, load_config, parse_config
 from hcqsim.control import StateSpaceModel
 from hcqsim.hybriddb import CorpusSpec
+from hcqsim.netsim import MAX_EPOCHS
 from hcqsim.runner import build_trace, run_closed
 
 
@@ -381,6 +382,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"1e\+12 flows/s in all over 1e\+06 s") as err:
             parse_config(raw)
         assert err.value.path == "config.traffic[0].rate_per_s"
+
+    def test_a_run_over_the_epoch_budget_is_refused(self):
+        # A run keeps records and, closed, decides every epoch, idle or not;
+        # n_epochs and warmup_epochs above MAX_EPOCHS are refused at parse
+        # time, before any trace is drawn or epoch run.
+        raw = minimal_config()
+        raw["traffic"][0]["rate_per_s"] = raw["traffic"][1]["rate_per_s"] = 1.0
+        raw["n_epochs"] = raw["controller"]["warmup_epochs"] = MAX_EPOCHS
+        parse_config(raw)
+        for key, path in (("n_epochs", "config.n_epochs"),
+                          ("warmup_epochs", "config.controller.warmup_epochs")):
+            node = raw if key == "n_epochs" else raw["controller"]
+            node[key] = MAX_EPOCHS + 1
+            with pytest.raises(ConfigError, match=r"1,000,001 epochs are more than the "
+                                                  r"1,000,000 a run may take") as err:
+                parse_config(raw)
+            assert err.value.path == path
+            node[key] = MAX_EPOCHS
 
     def test_query_class_under_hybrid_db_names_the_class(self):
         # The hybrid run's fetches travel in B:Database, so background

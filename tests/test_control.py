@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -607,6 +608,63 @@ class TestDecideBitIdentity:
                     ctrl.decide(x, 0)
                 with pytest.raises(ValueError, match="x must be finite"):
                     ctrl.decide(x.tolist(), 0)
+
+
+class TestDecideReuse:
+    """A controller computes each decision in arrays it allocated once and
+    keeps each chosen candidate's shares and B u; no decision depends on
+    the ones before it."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY))
+    def test_interleaved_states_decide_as_a_fresh_controller(self, name):
+        shared = BIT_IDENTITY[name]
+        model, w = shared.model, shared.weights
+        rng = np.random.default_rng(24)
+        states = [rng.uniform(0.0, 1.2, model.n) for _ in range(12)]
+        states[3][: model.m] = 0.0
+        fresh = [MpcController(model, w, shared.horizon, shared.grid).decide(x, 0)
+                 for x in states]
+        one = MpcController(model, w, shared.horizon, shared.grid)
+        for i in [0, 1, 0, 2, 3, 1, 3, 3, *range(12), *range(11, -1, -1)]:
+            d = one.decide(states[i].copy(), i)
+            assert [v.hex() for v in d.u] == [v.hex() for v in fresh[i].u]
+            assert d.priority_order == fresh[i].priority_order
+
+    def test_steady_decisions_allocate_less_than_one_cost_vector(self):
+        # m = 2 at grid 41: K = 861 costs of 8 bytes each. The costs and the
+        # tie mask are written in place, so a decision's peak allocation
+        # stays below one such vector.
+        ctrl = BIT_IDENTITY["s1"]
+        K = ctrl._U.shape[1]
+        assert K == 861
+        rng = np.random.default_rng(7)
+        states = [rng.uniform(0.0, 1.0, ctrl.model.n) for _ in range(40)]
+        for x in states:
+            ctrl.decide(x, 0)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for x in states:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                ctrl.decide(x, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 8 * K
+
+    def test_shares_outside_the_control_set_fail_every_call(self):
+        # The control set narrowed after the grid was built: the chosen
+        # shares leave it, and the failed check is not kept.
+        s1 = s1_config().controller
+        x = np.array([0.9, 0.9, 0.5, 0.5])
+        assert max(BIT_IDENTITY["s1"].decide(x, 0).u) > 0.1
+        ctrl = MpcController(StateSpaceModel(s1.model.A, s1.model.B), s1.weights,
+                             s1.horizon, s1.grid)
+        ctrl.model.control_bounds = ControlBounds((0.0, 0.0), (0.1, 0.1))
+        for _ in range(3):
+            with pytest.raises(AssertionError, match="allocated shares violate the control set"):
+                ctrl.decide(x, 0)
 
 
 # Values that order or compare unlike plain numbers: signed zeros, NaN and

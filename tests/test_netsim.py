@@ -31,6 +31,7 @@ from hcqsim.control import (
 from hcqsim.netsim import (
     CONTROL_LABEL,
     FLOW_ARRIVAL,
+    MAX_EPOCHS,
     QUERY_STEP,
     EPOCH_CSV_HEADER,
     FeedbackMode,
@@ -865,6 +866,14 @@ class TestRunInParts:
         if first <= idle.n_epochs:
             assert _outcome(m) == _outcome(idle)
 
+    def test_more_epochs_than_a_run_may_take_are_refused(self):
+        # Refused before the first epoch: nothing is recorded.
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**5)
+        sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+        with pytest.raises(ValueError, match="1,000,001 epochs are more than the 1,000,000"):
+            sim.run_epochs(MAX_EPOCHS + 1)
+        assert sim.metrics.n_epochs == 0 and sim.now == 0.0
+
     def test_second_run_epochs_continues_from_the_horizon(self):
         # 1000 B every 0.5 s for 4 s on a 1000 B/s link.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**5)
@@ -1191,6 +1200,20 @@ class TestTraceCursor:
         parts.add_flows([])  # the injected flow keeps its entry; the cursor moves past it
         assert len(parts._cls) == 2 * len(flows) + 1
         assert _outcome(whole.run_epochs(12)) == _outcome(parts.run_epochs(12))
+
+    def test_a_range_of_ids_is_stored_as_its_list(self):
+        # A range is written as one block of int64s, a list one id at a
+        # time; a start other than 0 and a step over 1 must survive both.
+        link = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
+        flows = Trace.from_flows(regular_flows(A_WEB, 7.0, 900, 2.0, fid0=5))
+        ids = range(-3, -3 + 7 * len(flows), 7)
+        tables = []
+        for col in (ids, list(ids), array("q", ids)):
+            sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
+            sim.add_flows(Trace(flows.time, flows.size, flows.endpoint, col))
+            tables.append(sim._fid)
+        assert tables[0] == tables[1] == tables[2] == array("q", ids)
+        assert len(ids) > 10 and ids[0] == -3 and ids[1] == 4
 
 
 class TestPathSelection:
