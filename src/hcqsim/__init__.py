@@ -43,7 +43,6 @@ from .netsim import (
     LinkSimulator,
     LinkSpec,
     SimMetrics,
-    observe_state,
     run_simulation,
 )
 from .traffic import (

@@ -194,14 +194,10 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class ControlDecision:
-    """Shares and dequeue order for one control epoch."""
+    """Shares and dequeue order for one epoch; LinkSimulator.apply_decision checks them."""
 
     u: tuple[float, ...]
     priority_order: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.priority_order) != list(range(len(self.priority_order))):
-            raise ValueError(f"priority_order is not a permutation: {self.priority_order}")
 
 
 def identify_model(

@@ -97,10 +97,10 @@ The per-class ClassCounters are the one byte ledger. At each epoch
 boundary the run appends one row of k counts to each epoch column of the
 metrics (an EpochColumn, held as one flat array('q')): the arrived,
 delivered and dropped counters differenced against each class's values at
-the previous boundary, and the queued counter as it stands. The boundary
-writes the flat arrays and keeps the delivered row for the next closed
-epoch to observe, so no row is read back while a run goes on. Latencies
-are appended to one array('d') per class as flows complete.
+the previous boundary, and the queued counter as it stands. A closed epoch's
+controller decides from a state read off the previous epoch's queued and
+delivered rows (SimMetrics.observed_state). Latencies are appended to one
+array('d') per class as flows complete.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ class FeedbackMode(Enum):
 FLOW_ARRIVAL, QUERY_STEP = range(2)
 
 # The most epochs one run may take, and run_until_idle's default cap. A
-# closed run keeps about 0.9 KB per epoch at nine classes (its epoch columns,
-# shares, ranks and observed states) and spends about 26 us on an idle
-# epoch with an MPC decision, so a million epochs take about 0.9 GB and 26 s.
+# closed run keeps about 0.5 KB per epoch at nine classes (its epoch columns,
+# ranks, share slots and control messages) and spends about 26 us on an idle
+# epoch with an MPC decision, so a million epochs take about 0.5 GB and 26 s.
 MAX_EPOCHS = 1_000_000
 
 
@@ -221,7 +221,8 @@ class SimMetrics:
     the epoch's two boundaries, `queued` the counter at its end. `shares`
     and `ranks` are lists of the installed shares and priority ranks, None
     in open mode. Latencies and counts are held in typed arrays, about 8
-    bytes per latency and 8 per count of an epoch column.
+    bytes per latency and 8 per count of an epoch column. The observed
+    states are not stored: observed_state derives them from the columns.
     """
 
     scenario_id: str
@@ -241,7 +242,6 @@ class SimMetrics:
     flows_completed: int = 0
     failed_flow_ids: list[int] = field(default_factory=list)
     max_flow_size: int = 0
-    state_history: list = field(default_factory=list)
 
     def __post_init__(self):
         k = len(self.classes)
@@ -251,6 +251,23 @@ class SimMetrics:
     @property
     def n_epochs(self) -> int:
         return len(self.delivered)
+
+    def observed_state(self, e: int) -> np.ndarray:
+        """The state a closed run observes at the start of epoch e, 0 <= e <=
+        n_epochs: per-class backlog fractions at the end of epoch e - 1, then
+        per-class utilization of epoch e - 1, in class order; zeros at e = 0."""
+        queued = delivered = (0,) * len(self.classes)
+        if e:
+            rows = slice((e - 1) * len(queued), e * len(queued))
+            queued, delivered = self.queued.flat[rows], self.delivered.flat[rows]
+        queue_bytes, per_epoch = self.link.queue_capacity_bytes, self.link.bytes_per_epoch
+        return np.array([q / queue_bytes for q in queued] + [d / per_epoch for d in delivered])
+
+    @property
+    def state_history(self) -> list:
+        """Each closed epoch's (x, u): the state observed at its start and
+        the shares installed for it, built from the epoch columns when read."""
+        return [(self.observed_state(e), u) for e, u in enumerate(self.shares) if u is not None]
 
     @property
     def link_utilization(self) -> list[float]:
@@ -367,14 +384,6 @@ def _from_bits(bits: int) -> float:
     return array("d", array("q", (bits,)).tobytes())[0]
 
 
-def observe_state(counters, link: LinkSpec, last_epoch_delivered) -> np.ndarray:
-    """State vector: per-class backlog fractions, then per-class utilization
-    of the just-ended epoch. Both sequences are in class-index order."""
-    queue_bytes, per_epoch = link.queue_capacity_bytes, link.bytes_per_epoch
-    return np.array([c.queued / queue_bytes for c in counters]
-                    + [d / per_epoch for d in last_epoch_delivered])
-
-
 class _ServicePlan:
     """Serve `limit` bytes of flow `flow` (an index into the flow table)
     from `queue` over [start, end]; `done` of them have been served so far."""
@@ -474,11 +483,8 @@ class LinkSimulator:
         self._rank = list(range(n_queues))
         self._shares: Optional[tuple] = None
 
-        # Each class's (arrived, delivered, dropped) at the last epoch
-        # boundary, and the last epoch's delivered row, which closed mode
-        # observes
+        # Each class's (arrived, delivered, dropped) at the last epoch boundary
         self._at_boundary = [(0, 0, 0)] * k
-        self._last_delivered = [0] * k
         self._latencies = [array("d") for _ in range(k)]
 
         self._inject_id = -1
@@ -656,7 +662,6 @@ class LinkSimulator:
             delivered.append(d - d0)
             dropped.append(r - r0)
             queued.append(c.queued)
-        self._last_delivered = delivered
         m = self.metrics
         m.arrived.flat.fromlist(arrived)
         m.delivered.flat.fromlist(delivered)
@@ -668,11 +673,8 @@ class LinkSimulator:
     def _begin_epoch(self, t: float) -> None:
         if self.mode is not FeedbackMode.CLOSED:
             return
-        m = self.metrics
-        x = observe_state(self.counters, self.link, self._last_delivered)
-        decision = self.controller.decide(x, self._epoch)
-        self.apply_decision(decision)
-        m.state_history.append((x, np.array(decision.u)))
+        x = self.metrics.observed_state(self._epoch)
+        self.apply_decision(self.controller.decide(x, self._epoch))
         if self.control_message_bytes > 0:
             self._control.add(self._inject(t, self._control_class, self.control_message_bytes))
         self._replan(t)
@@ -922,11 +924,10 @@ class LinkSimulator:
         message = [0] * len(self.classes)
         if self.control_message_bytes:
             message[self._control_class] = self.control_message_bytes
-        delivered = self._last_delivered
+        n = self._epoch
         if (list(m.arrived[-1]) != message
-                or any(d and q for d, q in zip(delivered, m.queued[-1]))
-                or not np.array_equal(observe_state(self.counters, self.link, delivered),
-                                      m.state_history[-1][0])):
+                or any(d and q for d, q in zip(m.delivered[-1], m.queued[-1]))
+                or not np.array_equal(m.observed_state(n), m.observed_state(n - 1))):
             return
         held = ", ".join(f"{label} ({c.queued} B)"
                          for label, c in zip(self.classes, self.counters) if c.queued)

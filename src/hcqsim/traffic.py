@@ -170,7 +170,7 @@ class Trace:
     endpoint (array 'B') indexes ENDPOINTS; ids is a range for generated
     traces. labels is the set of classes the flows fall into, in canonical
     order, and cls (array 'B') each flow's index into it. The constructor
-    checks what FlowEvent checks per flow: sizes >= 1, times finite and >= 0.
+    checks sizes >= 1, times finite and >= 0, and endpoints index ENDPOINTS.
     """
 
     __slots__ = ("time", "size", "endpoint", "ids", "labels", "cls")
@@ -195,6 +195,10 @@ class Trace:
         self.size = size
         self.endpoint = endpoint
         codes = np.flatnonzero(np.bincount(np.asarray(endpoint))).tolist()  # those that occur
+        if codes and codes[-1] >= len(ENDPOINTS):
+            j = next(j for j, c in enumerate(endpoint) if c >= len(ENDPOINTS))
+            raise ValueError(f"flow {self.ids[j]} has endpoint code {endpoint[j]}, "
+                             f"not below {len(ENDPOINTS)}")
         self.labels = canonical_class_order({_ENDPOINT_LABEL[c] for c in codes})
         table = bytearray(256)
         for c in codes:

@@ -11,7 +11,6 @@ from hcqsim.control import (
     COST_TIE_REL,
     BoxBounds,
     ControlBounds,
-    ControlDecision,
     CostWeights,
     ExcitationController,
     IdentifiabilityError,
@@ -901,7 +900,3 @@ class TestControllers:
             db = b.decide(np.zeros(6), e)
             assert da.u == db.u and da.priority_order == db.priority_order
             assert sum(da.u) <= 1.0 + 1e-12 and all(v >= 0 for v in da.u)
-
-    def test_decision_validates_permutation(self):
-        with pytest.raises(ValueError):
-            ControlDecision(u=(0.5,), priority_order=(1,))

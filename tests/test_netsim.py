@@ -39,7 +39,6 @@ from hcqsim.netsim import (
     LinkSpec,
     SimMetrics,
     SimulationError,
-    observe_state,
     run_simulation,
 )
 from hcqsim.runner import build_trace, run_open
@@ -368,12 +367,28 @@ class TestEpochsCsv:
         assert b",-0," in (tmp_path / "got.csv").read_bytes()
 
 
+class _Recorder:
+    """Wraps a controller, keeping a copy of every state it is handed and
+    the shares of every decision it returns."""
+
+    def __init__(self, inner):
+        self.inner, self.m, self.seen = inner, inner.m, []
+
+    def decide(self, x, epoch_index):
+        decision = self.inner.decide(x, epoch_index)
+        self.seen.append((x.copy(), decision.u))
+        return decision
+
+
+def _bits(history):
+    return [(x.tobytes(), array("d", u).tobytes()) for x, u in history]
+
+
 class TestObserveState:
     def test_zero_state_when_idle(self):
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         sim = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-        x = observe_state(sim.counters, link, [0, 0])
-        assert x.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert sim.metrics.observed_state(0).tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_full_queue_saturated_class(self):
         # One class with a full queue that saturated its share: components
@@ -386,31 +401,46 @@ class TestObserveState:
         sim.run_epochs(1)
         # after one epoch: delivered 500000, queue refilled? queue had 1e6,
         # drained 5e5 -> 5e5 remain
-        x = observe_state(sim.counters, link, sim.metrics.delivered[-1])
+        x = sim.metrics.observed_state(1)
         assert x[0] == pytest.approx(0.5)  # backlog fraction
         assert x[2] == pytest.approx(0.5)  # utilization == share
         assert x[1] == 0.0 and x[3] == 0.0
 
-    def test_recomputation_matches_internal_observation(self):
-        # Mid-run snapshot: the state the controller saw must equal an
-        # independent recomputation from the raw counters in the epoch
-        # columns.
-        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=2 * 10**6)
-        trace = regular_flows(A_WEB, 30.0, 50_000, 20.0) + \
-            regular_flows(B_FILE, 10.0, 30_000, 20.0, fid0=10_000)
-        trace.sort(key=lambda f: f.arrival_time)
-        model, weights = toy_model_weights(2)
-        m = run_simulation(trace, link, FeedbackMode.CLOSED,
-                           controller=MpcController(model, weights, 3, 11),
-                           classes=[A_WEB, B_FILE], n_epochs=20)
-        per_epoch = link.bytes_per_epoch
-        for e in range(1, 20):
-            want = np.array(
-                [q / link.queue_capacity_bytes for q in m.queued[e - 1]]
-                + [d / per_epoch for d in m.delivered[e - 1]]
-            )
-            got = m.state_history[e][0]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    def test_the_controller_saw_the_recorded_state(self):
+        # The (x, u) pairs a run reports are derived from its epoch columns;
+        # they must be, bit for bit, what its controller was handed and
+        # returned: in a run taken in chunks with flows added between them
+        # and control messages, in a run until idle, and in a warmup.
+        link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=2 * 10**6, epoch_s=0.5)
+        labels = [A_WEB, B_FILE, CONTROL_LABEL]
+        model, weights = toy_model_weights(3)
+        flows = regular_flows(A_WEB, 30.0, 50_000, 6.0) + \
+            regular_flows(B_FILE, 10.0, 80_000, 6.0, fid0=10_000)
+        flows.sort(key=lambda f: f.arrival_time)
+        later = regular_flows(B_FILE, 20.0, 60_000, 9.0, start=6.0, fid0=20_000)
+
+        chunked = _Recorder(MpcController(model, weights, 3, 11))
+        sim = LinkSimulator(link, labels, FeedbackMode.CLOSED, controller=chunked,
+                            control_message_bytes=256)
+        sim.add_flows(flows)
+        sim.run_epochs(5)
+        sim.add_flows(later)
+        sim.run_epochs(7)
+        chunks = sim.run_epochs(10)
+
+        until_idle = _Recorder(FixedShareController((0.3, 0.6, 0.1), (2, 1, 0)))
+        idle = run_simulation(flows, link, FeedbackMode.CLOSED, controller=until_idle,
+                              classes=labels, control_message_bytes=256)
+
+        warmup = _Recorder(ExcitationController(3, seed=4))
+        excited = run_simulation(flows, link, FeedbackMode.CLOSED, controller=warmup,
+                                 classes=labels, n_epochs=16, control_message_bytes=256)
+
+        for rec, m in ((chunked, chunks), (until_idle, idle), (warmup, excited)):
+            assert len(rec.seen) == m.n_epochs >= 12
+            assert any(x.any() for x, _ in rec.seen[1:])
+            assert _bits(m.state_history) == _bits(rec.seen)
+            assert [u for _, u in m.state_history] == m.shares
 
 
 class TestApplyDecision:
@@ -457,13 +487,14 @@ class TestApplyDecision:
             sim.run_epochs(1)
 
     def test_non_permutation_rejected(self):
-        # ControlDecision refuses these itself; a duck-typed decision reaches
-        # the simulator's own check.
+        # The simulator's check is the only one: a ControlDecision and a
+        # duck-typed decision reach it alike.
         sim = self.closed_sim()
         for order in ((0, 0), (1, 2), (0,), (0, 1, 2)):
-            decision = SimpleNamespace(u=(0.5, 0.5), priority_order=order)
-            with pytest.raises(SimulationError, match=r"invalid priority order: \("):
-                sim.apply_decision(decision)
+            for decision in (SimpleNamespace(u=(0.5, 0.5), priority_order=order),
+                             ControlDecision(u=(0.5, 0.5), priority_order=order)):
+                with pytest.raises(SimulationError, match=r"invalid priority order: \("):
+                    sim.apply_decision(decision)
 
 
 class TestmodeAndDims:
@@ -1608,3 +1639,28 @@ class TestRunRecordMemory:
         assert completed == len(trace) > 8_000 and entries >= 1000
         assert (kept - without_latencies) / completed <= 9
         assert (without_latencies - without_columns) / entries <= 4 * 9
+
+    def test_a_finished_closed_run_keeps_no_second_copy_of_its_states(self):
+        # Nine classes closed at fixed shares with control messages, idle but
+        # for them: per epoch, four rows of nine int64 counts, a rank tuple,
+        # two list slots, the message's flow table entry and its latency,
+        # about 470 B. The states the controller saw are derived from the
+        # columns; a stored (x, u) pair of arrays per epoch took about 500 B
+        # more.
+        link = LinkSpec(capacity_bps=1e7, queue_capacity_bytes=10**6, epoch_s=0.5)
+
+        def run(n_epochs):
+            sim = LinkSimulator(link, ALL_LABELS, FeedbackMode.CLOSED,
+                                controller=FixedShareController((1 / 9,) * 9),
+                                control_message_bytes=256)
+            return sim.run_epochs(n_epochs)
+
+        run(5)  # warm
+        tracemalloc.start()
+        try:
+            m = run(2000)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(m.state_history) == m.n_epochs == 2000
+        assert kept / m.n_epochs < 700

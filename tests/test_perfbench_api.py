@@ -8,6 +8,8 @@ run. The benchmark code itself is imported as it stands.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -38,6 +40,26 @@ def test_one_nine_class_round_passes_its_checks(tmp_path):
     assert rr.counts["control.decisions"] == 400
     assert rr.counts["control.candidates"] == 715
     assert checks.check_round("nine-class", rr, str(tmp_path)) == []
+
+
+def test_the_decision_oracle_checks_the_shares_the_run_records(tmp_path):
+    # The oracle reads each sampled decision's shares from state_history,
+    # which derives them from the shares the run writes to its epoch CSV.
+    # Put the costliest grid point in epoch 0's row (epoch 0 is always
+    # sampled): the oracle must report that epoch.
+    work = workloads.WORKLOADS["nine-class"]
+    rr = work.run_round(work.setup(0), str(tmp_path / "run"), None, lambda seconds: 1.0)
+    (rec,) = [r for r in rr.sims if r.control is not None]
+    model, cc = rec.control
+    denom = cc.grid - 1
+    points = checks.grid_points(model.control_bounds, cc.grid)
+    x = rec.metrics.state_history[0][0]
+    costs = [checks._horizon_cost(model, cc.weights, x, np.array(p) / denom, cc.horizon)
+             for p in points]
+    worst = points[costs.index(max(costs))]
+    rec.metrics.shares[0] = tuple(j / denom for j in worst)
+    fails = checks.check_round("nine-class", rr, str(tmp_path))
+    assert len(fails) == 1 and fails[0].startswith(f"{rec.name} epoch 0: chosen cost ")
 
 
 def traced_and_untraced(work, tmp_path):

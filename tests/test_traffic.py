@@ -345,6 +345,8 @@ class TestTrace:
         ([0.5, -1.0], [5, 5], [0, 0], "arrival_time must be finite and >= 0, got -1.0"),
         ([math.nan], [5], [0], "got nan"),
         ([math.inf], [5], [0], "got inf"),
+        ([0.0, 1.0], [5, 5], [3, 100], "flow 1 has endpoint code 100, not below 100"),
+        ([0.0, 1.0, 2.0], [5, 5, 5], [3, 255, 100], "flow 1 has endpoint code 255,"),
     ])
     def test_constructor_checks_columns(self, time, size, endpoint, match):
         with pytest.raises(ValueError, match=match):
