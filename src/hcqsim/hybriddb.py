@@ -192,36 +192,30 @@ def _plan_cost(plan: QueryPlan, corpus: Corpus,
 def execute_local(plan: QueryPlan, corpus: Corpus, backends: BackendLatency) -> QueryResult:
     """Local protocol: lookup, then metadata plus all bodies over the local
     store path. Never touches the bottleneck link."""
-    return _local_result(plan, _plan_cost(plan, corpus, backends), backends)
-
-
-def _local_result(plan: QueryPlan, cost, backends: BackendLatency) -> QueryResult:
-    """execute_local's result, given the plan's _plan_cost."""
-    meta_s, meta_bytes, body_bytes = cost
+    meta_s, meta_bytes, body_bytes = _plan_cost(plan, corpus, backends)
     nbytes = meta_bytes + body_bytes
     transfer_s = nbytes / backends.local_bytes_per_s
     return QueryResult(
-        query_id=plan.query_id,
-        author=plan.author,
-        protocol=Protocol.LOCAL_4STEP,
-        latency_s=meta_s + transfer_s,
-        bytes_moved=nbytes,
-        meta_s=meta_s,
-        transfer_s=transfer_s,
-        queue_s=0.0,
-        article_ids=plan.article_ids,
-    )
+        query_id=plan.query_id, author=plan.author, protocol=Protocol.LOCAL_4STEP,
+        latency_s=meta_s + transfer_s, bytes_moved=nbytes, meta_s=meta_s,
+        transfer_s=transfer_s, queue_s=0.0, article_ids=plan.article_ids)
 
 
 class HybridQueryDriver:
-    """Runs hybrid queries inside a link simulation.
+    """Runs hybrid queries inside a link simulation, on its fetches'
+    completion callbacks alone: no query step.
 
-    Queries run one after another (a single client session); within a query
-    the per-article blob fetches are sequential by default. Each fetch is a
-    serial pipeline: blob first-byte + read at blob speed, then transit of
-    the bottleneck link subject to its queues, then propagation. transfer_s
-    collects the queue-free pipeline time and queue_s the residual waiting,
-    so components always sum to the total exactly.
+    One client session: one query is in flight at a time, and the driver
+    holds its state. start submits query 0 and offers its fetches at once,
+    so call it once the background is in the simulator. The callback that
+    delivers a query's last fetch submits the next at that instant, and a
+    query that fetches nothing finishes when its metadata is read. Within a
+    query the per-article blob fetches are sequential by default, or all
+    offered at once with parallel. Each fetch is a serial pipeline: blob
+    first-byte + read at blob speed, then transit of the bottleneck link
+    subject to its queues, then propagation. transfer_s collects the
+    queue-free pipeline time and queue_s the residual waiting, so components
+    always sum to the total exactly.
     """
 
     def __init__(self, sim: LinkSimulator, corpus: Corpus, backends: BackendLatency,
@@ -233,75 +227,63 @@ class HybridQueryDriver:
         self.costs = [_plan_cost(plan, corpus, backends) for plan in self.plans]
         self.parallel = parallel
         self.results: list[QueryResult] = []
+        # The query in flight: its index and submit time, its queue-free
+        # seconds so far, the next of its articles to fetch and the fetches
+        # offered but not yet delivered.
+        self._qi = self._next = self._waiting = 0
+        self._submitted = self._transfer_s = 0.0
 
     def start(self, time: float) -> None:
-        if self.plans:
-            self.sim.schedule_at(time, lambda sim, t, qi=0: self._submit(qi, t))
+        """Submit query 0 at time (see the class docstring)."""
+        if not self.sim.now <= time < math.inf:
+            raise ValueError(f"event time {time} is not finite or before now={self.sim.now}")
+        self._submit(time)
 
-    def _submit(self, qi: int, t: float) -> None:
-        plan = self.plans[qi]
-        meta_s, meta_bytes, body_bytes = self.costs[qi]
-        meta_transfer = meta_bytes / self.backends.local_bytes_per_s
-        rows = len(plan.article_ids)
-        state = {
-            "qi": qi,
-            "plan": plan,
-            "submit": t,
-            "meta_s": meta_s,
-            "transfer_s": meta_transfer,
-            "bytes_moved": meta_bytes + body_bytes,
-            "remaining": rows,
-        }
-        meta_done = t + meta_s + meta_transfer
-        if rows == 0:
-            self._finish(state, meta_done)
-            return
-        if self.parallel:
-            for idx in range(rows):
-                self._dispatch_fetch(state, idx, meta_done)
-        else:
-            self._dispatch_fetch(state, 0, meta_done)
+    def _submit(self, t: float) -> None:
+        """Submit query _qi at t, and each next one at once while a query
+        fetches nothing, until one is in flight or none is left."""
+        while self._qi < len(self.plans):
+            meta_s, meta_bytes, _ = self.costs[self._qi]
+            meta_transfer = meta_bytes / self.backends.local_bytes_per_s
+            self._submitted, self._transfer_s, self._next = t, meta_transfer, 0
+            t = t + meta_s + meta_transfer
+            rows = len(self.plans[self._qi].article_ids)
+            if rows:
+                for _ in range(rows if self.parallel else 1):
+                    self._fetch(t)
+                return
+            self._finish(t)
 
-    def _dispatch_fetch(self, state, idx: int, t: float) -> None:
-        plan = state["plan"]
+    def _fetch(self, t: float) -> None:
+        """Offer the in-flight query's next article at t."""
         b = self.backends
-        size = self.corpus.articles[plan.article_ids[idx]].body_size
+        size = self.corpus.articles[self.plans[self._qi].article_ids[self._next]].body_size
         blob_stage = b.blob_first_byte_s + size / b.blob_bytes_per_s
-        ideal_link = size / self.sim.byte_rate + self.sim.link.propagation_delay_s
-        state["transfer_s"] += blob_stage + ideal_link
+        self._transfer_s += blob_stage + (size / self.sim.byte_rate
+                                          + self.sim.link.propagation_delay_s)
+        self._next += 1
+        self._waiting += 1
+        self.sim.inject_flow(t + blob_stage, size, QUERY_LABEL, callback=self._delivered)
 
-        def on_delivered(sim, delivery, state=state, idx=idx):
-            if state["remaining"] == 0:
-                raise ExperimentError("fetch completion after query already finished")
-            state["remaining"] -= 1
-            if not self.parallel and idx + 1 < len(state["plan"].article_ids):
-                self._dispatch_fetch(state, idx + 1, delivery)
-            elif state["remaining"] == 0:
-                self._finish(state, delivery)
-            # parallel mode finishes when the slowest fetch lands
+    def _delivered(self, sim: LinkSimulator, t: float) -> None:
+        self._waiting -= 1
+        if self._next < len(self.plans[self._qi].article_ids):
+            self._fetch(t)  # sequential: the next article
+        elif not self._waiting:
+            self._finish(t)
+            self._submit(t)
 
-        self.sim.inject_flow(t + blob_stage, size, QUERY_LABEL, callback=on_delivered)
-
-    def _finish(self, state, t: float) -> None:
-        plan = state["plan"]
-        latency = t - state["submit"]
-        queue_s = latency - state["meta_s"] - state["transfer_s"]
-        self.results.append(
-            QueryResult(
-                query_id=plan.query_id,
-                author=plan.author,
-                protocol=Protocol.HYBRID_5STEP,
-                latency_s=latency,
-                bytes_moved=state["bytes_moved"],
-                meta_s=state["meta_s"],
-                transfer_s=state["transfer_s"],
-                queue_s=queue_s,
-                article_ids=plan.article_ids,
-            )
-        )
-        nxt = state["qi"] + 1
-        if nxt < len(self.plans):
-            self.sim.schedule_at(t, lambda sim, tt, qi=nxt: self._submit(qi, tt))
+    def _finish(self, t: float) -> None:
+        """Record the in-flight query as done at t."""
+        plan = self.plans[self._qi]
+        meta_s, meta_bytes, body_bytes = self.costs[self._qi]
+        latency = t - self._submitted
+        self.results.append(QueryResult(
+            query_id=plan.query_id, author=plan.author, protocol=Protocol.HYBRID_5STEP,
+            latency_s=latency, bytes_moved=meta_bytes + body_bytes, meta_s=meta_s,
+            transfer_s=self._transfer_s, queue_s=latency - meta_s - self._transfer_s,
+            article_ids=plan.article_ids))
+        self._qi += 1
 
 
 @dataclass
@@ -340,13 +322,15 @@ def run_experiment(
 
     The hybrid side shares one open-mode simulation with the background
     trace (a Trace, or FlowEvents), which must not use the query class; this
-    is checked before anything is simulated. The simulation starts at epoch
-    0, so it takes the FIFO pass (hcqsim.fifo), which runs the driver's
-    fetch callbacks and query steps as the event core would, until idle.
-    Each plan's cost is worked out once, for both protocols and the fetch
-    byte total. Fetch bytes are reconciled against the link's per-class
-    delivered counters and any dropped fetch byte is an error (size the
-    queue above the largest article).
+    is checked before anything is simulated. The background is added first,
+    then the driver is started at start_time: one query in flight at a time,
+    each submitted from the completion callback that delivers the previous
+    one, with no query step. The simulation starts at epoch 0, so it takes
+    the FIFO pass (hcqsim.fifo), which runs the fetch callbacks as the event
+    core would, until idle; a query that fetches nothing does not extend the
+    run. Local results come from execute_local. Fetch bytes are reconciled
+    against the link's per-class delivered counters and any dropped fetch
+    byte is an error (size the queue above the largest article).
     """
     plans = [plan_query(corpus, i, a) for i, a in enumerate(authors)]
 
@@ -359,7 +343,7 @@ def run_experiment(
                         FeedbackMode.OPEN, scenario_id=scenario_id, seed=seed)
     sim.add_flows(background)
     driver = HybridQueryDriver(sim, corpus, backends, plans, parallel=parallel)
-    local_results = [_local_result(p, cost, backends) for p, cost in zip(plans, driver.costs)]
+    local_results = [execute_local(p, corpus, backends) for p in plans]
     driver.start(start_time)
     metrics = sim.run_until_idle()
 
@@ -368,7 +352,6 @@ def run_experiment(
             f"only {len(driver.results)}/{len(plans)} hybrid queries completed; "
             f"failed flow ids: {metrics.failed_flow_ids}"
         )
-    hybrid_results = sorted(driver.results, key=lambda r: r.query_id)
     fetch_bytes = sum(body_bytes for _, _, body_bytes in driver.costs)
     tot = metrics.totals[QUERY_LABEL]
     if tot.dropped or tot.queued or tot.delivered != fetch_bytes:
@@ -379,7 +362,7 @@ def run_experiment(
 
     summary = {}
     for proto, results in ((Protocol.LOCAL_4STEP, local_results),
-                           (Protocol.HYBRID_5STEP, hybrid_results)):
+                           (Protocol.HYBRID_5STEP, driver.results)):
         vals = sorted(r.latency_s for r in results)
         p50, p95 = quantiles_nearest_rank(vals, (0.50, 0.95))
         summary[proto.value] = {
@@ -388,5 +371,5 @@ def run_experiment(
             "p95": p95,
         }
     return ExperimentResult(scenario_id=scenario_id,
-                            rows=list(zip(local_results, hybrid_results)), summary=summary,
+                            rows=list(zip(local_results, driver.results)), summary=summary,
                             sim_metrics=metrics)

@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -163,8 +164,16 @@ class LinkSpec:
     epoch_s: float = 1.0
 
     def __post_init__(self):
+        # `< inf` fails for NaN as for inf; either would stall the run or
+        # make every latency NaN or inf.
+        for name in ("capacity_bps", "propagation_delay_s", "epoch_s"):
+            if not getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.capacity_bps <= 0:
             raise ValueError(f"capacity_bps must be > 0, got {self.capacity_bps}")
+        if not isinstance(self.queue_capacity_bytes, numbers.Integral):
+            raise ValueError(f"queue_capacity_bytes must be an integer, "
+                             f"got {self.queue_capacity_bytes!r}")
         if self.queue_capacity_bytes <= 0:
             raise ValueError(f"queue_capacity_bytes must be > 0, got {self.queue_capacity_bytes}")
         if self.propagation_delay_s < 0:

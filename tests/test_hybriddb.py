@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import math
 from types import SimpleNamespace
 
@@ -375,6 +376,15 @@ def test_s2_seeds_that_drop_a_fetch():
     assert failed == [1, 2, 6, 8, 9, 18]
 
 
+def canned_inputs(make, seed):
+    """A canned s2 config at seed, its trace, corpus and query authors."""
+    cfg = make(seed)
+    hc = cfg.hybrid_db
+    corpus = build_corpus(hc.corpus_spec)
+    return cfg, build_trace(cfg), corpus, sample_query_authors(corpus, hc.n_queries,
+                                                               hc.query_seed)
+
+
 def experiment_outcome(cfg, trace, corpus, authors, parallel):
     """What run_experiment gives for a canned s2 config: the rows, the
     summary and every SimMetrics field as their reprs, or its error."""
@@ -392,18 +402,14 @@ def experiment_outcome(cfg, trace, corpus, authors, parallel):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_experiments_on_the_pass_match_the_event_core(seed, core_calls, monkeypatch):
-    # run_experiment's open run, with its callback-injected fetches and query
-    # steps, takes the FIFO pass and runs no event core epoch; kept on the
+    # run_experiment's open run, with its fetches injected from completion
+    # callbacks, takes the FIFO pass and runs no event core epoch; kept on the
     # event core, it gives the same rows, metrics or error, for the canned
     # s2 configs with sequential and parallel fetches. Seeds 1, 2, 6, 8 and
     # 9 drop a fetch on the congested config.
     failed = []
     for make in (s2_congested_config, s2_idle_config):
-        cfg = make(seed)
-        trace = build_trace(cfg)
-        hc = cfg.hybrid_db
-        corpus = build_corpus(hc.corpus_spec)
-        authors = sample_query_authors(corpus, hc.n_queries, hc.query_seed)
+        cfg, trace, corpus, authors = canned_inputs(make, seed)
         for parallel in (False, True):
             core_calls.clear()
             passed = experiment_outcome(cfg, trace, corpus, authors, parallel)
@@ -412,9 +418,59 @@ def test_experiments_on_the_pass_match_the_event_core(seed, core_calls, monkeypa
                 patch.setattr(LinkSimulator, "_takes_pass", lambda self: False)
                 assert experiment_outcome(cfg, trace, corpus, authors, parallel) == passed
             assert core_calls
-            if parallel == hc.parallel_fetch and passed[0] == "error":
+            if parallel == cfg.hybrid_db.parallel_fetch and passed[0] == "error":
                 failed.append(cfg.scenario_id)
     assert failed == (["s2-hybrid-db-congested"] if seed in (1, 2, 6, 8, 9) else [])
+
+
+def test_the_session_takes_no_query_step(monkeypatch):
+    # Each query is submitted from the callback that delivers the one before.
+    # Parallel fetches overflow the canned queue on seed 7, so they are also
+    # run on a queue that holds them all, where every query completes.
+    def refuse(sim, time, fn):
+        raise AssertionError("the query session scheduled a step")
+
+    monkeypatch.setattr(LinkSimulator, "schedule_at", refuse)
+    outcomes = []
+    for make in (s2_congested_config, s2_idle_config):
+        cfg, trace, corpus, authors = canned_inputs(make, 7)
+        deep = dataclasses.replace(cfg, link=dataclasses.replace(cfg.link,
+                                                                 queue_capacity_bytes=10**9))
+        for run_cfg, parallel in ((cfg, False), (cfg, True), (deep, True)):
+            outcome = experiment_outcome(run_cfg, trace, corpus, authors, parallel)
+            outcomes.append(outcome[0] == "error")
+            if outcome[0] == "error":
+                assert "fetch byte reconciliation failed" in outcome[1]
+    assert outcomes == [False, True, False] * 2
+
+
+def test_an_experiment_leaves_nothing_for_the_cyclic_gc():
+    # The in-flight query's state lives on the driver and each fetch's
+    # callback is a bound method, so a run makes no reference cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        cfg, trace, corpus, authors = canned_inputs(s2_congested_config, 0)
+        assert experiment_outcome(cfg, trace, corpus, authors, False)[0] != "error"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_queries_that_fetch_nothing_take_no_link_time():
+    # A query with no article finishes when its metadata is read and the next
+    # is submitted then, without an event: a run of such queries alone leaves
+    # the link with no epoch, and a start before the clock is refused.
+    corpus = build_corpus(CorpusSpec(scale=S6, seed=2))
+    missing = [max(corpus.author_index) + 1000 + i for i in range(4)]
+    link = LinkSpec(capacity_bps=1e8, queue_capacity_bytes=10**7, epoch_s=0.001)
+    result = run_experiment(corpus, missing, BACKENDS, link, start_time=5.0)
+    for _, hybrid in result.rows:
+        assert hybrid.latency_s == pytest.approx(BACKENDS.metadata_lookup_s, rel=1e-12)
+    assert result.sim_metrics.link_utilization == []
+    for start in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="is not finite or before now=0.0"):
+            run_experiment(corpus, missing, BACKENDS, link, start_time=start)
 
 
 def reference_write_experiment_csv(result, path):

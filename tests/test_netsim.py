@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -115,6 +116,28 @@ class TestBasics:
             LinkSpec(capacity_bps=1e6, queue_capacity_bytes=0)
         with pytest.raises(ValueError):
             LinkSpec(capacity_bps=1e6, queue_capacity_bytes=1, epoch_s=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        # Each of these ran: NaN epochs delivered nothing, an infinite epoch
+        # emptied a deque, NaN or infinite delays gave NaN or infinite
+        # latencies, a NaN capacity failed to convert, an infinite one gave
+        # zero latencies, and a float queue size raised a TypeError mid-run.
+        ("epoch_s", math.nan, "epoch_s must be finite, got nan"),
+        ("epoch_s", math.inf, "epoch_s must be finite, got inf"),
+        ("propagation_delay_s", math.nan, "propagation_delay_s must be finite, got nan"),
+        ("propagation_delay_s", math.inf, "propagation_delay_s must be finite, got inf"),
+        ("capacity_bps", math.nan, "capacity_bps must be finite, got nan"),
+        ("capacity_bps", math.inf, "capacity_bps must be finite, got inf"),
+        ("capacity_bps", -math.inf, "capacity_bps must be > 0, got -inf"),
+        ("queue_capacity_bytes", 1000.0, "queue_capacity_bytes must be an integer, got 1000.0"),
+        ("queue_capacity_bytes", math.nan, "queue_capacity_bytes must be an integer, got nan"),
+    ])
+    def test_link_spec_refuses_non_finite_values_and_a_float_queue(self, field, value, message):
+        kwargs = dict(capacity_bps=8e6, queue_capacity_bytes=10**6,
+                      propagation_delay_s=0.001, epoch_s=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinkSpec(**kwargs)
 
     def test_half_load_open_no_drops_util_half(self):
         # Offered load 0.5x capacity: long-run accounting must sit near 0.5

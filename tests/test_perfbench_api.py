@@ -23,9 +23,14 @@ def test_every_workload_sets_up():
         assert work.setup(0)
 
 
-def test_one_s2_operation_passes_its_checks(tmp_path):
+def s2_seed0_operation():
+    """The s2 workload and its one operation on scenario seed 0."""
     work = workloads.WORKLOADS["s2-hybrid-db"]
-    pairs = [p for p in work.setup(0) if p[0] == 0]
+    return work, [p for p in work.setup(0) if p[0] == 0]
+
+
+def test_one_s2_operation_passes_its_checks(tmp_path):
+    work, pairs = s2_seed0_operation()
     rr = work.run_round(pairs, str(tmp_path / "run"), None, lambda seconds: 1.0)
     assert (rr.attempted, rr.failed) == (1, 0)
     assert len(rr.experiments) == 2
@@ -62,10 +67,9 @@ def test_the_decision_oracle_checks_the_shares_the_run_records(tmp_path):
     assert len(fails) == 1 and fails[0].startswith(f"{rec.name} epoch 0: chosen cost ")
 
 
-def traced_and_untraced(work, tmp_path):
-    """The files of an untraced and of a traced round of one setup, each
-    keyed by its path in the run directory, and the traced round."""
-    sc = work.setup(0)
+def traced_and_untraced(work, sc, tmp_path):
+    """The files of an untraced and of a traced round of the inputs sc,
+    each keyed by its path in the run directory, and the traced round."""
     runs = []
     for name, tracer in (("untraced", None), ("traced", tracing.Tracer())):
         out = tmp_path / name
@@ -78,7 +82,8 @@ def traced_and_untraced(work, tmp_path):
 def test_nine_class_traced_run_writes_the_untraced_files(tmp_path):
     # Untraced, the round runs through hcqsim.runner and run_simulation;
     # traced, the benchmark builds its own LinkSimulator.
-    runs, _ = traced_and_untraced(workloads.WORKLOADS["nine-class"], tmp_path)
+    work = workloads.WORKLOADS["nine-class"]
+    runs, _ = traced_and_untraced(work, work.setup(0), tmp_path)
     assert sorted(runs[0]) == ["closed/epochs.csv", "closed/model.csv", "closed/residual.txt"]
     assert runs[0] == runs[1]
 
@@ -86,11 +91,24 @@ def test_nine_class_traced_run_writes_the_untraced_files(tmp_path):
 def test_s1_traced_round_writes_the_untraced_files_and_passes_its_checks(tmp_path):
     # s1 runs open, then closed under the config's fixed model, which the
     # traced round wraps in its own StateSpaceModel and MpcController.
-    runs, traced = traced_and_untraced(workloads.WORKLOADS["s1-histogram"], tmp_path)
+    work = workloads.WORKLOADS["s1-histogram"]
+    runs, traced = traced_and_untraced(work, work.setup(0), tmp_path)
     assert sorted(runs[0]) == ["closed/epochs.csv", "closed/model.csv", "closed/residual.txt",
                                "hist.svg", "histogram.csv", "open/epochs.csv", "report.csv"]
     assert runs[0] == runs[1]
     assert checks.check_round("s1-histogram", traced, str(tmp_path)) == []
+
+
+def test_s2_traced_operation_writes_the_untraced_files_and_passes_its_checks(tmp_path):
+    # The traced operation wraps each open run and each run_experiment in
+    # a span; the seed-0 pair writes both configs' run directories.
+    work, pairs = s2_seed0_operation()
+    runs, traced = traced_and_untraced(work, pairs, tmp_path)
+    assert sorted(runs[0]) == [f"seed0/{kind}/{name}" for kind in ("congested", "idle")
+                               for name in ("corpus.csv", "experiment.csv", "open/epochs.csv")]
+    assert runs[0] == runs[1]
+    assert (traced.attempted, traced.failed) == (1, 0)
+    assert checks.check_round("s2-hybrid-db", traced, str(tmp_path)) == []
 
 
 def test_the_traced_open_run_takes_the_fifo_pass(core_calls):
