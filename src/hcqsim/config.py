@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ControlBounds, CostWeights, StateSpaceModel, check_grid_size
+from .control import (ControlBounds, CostWeights, StateSpaceModel, check_grid_size,
+                      check_horizon)
 from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, QUERY_LABEL, BackendLatency, CorpusSpec
 from .netsim import CONTROL_LABEL, LinkSpec, check_epoch_count
 from .traffic import (
@@ -303,6 +304,7 @@ def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
     _build(f"{node.path}.warmup_epochs", check_epoch_count, warmup)
     excitation_seed = node.take("excitation_seed", int, 1)
     horizon = node.take("horizon", int, 3, at_least=1)
+    _build(f"{node.path}.horizon", check_horizon, horizon)
     grid = node.take("grid", int, 11, at_least=2)
     _build(f"{node.path}.grid", check_grid_size, m, grid)
     config = ControllerConfig(

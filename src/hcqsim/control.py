@@ -7,9 +7,11 @@ performance/effort criterion, and a spectral-radius stability check.
 
 The allocation is condensed (Maciejowski, Predictive Control with
 Constraints, 2002): with u held over the horizon, the horizon cost of every
-candidate is c(x) + 2 u' g(x) + u' P u. MpcController builds the feasible
-share grid, P and each candidate's u' P u once; a decision computes c(x)
-and g(x) and takes one m x K product over the K candidates.
+candidate is c(x) + 2 u' g(x) + u' P u, where g and c are an affine and a
+quadratic map of x with fixed matrices. MpcController builds the feasible
+share grid, those matrices and each candidate's constant once; a decision
+takes one product for g(x) and c(x) and one m x K product over the K
+candidates.
 
 State convention: the first m components of x are per-class backlog
 fractions, the rest are per-class utilizations. Control u holds per-class
@@ -257,6 +259,22 @@ def check_grid_size(m: int, grid: int) -> None:
                          f"controller may enumerate")
 
 
+# The longest horizon a controller may plan over. MpcController.__init__
+# sums a few n x n products per step and keeps none of them: at n = 18,
+# m = 9 the longest horizon takes about 15 ms, against 3 steps in every
+# canned config.
+MAX_HORIZON = 1_000
+
+
+def check_horizon(horizon: int) -> None:
+    """Refuse a horizon below 1 or above MAX_HORIZON."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon:,} is more than the {MAX_HORIZON:,} steps a "
+                         f"controller may plan over")
+
+
 def _feasible_levels(bounds: ControlBounds, grid: int) -> np.ndarray:
     """Integer levels (u_i = level_i / (grid-1)) of the grid points inside the
     bounded simplex: an m x K array, one column per point, the columns in
@@ -340,26 +358,38 @@ class MpcController:
 
         cost(u) = c(x) + 2 u' g(x) + u' P u,
 
-    where e_h = A^h x - x_ref, c(x) = sum_h e_h' Q e_h,
-    g(x) = sum_h G_h' Q e_h and P = sum_h G_h' Q G_h + H R.
+    where, with E the stack of A^0 .. A^{H-1}, E_ref that of H copies of
+    x_ref, Qb the block diagonal of H copies of Q and GQ the row of the
+    G_h' Q, both maps of x are fixed matrices (Borrelli, Bemporad & Morari,
+    Predictive Control for Linear and Hybrid Systems, 2017):
 
-    Everything that does not depend on x is built once here: the level
-    tuples of the feasible grid (u_i = level_i / (grid-1), lexicographic
-    order), U (m x K, one column per candidate), quad_k = u_k' P u_k, and
-    the stacked maps x -> (e_0 .. e_{H-1}) and x -> g. A decision is then a
-    few small products plus one m x K product.
+        g(x) = F x - f,             F = GQ E,   f = GQ E_ref,
+        c(x) = x'Y x - 2 y'x + r,   Y = E'Qb E, y = E'Qb E_ref,
+                                    r = E_ref' Qb E_ref,
 
-    What a decision costs: about 16 us at 18 x 9 with K = 715 (grid 5) and
-    13 us at 4 x 2 with K = 861 (grid 41) on a 2-vCPU x86 host (best of
-    five; the shared host's speed moves by up to about 1.9x), mostly the
-    fixed overhead of about twenty numpy calls; the m x K product is about
-    1 us of it. A decision allocates no array of its own: e,
-    g, the K costs, the tie mask and the rollout's two states are arrays
-    made here and written in place by the out= forms of the same calls.
-    The checks stay off the numpy path: x is checked by its shape, and for
-    finiteness through the scalar c(x) (a non-finite x makes c non-finite).
-    The priority order is one stable sort of the class indices by negated
-    backlog.
+    and P = sum_h G_h' Q G_h + H R. Everything that does not depend on x is
+    built once here, summed over h without stacking: the level tuples of
+    the feasible grid (u_i = level_i / (grid-1), lexicographic order), U
+    (m x K, one column per candidate), 2U (doubling is exact), each
+    candidate's constant k = u'P u - f' 2U, and one (m + n + 1) x n matrix
+    stacking [F; Y; y'].
+
+    A decision makes one product z = [F; Y; y'] x, then the K costs less c,
+    s = z[:m]' 2U + k, in place. c(x) = x' z[m:m+n] - 2 z[-1] + r serves
+    only the tie band: s <= s_min + COST_TIE_ABS + COST_TIE_REL |s_min + c|,
+    which is the band on the full costs in exact arithmetic. What a decision
+    costs: about 16 us at 18 x 9 with K = 715 (grid 5) and 15 us at 4 x 2
+    with K = 861 (grid 41), horizon 3, on a 2-vCPU x86 host (best of 25
+    blocks of 500 decisions; the shared host's speed moves by up to about
+    1.9x), mostly the fixed overhead of fourteen numpy calls (eight, and two
+    per horizon step) and two scalar reads; the m x K product is about 1 us
+    of it. A decision allocates no array of its own: z, the K costs, the tie
+    mask and the rollout's two states are arrays made here and written in
+    place by the out= forms of the same calls. The checks stay off the numpy
+    path: x is checked by its shape, and for finiteness through the scalar
+    c(x) (a non-finite x makes c non-finite). c is a vdot, which, unlike
+    matmul, does not warn when a huge finite x overflows it. The priority
+    order is one stable sort of the class indices by negated backlog.
 
     The first decision that chooses a candidate checks its shares with
     ControlBounds.contains and, if they pass, keeps the share tuple and its
@@ -368,11 +398,13 @@ class MpcController:
     the cache holds one entry per distinct candidate a run chooses, about
     250 bytes at 4 x 2 and 650 at 18 x 9, at most K of them.
 
-    These steps keep their order of operations, and with it the bits of
-    every decision: c(x) by one einsum over e; g = GQ e; the costs as
-    (g' 2U) + c + quad, where 2U is exact; the tie band; and the priority
-    rollout as H plain steps A x_h + B u*, with B u* formed once per
-    candidate.
+    The grid, 2U, u'P u and the priority rollout keep their order of
+    operations, and with them their bits: the rollout is H plain steps
+    A x_h + B u*, with B u* formed once per candidate, because predicted
+    backlogs tie exactly and no band absorbs a changed last bit of one.
+    The costs are equal to c + 2 u'g + u'P u only in exact arithmetic, so
+    a decision can differ from that arithmetic only where some candidate's
+    cost lies within rounding of the tie band's edge.
 
     Costs within COST_TIE_REL/COST_TIE_ABS of the minimum full cost count
     as tied and the first tied candidate, the lexicographically smallest
@@ -382,16 +414,16 @@ class MpcController:
     """
 
     def __init__(self, model: StateSpaceModel, weights: CostWeights, horizon: int, grid: int):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        check_horizon(horizon)
         if grid < 2:
             raise ValueError(f"grid must be >= 2, got {grid}")
         if weights.n != model.n or weights.m != model.m:
             raise ValueError("weights dimensions do not match model")
-        if model.n < model.m:
-            raise ValueError(f"the priority order needs m={model.m} backlog states, "
-                             f"the model has n={model.n}")
-        check_grid_size(model.m, grid)
+        n, m = model.n, model.m
+        if n < m:
+            raise ValueError(f"the priority order needs m={m} backlog states, "
+                             f"the model has n={n}")
+        check_grid_size(m, grid)
         levels = _feasible_levels(model.control_bounds, grid)
         if levels.shape[1] == 0:
             raise InfeasibleControlSetError(
@@ -405,29 +437,36 @@ class MpcController:
         self._U = levels / (grid - 1)  # m x K
         self._U2 = 2.0 * self._U  # 2 u' g(x) as one product; doubling is exact
 
+        # Sums over h of the blocks of P, F = GQ E, Y = E'Qb E and of the
+        # G_h and A^h that f and y take.
         A, B, Q = model.A, model.B, weights.Q
-        powers = [np.eye(model.n)]  # A^h
-        gains = [np.zeros((model.n, model.m))]  # G_h
-        for _ in range(1, horizon):
-            gains.append(gains[-1] + powers[-1] @ B)
-            powers.append(A @ powers[-1])
+        Ah, G = np.eye(n), np.zeros((n, m))  # A^h, G_h
         P = horizon * weights.R
-        for G in gains:
-            P = P + G.T @ Q @ G
-        self._quad = np.einsum("ik,ij,jk->k", self._U, P, self._U)
-        self._E = np.vstack(powers)  # (H n) x n: x -> stacked A^h x
-        self._E_ref = np.tile(weights.x_ref, horizon)
-        self._GQ = np.hstack([G.T @ Q for G in gains])  # m x (H n): e -> g
+        F, Y = np.zeros((m, n)), np.zeros((n, n))
+        A_sum, G_sum = np.zeros((n, n)), np.zeros((n, m))
+        for _ in range(horizon):
+            GQ = G.T @ Q
+            P = P + GQ @ G
+            F += GQ @ Ah
+            Y += Ah.T @ Q @ Ah
+            A_sum += Ah
+            G_sum += G
+            G = G + Ah @ B
+            Ah = A @ Ah
+        Qx_ref = Q @ weights.x_ref
+        quad = np.einsum("ik,ij,jk->k", self._U, P, self._U)
+        self._k = quad - (G_sum.T @ Qx_ref) @ self._U2  # u'P u - f' 2U
+        self._r = horizon * float(weights.x_ref @ Qx_ref)
+        self._stack = np.vstack([F, Y, A_sum.T @ Qx_ref])  # [F; Y; y'], (m + n + 1) x n
 
-        # A decision's work arrays, written in place by every call: e with
-        # its (H, n) view, g, the costs, the tie mask and the two states the
+        # A decision's work arrays, written in place by every call: z with
+        # its g and c views, the costs, the tie mask and the two states the
         # priority rollout alternates between.
-        self._e = np.empty(horizon * model.n)
-        self._eh = self._e.reshape(horizon, model.n)
-        self._g = np.empty(model.m)
+        self._z = np.empty(m + n + 1)
+        self._zg, self._zy = self._z[:m], self._z[m:m + n]
         self._cost = np.empty(levels.shape[1])
         self._tie = np.empty(levels.shape[1], dtype=bool)
-        self._xh = (np.empty(model.n), np.empty(model.n))
+        self._xh = (np.empty(n), np.empty(n))
         # Per chosen candidate, its share tuple and B u, made by the first
         # decision that chooses it once its shares pass the control set.
         self._chosen: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
@@ -441,17 +480,15 @@ class MpcController:
         n, m = model.n, model.m
         if type(x) is not np.ndarray or x.shape != (n,):
             x = _as_vector(x, n, "x")
-        e, eh, cost, tie = self._e, self._eh, self._cost, self._tie
-        np.matmul(self._E, x, out=e)
-        np.subtract(e, self._E_ref, out=e)
-        c = float(np.einsum("hi,ij,hj->", eh, self.weights.Q, eh))
+        z, cost, tie = self._z, self._cost, self._tie
+        np.matmul(self._stack, x, out=z)
+        c = float(np.vdot(x, self._zy)) - 2.0 * z.item(-1) + self._r
         if not math.isfinite(c):
             _as_vector(x, n, "x")  # a non-finite x is refused; a huge finite one goes on
-        np.matmul(np.matmul(self._GQ, e, out=self._g), self._U2, out=cost)
-        np.add(cost, c, out=cost)
-        np.add(cost, self._quad, out=cost)
-        c_min = float(cost.min())
-        np.less_equal(cost, c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min), out=tie)
+        np.matmul(self._zg, self._U2, out=cost)
+        np.add(cost, self._k, out=cost)
+        s_min = cost.item(cost.argmin())  # NaN where some cost is, as min() gives
+        np.less_equal(cost, s_min + COST_TIE_ABS + COST_TIE_REL * abs(s_min + c), out=tie)
         best = int(tie.argmax())  # first tied index == lexicographic smallest u
         chosen = self._chosen.get(best)
         if chosen is None:

@@ -8,7 +8,7 @@ import pytest
 
 from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
 from hcqsim.config import ConfigError, load_config, parse_config
-from hcqsim.control import StateSpaceModel
+from hcqsim.control import MAX_HORIZON, StateSpaceModel
 from hcqsim.hybriddb import CorpusSpec
 from hcqsim.netsim import MAX_EPOCHS
 from hcqsim.runner import build_trace, run_closed
@@ -363,6 +363,16 @@ class TestConfigParsing:
                                               r"more than the 1,000,000") as err:
             parse_config(raw)
         assert err.value.path == "config.controller.grid"
+
+    def test_a_horizon_over_the_bound_is_refused(self):
+        raw = minimal_config()
+        raw["controller"]["horizon"] = MAX_HORIZON
+        assert parse_config(raw).controller.horizon == MAX_HORIZON
+        raw["controller"]["horizon"] = MAX_HORIZON + 1
+        with pytest.raises(ConfigError, match=r"horizon 1,001 is more than the 1,000 steps") \
+                as err:
+            parse_config(raw)
+        assert err.value.path == "config.controller.horizon"
 
     def test_a_trace_over_the_flow_budget_is_refused(self):
         # The bound is on the trace's expected flow count, rate_per_s summed

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hcqsim.control import (
     COST_TIE_ABS,
@@ -16,6 +18,7 @@ from hcqsim.control import (
     IdentifiabilityError,
     InfeasibleControlSetError,
     MAX_GRID_POINTS,
+    MAX_HORIZON,
     MpcController,
     StateSpaceModel,
     _descending,
@@ -27,7 +30,11 @@ from hcqsim.control import (
     save_model_csv,
     spectral_radius,
 )
-from hcqsim.scenarios import s1_config
+from hcqsim.config import load_config
+from hcqsim.runner import build_trace, run_closed
+from hcqsim.scenarios import S1_SEED, s1_config
+
+from test_acceptance import DEMO_CONFIG, nine_class_config
 
 # ---------------------------------------------------------------- oracles
 
@@ -46,16 +53,39 @@ def naive_matmul_step(A, B, x, u):
     return out
 
 
+@functools.cache
+def condensed_maps(ctrl):
+    """(E, E_ref, GQ, U, quad) of the condensed horizon cost, built from the
+    controller's model, weights, horizon and grid alone: E stacks A^0 ..
+    A^{H-1}, E_ref stacks H copies of x_ref, GQ is the row of the G_h' Q
+    (G_h = sum_{j<h} A^j B), U holds the feasible grid's share vectors as
+    columns and quad each one's u' P u, P = sum_h G_h' Q G_h + H R."""
+    model, weights, horizon, grid = ctrl.model, ctrl.weights, ctrl.horizon, ctrl.grid
+    A, B, Q = model.A, model.B, weights.Q
+    powers = [np.eye(model.n)]
+    gains = [np.zeros((model.n, model.m))]
+    for _ in range(1, horizon):
+        gains.append(gains[-1] + powers[-1] @ B)
+        powers.append(A @ powers[-1])
+    P = horizon * weights.R
+    for G in gains:
+        P = P + G.T @ Q @ G
+    U = _feasible_levels(model.control_bounds, grid) / (grid - 1)
+    return (np.vstack(powers), np.tile(weights.x_ref, horizon),
+            np.hstack([G.T @ Q for G in gains]), U, np.einsum("ik,ij,jk->k", U, P, U))
+
+
 def horizon_costs(ctrl, x):
-    """Every candidate's horizon cost c + 2 (g U) + quad, formed as
-    MpcController forms it, in candidate order."""
+    """Every candidate's horizon cost c + 2 (g U) + quad, with e = E x - E_ref,
+    c = e' Qb e and g = GQ e, in candidate order."""
     model = ctrl.model
+    E, E_ref, GQ, U, quad = condensed_maps(ctrl)
     xv = np.asarray(x, dtype=float).reshape(-1)
-    e = ctrl._E @ xv - ctrl._E_ref
+    e = E @ xv - E_ref
     eh = e.reshape(ctrl.horizon, model.n)
     c = float(np.einsum("hi,ij,hj->", eh, ctrl.weights.Q, eh))
-    g = ctrl._GQ @ e
-    return c + 2.0 * (g @ ctrl._U) + ctrl._quad
+    g = GQ @ e
+    return c + 2.0 * (g @ U) + quad
 
 
 def read_model_csv(path):
@@ -513,7 +543,7 @@ def reference_decide(ctrl, x):
     cost = horizon_costs(ctrl, xv)
     c_min = float(cost.min())
     tie = cost <= c_min + COST_TIE_ABS + COST_TIE_REL * abs(c_min)
-    u = ctrl._U[:, int(np.argmax(tie))]
+    u = condensed_maps(ctrl)[3][:, int(np.argmax(tie))]
     xh = xv
     for _ in range(ctrl.horizon):
         xh = model.A @ xh + model.B @ u
@@ -548,10 +578,12 @@ BIT_IDENTITY = bit_identity_controllers()
 
 
 @st.composite
-def closed_loop_states(draw, m, n):
-    """Backlogs in [0, 1], often on the 1/64 lattice where the s1 plant's
-    horizon-end backlogs tie exactly, and often all zero or all equal;
-    utilizations in [0, 1.2]."""
+def closed_loop_states(draw):
+    """Nine backlogs and nine utilizations, of which a controller of fewer
+    classes takes the first. Backlogs in [0, 1], often on the 1/64 lattice
+    where the s1 plant's horizon-end backlogs tie exactly, and often all
+    zero or all equal; utilizations in [0, 1.2]."""
+    m = 9
     level = st.one_of(st.integers(0, 64).map(lambda k: k / 64), st.floats(0.0, 1.0))
     backlog = draw(st.lists(level, min_size=m, max_size=m))
     tie = draw(st.sampled_from(["none", "zero", "equal"]))
@@ -559,17 +591,26 @@ def closed_loop_states(draw, m, n):
         backlog = [0.0] * m
     elif tie == "equal":
         backlog = [backlog[0]] * m
-    util = draw(st.lists(st.floats(0.0, 1.2), min_size=n - m, max_size=n - m))
-    return np.array(backlog + util)
+    return backlog, draw(st.lists(st.floats(0.0, 1.2), min_size=m, max_size=m))
+
+
+# Under the nine-drain controller this state chooses u* = (0 x5, 1/4 x4),
+# and the predicted backlogs of classes 4 and 8 tie in exact arithmetic:
+# H plain steps A x_h + B u* rank 8 first, A^H x + sum_h A^h B u* ranks 4
+# first.
+NINE_DRAIN_TIE = ([0.0] * 4 + [0.203125] * 4 + [0.359375], [0.0] * 9)
 
 
 class TestDecideBitIdentity:
     @pytest.mark.parametrize("name", sorted(BIT_IDENTITY))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_same_bits_as_reference(self, name, data):
+    @example(state=NINE_DRAIN_TIE)
+    @given(state=closed_loop_states())
+    def test_same_bits_as_reference(self, name, state):
         ctrl = BIT_IDENTITY[name]
-        x = data.draw(closed_loop_states(ctrl.model.m, ctrl.model.n))
+        m, n = ctrl.model.m, ctrl.model.n
+        backlog, util = state
+        x = np.array(backlog[:m] + util[:n - m])
         d = ctrl.decide(x, 7)
         u, order = reference_decide(ctrl, x)
         assert [v.hex() for v in d.u] == [v.hex() for v in u]
@@ -664,6 +705,36 @@ class TestDecideReuse:
         for _ in range(3):
             with pytest.raises(AssertionError, match="allocated shares violate the control set"):
                 ctrl.decide(x, 0)
+
+
+@dataclass(eq=False)
+class ControllerInputs:
+    """What reference_decide reads of a controller."""
+
+    model: StateSpaceModel
+    weights: CostWeights
+    horizon: int
+    grid: int
+
+
+CANNED_CLOSED = {"s1": lambda: s1_config(S1_SEED), "demo": lambda: load_config(DEMO_CONFIG),
+                 "nine-class": nine_class_config}
+
+
+class TestCannedRunsReplay:
+    @pytest.mark.parametrize("name", ["s1", "demo", "nine-class"])
+    def test_every_epoch_decides_as_the_reference(self, name):
+        # Each epoch's observed state, through the step-by-step formula,
+        # gives the shares and ranks the closed run recorded for it.
+        cfg = CANNED_CLOSED[name]()
+        m, model, _ = run_closed(cfg, build_trace(cfg), cfg.classes())
+        cc = cfg.controller
+        inputs = ControllerInputs(model, cc.weights, cc.horizon, cc.grid)
+        assert m.n_epochs == len(m.shares) == len(m.ranks) > 0
+        for e, (shares, ranks) in enumerate(zip(m.shares, m.ranks)):
+            u, order = reference_decide(inputs, m.observed_state(e))
+            assert shares == u, e
+            assert ranks == tuple(order.index(i) for i in range(len(order))), e
 
 
 # Values that order or compare unlike plain numbers: signed zeros, NaN and
@@ -830,6 +901,20 @@ class TestFeasibleLevels:
             MpcController(model, weights, horizon=3, grid=41)
         with pytest.raises(ValueError, match=r"K = C\(25, 9\) = 2,042,975 share vectors"):
             MpcController(model, weights, horizon=3, grid=17)
+
+    def test_controller_refuses_a_long_horizon_before_building_anything(self, monkeypatch):
+        # A horizon of a trillion steps is refused before the grid or any
+        # horizon matrix is made.
+        def refused(bounds, grid):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr("hcqsim.control._feasible_levels", refused)
+        model = StateSpaceModel(0.5 * np.eye(4), np.zeros((4, 2)))
+        weights = CostWeights(Q=np.eye(4), R=np.eye(2), x_ref=np.zeros(4))
+        for horizon in (MAX_HORIZON + 1, 10**12):
+            with pytest.raises(ValueError, match=f"horizon {horizon:,} is more than the "
+                                                 f"{MAX_HORIZON:,} steps"):
+                MpcController(model, weights, horizon=horizon, grid=5)
 
     def test_on_grid_bounds_keep_their_level(self):
         bounds = ControlBounds((0.1, 0.2), (0.3, 0.7))
