@@ -14,10 +14,10 @@ from .control import (
     MpcController,
     StabilityResult,
     StateSpaceModel,
-    allocate_control,
     check_stability,
     identify_model,
     spectral_radius,
+    structural_model,
 )
 from .hybriddb import (
     ArticleRecord,

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .control import (ControlBounds, CostWeights, StateSpaceModel, check_grid_size,
-                      check_horizon)
+                      check_horizon, structural_model)
 from .hybriddb import DEFAULT_METADATA_BYTES, DEFAULT_SCALE, QUERY_LABEL, BackendLatency, CorpusSpec
 from .netsim import CONTROL_LABEL, LinkSpec, check_epoch_count
 from .traffic import (
@@ -43,6 +43,7 @@ from .traffic import (
 )
 
 IDENTIFY_FROM_WARMUP = "identify-from-warmup"
+MODEL_KINDS = (IDENTIFY_FROM_WARMUP, "structural")
 MODES = ("open", "closed", "both")
 
 # Each size family's parameters, in the order the family reads them.
@@ -162,7 +163,11 @@ def _require_controller(mode: str, controller, path: str) -> None:
 
 @dataclass
 class ControllerConfig:
-    model: Optional[StateSpaceModel]  # fixed, under control_bounds; None to identify
+    """A parsed controller section. model is the link's structural model
+    under control_bounds, or None to identify one from a warmup; only
+    identification reads warmup_epochs and excitation_seed."""
+
+    model: Optional[StateSpaceModel]
     warmup_epochs: int
     excitation_seed: int
     horizon: int
@@ -268,7 +273,10 @@ def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
     return _build(node.path, CostWeights, Q=Q, R=R, x_ref=np.array(x_ref))
 
 
-def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
+def _parse_controller(node: _Node, traffic: TrafficProfile, link: LinkSpec) -> ControllerConfig:
+    """model "identify-from-warmup" reads warmup_epochs and excitation_seed;
+    "structural" is structural_model(k, bytes_per_epoch / queue bytes) under
+    the control set, and refuses both keys."""
     # Control messages add the control class, which sizes every matrix below.
     msg_bytes = node.take("control_message_bytes", int, 0, at_least=0)
     k = len(_run_classes(traffic, msg_bytes))
@@ -282,27 +290,23 @@ def _parse_controller(node: _Node, traffic: TrafficProfile) -> ControllerConfig:
     else:
         u_max = tuple(_number_list(raw_umax, umax_path, m))
     control_bounds = _build(umax_path, ControlBounds, (0.0,) * m, u_max)
-    raw_model = node.take("model", object)
-    model = None
-    if isinstance(raw_model, dict):
-        mnode = _Node(raw_model, f"{node.path}.model")
-        A = _matrix(mnode.take("A", object), f"{mnode.path}.A", n, n)
-        B = _matrix(mnode.take("B", object), f"{mnode.path}.B", n, m)
-        mnode.finish()
-        model = StateSpaceModel(A, B, control_bounds=control_bounds)
-    elif raw_model != IDENTIFY_FROM_WARMUP:
-        raise ConfigError(
-            f"{node.path}.model",
-            f'expected "{IDENTIFY_FROM_WARMUP}" or an object with A and B, got {raw_model!r}',
-        )
-    identify = model is None
-    warmup = node.take("warmup_epochs", int, _REQUIRED if identify else 0)
-    if identify and warmup < n + m + 2:
-        raise ConfigError(f"{node.path}.warmup_epochs",
-                          f"need at least {n + m + 2} warmup epochs to identify a "
-                          f"{n}x{m} model, got {warmup}")
-    _build(f"{node.path}.warmup_epochs", check_epoch_count, warmup)
-    excitation_seed = node.take("excitation_seed", int, 1)
+    model, warmup, excitation_seed = None, 0, 1
+    # Any other value, an object of A and B included, is refused.
+    if node.take("model", object, choices=MODEL_KINDS) == IDENTIFY_FROM_WARMUP:
+        warmup = node.take("warmup_epochs", int)
+        if warmup < n + m + 2:
+            raise ConfigError(f"{node.path}.warmup_epochs",
+                              f"need at least {n + m + 2} warmup epochs to identify a "
+                              f"{n}x{m} model, got {warmup}")
+        _build(f"{node.path}.warmup_epochs", check_epoch_count, warmup)
+        excitation_seed = node.take("excitation_seed", int, 1)
+    else:
+        # A fixed model runs no warmup; its keys, even null, have no effect.
+        for key in ("warmup_epochs", "excitation_seed"):
+            if node.take(key, object, ...) is not ...:
+                raise ConfigError(f"{node.path}.{key}", 'has no effect with model "structural"')
+        model = structural_model(k, link.bytes_per_epoch / link.queue_capacity_bytes,
+                                 control_bounds)
     horizon = node.take("horizon", int, 3, at_least=1)
     _build(f"{node.path}.horizon", check_horizon, horizon)
     grid = node.take("grid", int, 11, at_least=2)
@@ -370,7 +374,7 @@ def parse_config(data, source: str = "config") -> ScenarioConfig:
                n_epochs * link.epoch_s)
 
     cnode = root.child("controller", required=False)
-    controller = _parse_controller(cnode, traffic) if cnode is not None else None
+    controller = _parse_controller(cnode, traffic, link) if cnode is not None else None
     _require_controller(mode, controller, f"{source}.controller")
 
     hnode = root.child("hybrid_db", required=False)

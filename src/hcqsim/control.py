@@ -202,6 +202,17 @@ class ControlDecision:
     priority_order: tuple[int, ...]
 
 
+def structural_model(k: int, drain: float,
+                     control_bounds: Optional[ControlBounds] = None) -> StateSpaceModel:
+    """The link's own k-class plant: a share u_i drains drain * u_i of class
+    i's backlog fraction (drain = bytes per epoch / queue bytes) and is its
+    next utilization, so A = [I 0; 0 0] and B = [-drain I; I]. np.diag keeps
+    every off-diagonal +0.0, which save_model_csv prints as 0."""
+    A = np.diag([1.0] * k + [0.0] * k)
+    B = np.vstack([np.diag([-drain] * k), np.eye(k)])
+    return StateSpaceModel(A, B, control_bounds=control_bounds)
+
+
 def identify_model(
     trace: Sequence[tuple],
     n: int,
@@ -301,17 +312,6 @@ def _descending(values: np.ndarray) -> list[int]:
     item's key is less than an earlier one's, so this is the order of the
     key (-value, index) on every input, ties, -0.0 and NaN included."""
     return sorted(range(len(values)), key=list(map(neg, values.tolist())).__getitem__)
-
-
-def allocate_control(
-    model: StateSpaceModel,
-    weights: CostWeights,
-    x,
-    horizon: int,
-    grid: int,
-) -> ControlDecision:
-    """One decision of a freshly built MpcController; see MpcController."""
-    return MpcController(model, weights, horizon, grid).decide(x, 0)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ S1_SEED = 42
 S2_SEED = 7
 
 
-# s1 link constants; the plant matrices are written from the structural
-# relations of the link itself (see _s1_model).
+# s1 link constants. The controller's plant is the link's structural model
+# (control.structural_model), which config builds from them.
 _S1_CAPACITY_BPS = 1.0e7
 _S1_EPOCH_S = 0.5
 _S1_QUEUE_BYTES = 3_000_000
@@ -37,24 +37,6 @@ _S1_BURST_S = 4.0
 _S1_IDLE_S = 2.4
 _S1_MEAN_FLOW_BYTES = 20480.0
 _S1_PEAK_FACTOR = 0.65  # per-class on-rate as a fraction of capacity
-
-
-def _s1_model() -> dict:
-    # One epoch of share u drains u * capacity * epoch bytes from a queue
-    # of fixed size, and delivers a utilization equal to the share itself:
-    #   backlog_i(t+1) = backlog_i(t) - (cap * epoch / qsize) * u_i
-    #   util_i(t+1)    = u_i
-    coef = (_S1_CAPACITY_BPS / 8.0) * _S1_EPOCH_S / _S1_QUEUE_BYTES
-    return {
-        "A": [[1.0, 0.0, 0.0, 0.0],
-              [0.0, 1.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0]],
-        "B": [[-coef, 0.0],
-              [0.0, -coef],
-              [1.0, 0.0],
-              [0.0, 1.0]],
-    }
 
 
 def _s1_dict(seed: int) -> dict:
@@ -100,7 +82,7 @@ def _s1_dict(seed: int) -> dict:
             },
         ],
         "controller": {
-            "model": _s1_model(),
+            "model": "structural",
             "horizon": 3,
             "grid": 41,
             "control_message_bytes": 0,

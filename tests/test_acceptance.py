@@ -24,7 +24,6 @@ from hcqsim.control import (
     ExcitationController,
     MpcController,
     StateSpaceModel,
-    allocate_control,
     check_stability,
     identify_model,
 )
@@ -169,7 +168,7 @@ def test_criterion_4_controller_oracle_equivalence():
                               x_ref=rng.standard_normal(n))
         x = rng.standard_normal(n)
         horizon = int(rng.integers(1, 4))
-        got = allocate_control(model, weights, x, horizon, grid=11)
+        got = MpcController(model, weights, horizon, 11).decide(x, 0)
         want = _brute_force_allocate(model, weights, x, horizon, grid=11)
         if got.u != want:
             mismatches += 1
@@ -296,15 +295,21 @@ GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "examples_config", "demo.json")
 
 
-def nine_class_config():
-    """The benchmark's nine-class workload at setup seed 0: all nine classes
-    closed at k = 9, grid 5, with an identified model and control messages."""
+def nine_class_dict(seed: int) -> dict:
+    """The benchmark's nine-class workload at a setup seed, as a config dict:
+    all nine classes closed at k = 9, grid 5, with an identified model and
+    control messages."""
     perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
     import workloads
 
-    return parse_config(workloads.nine_class_dict(0), source="nine-class")
+    return workloads.nine_class_dict(seed)
+
+
+def nine_class_config():
+    """The nine-class workload at setup seed 0."""
+    return parse_config(nine_class_dict(0), source="nine-class")
 
 
 def run_digests(s1_outcome, s2_outcome, out_dir) -> dict:

@@ -8,7 +8,7 @@ import pytest
 
 from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
 from hcqsim.config import ConfigError, load_config, parse_config
-from hcqsim.control import MAX_HORIZON, StateSpaceModel
+from hcqsim.control import MAX_HORIZON, MpcController
 from hcqsim.hybriddb import CorpusSpec
 from hcqsim.netsim import MAX_EPOCHS
 from hcqsim.runner import build_trace, run_closed
@@ -69,6 +69,16 @@ def minimal_config(tmp_path=None, **overrides):
         },
     }
     cfg.update(overrides)
+    return cfg
+
+
+def structural_config(**overrides):
+    """minimal_config() on the link's structural model, without the warmup
+    keys that only identification reads."""
+    cfg = minimal_config(**overrides)
+    controller = cfg["controller"]
+    del controller["warmup_epochs"], controller["excitation_seed"]
+    controller["model"] = "structural"
     return cfg
 
 
@@ -150,27 +160,53 @@ class TestConfigParsing:
         assert "x_ref" in str(err.value)
 
     def test_explicit_model_dimensions_checked(self):
-        raw = minimal_config()
-        raw["controller"]["model"] = {"A": [[1.0]], "B": [[1.0]]}
-        with pytest.raises(ConfigError):
+        # The structural model is sized by the run's classes, the control
+        # class included, and drains bytes_per_epoch / queue_capacity_bytes
+        # (1e6 / 1e6 on this link) per unit share.
+        raw = structural_config()
+        cc = parse_config(raw).controller
+        assert not cc.identify
+        assert (cc.model.A.shape, cc.model.B.shape) == ((4, 4), (4, 2))
+        np.testing.assert_array_equal(cc.model.B, [[-1.0, 0.0], [0.0, -1.0],
+                                                   [1.0, 0.0], [0.0, 1.0]])
+        raw["controller"]["control_message_bytes"] = 512
+        raw["controller"]["weights"] = {"Q_diag": [1.0] * 6, "R_diag": [0.1] * 3,
+                                        "x_ref": [0.0] * 6}
+        model = parse_config(raw).controller.model
+        assert (model.A.shape, model.B.shape) == ((6, 6), (6, 3))
+
+    def test_matrix_model_refused(self):
+        raw = structural_config()
+        raw["controller"]["model"] = {"A": np.eye(4).tolist(), "B": np.ones((4, 2)).tolist()}
+        with pytest.raises(ConfigError) as err:
             parse_config(raw)
-        n, m = 4, 2
-        model = StateSpaceModel(0.5 * np.eye(n), np.ones((n, m)))
-        raw["controller"]["model"] = {"A": model.A.tolist(), "B": model.B.tolist()}
-        raw["controller"]["warmup_epochs"] = 0
-        cfg = parse_config(raw)
-        assert not cfg.controller.identify
-        np.testing.assert_array_equal(cfg.controller.model.A, model.A)
+        assert err.value.path == "config.controller.model"
+        assert "'identify-from-warmup', 'structural'" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["warmup_epochs", "excitation_seed"])
+    @pytest.mark.parametrize("value", [30, None])
+    def test_warmup_keys_refused_with_structural_model(self, key, value):
+        raw = structural_config()
+        raw["controller"][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.path == f"config.controller.{key}"
+        assert "no effect" in str(err.value)
 
     def test_u_max_bounds_the_fixed_model(self):
-        # Without u_max this model gives class 0 a share of 0.4 or more.
-        B = [[-0.3, 0.0], [0.0, -0.3], [0.5, 0.0], [0.0, 0.5]]
-        raw = minimal_config(mode="closed", n_epochs=5)
-        raw["controller"].update(model={"A": (0.5 * np.eye(4)).tolist(), "B": B},
-                                 warmup_epochs=0, u_max=[0.3, 0.6])
+        # At x = (0.5, 0, 0, 0) this model gives class 0 a share of 0.4
+        # without u_max, and the largest grid level under 0.3 with it.
+        def decide(cc):
+            x = np.array([0.5, 0.0, 0.0, 0.0])
+            return MpcController(cc.model, cc.weights, cc.horizon, cc.grid).decide(x, 0).u
+
+        raw = structural_config(mode="closed", n_epochs=5)
+        assert decide(parse_config(raw).controller) == (0.4, 0.0)
+        raw["controller"]["u_max"] = [0.3, 0.6]
         cc = parse_config(raw).controller
         assert cc.model.control_bounds == cc.control_bounds
         assert cc.control_bounds.hi == (0.3, 0.6)
+        assert decide(cc) == (0.2, 0.0)
         # A closed run decides within the config's control set.
         cfg = parse_config(raw)
         metrics, model, _ = run_closed(cfg, build_trace(cfg), cfg.classes())

@@ -23,18 +23,18 @@ from hcqsim.control import (
     StateSpaceModel,
     _descending,
     _feasible_levels,
-    allocate_control,
     check_grid_size,
     check_stability,
     identify_model,
     save_model_csv,
     spectral_radius,
+    structural_model,
 )
-from hcqsim.config import load_config
-from hcqsim.runner import build_trace, run_closed
+from hcqsim.config import load_config, parse_config
+from hcqsim.runner import build_trace, run_closed, run_scenario
 from hcqsim.scenarios import S1_SEED, s1_config
 
-from test_acceptance import DEMO_CONFIG, nine_class_config
+from test_acceptance import DEMO_CONFIG, nine_class_config, nine_class_dict
 
 # ---------------------------------------------------------------- oracles
 
@@ -225,6 +225,56 @@ class TestStepState:
             ctrl.decide([1.0, 2.0, 3.0], 0)
 
 
+# ---------------------------------------------------------------- structural
+
+
+class TestStructuralModel:
+    def test_s1_link_gives_the_typed_matrices(self):
+        # s1's plant, written out bit for bit: +0.0 off the diagonal, never
+        # -0.0, so s1's pinned closed/model.csv prints 0 there.
+        link = s1_config().link
+        model = structural_model(2, link.bytes_per_epoch / link.queue_capacity_bytes)
+        drain = 0.20833333333333334  # 625,000 bytes per epoch over 3,000,000
+        A = np.array([[1.0, 0.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+        B = np.array([[-drain, 0.0],
+                      [0.0, -drain],
+                      [1.0, 0.0],
+                      [0.0, 1.0]])
+        assert model.A.tobytes() == A.tobytes()
+        assert model.B.tobytes() == B.tobytes()
+        for M in (model.A, model.B):
+            assert not np.any(np.signbit(M) & (M == 0.0))
+        s1_model = s1_config().controller.model
+        assert s1_model.A.tobytes() == A.tobytes() and s1_model.B.tobytes() == B.tobytes()
+
+    def test_nine_classes_shapes(self):
+        bounds = ControlBounds((0.0,) * 9, (0.5,) * 9)
+        model = structural_model(9, 0.25, bounds)
+        assert (model.A.shape, model.B.shape) == ((18, 18), (18, 9))
+        assert model.control_bounds == bounds
+        np.testing.assert_array_equal(model.A, np.diag([1.0] * 9 + [0.0] * 9))
+        np.testing.assert_array_equal(model.B, np.vstack([-0.25 * np.eye(9), np.eye(9)]))
+        assert structural_model(9, 0.25).control_bounds == ControlBounds.simplex(9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nine_class_closed_drops_nothing(self, seed):
+        # The nine-class workload with its identified model swapped for the
+        # structural one, closed and open on one trace. The identified model
+        # drops 61.1% at seed 0; open drops nothing on these seeds.
+        raw = nine_class_dict(seed)
+        controller = raw["controller"]
+        del controller["warmup_epochs"], controller["excitation_seed"]
+        controller["model"] = "structural"
+        raw["mode"] = "both"
+        result = run_scenario(parse_config(raw))
+        dropped = result.closed_metrics.dropped_bytes()
+        assert dropped == 0
+        assert dropped <= result.open_metrics.dropped_bytes()
+
+
 # ---------------------------------------------------------------- identify
 
 
@@ -348,7 +398,7 @@ class TestAllocateControl:
         # B = 0: shares cannot move the state, PD R forces zero effort.
         model = StateSpaceModel(0.5 * np.eye(4), np.zeros((4, 2)))
         w = CostWeights(Q=np.eye(4), R=np.eye(2), x_ref=np.array([0.0, 0.0, 0.4, 0.4]))
-        d = allocate_control(model, w, np.array([0.5, 0.5, 0.2, 0.2]), horizon=3, grid=11)
+        d = MpcController(model, w, 3, 11).decide(np.array([0.5, 0.5, 0.2, 0.2]), 0)
         assert d.u == (0.0, 0.0)
 
     def test_symmetric_instance_symmetric_shares(self):
@@ -357,7 +407,7 @@ class TestAllocateControl:
         # B = I, horizon 2.
         model = StateSpaceModel(np.zeros((2, 2)), np.eye(2))
         w = CostWeights(Q=np.eye(2), R=0.5 * np.eye(2), x_ref=np.array([0.6, 0.6]))
-        d = allocate_control(model, w, np.zeros(2), horizon=2, grid=11)
+        d = MpcController(model, w, 2, 11).decide(np.zeros(2), 0)
         assert d.u[0] == d.u[1] == pytest.approx(0.3)
 
     def test_equals_brute_force_on_toy_model(self):
@@ -365,7 +415,7 @@ class TestAllocateControl:
         model = random_stable_model(rng, 2, 2)
         w = random_weights(rng, 2, 2)
         x = rng.standard_normal(2)
-        d = allocate_control(model, w, x, horizon=3, grid=11)
+        d = MpcController(model, w, 3, 11).decide(x, 0)
         assert d.u == brute_force_allocate(model, w, x, horizon=3, grid=11)
 
     def test_feasible_on_every_call(self):
@@ -374,7 +424,7 @@ class TestAllocateControl:
             n, m = 4, 2
             model = random_stable_model(rng, n, m)
             w = random_weights(rng, n, m)
-            d = allocate_control(model, w, rng.standard_normal(n), horizon=2, grid=7)
+            d = MpcController(model, w, 2, 7).decide(rng.standard_normal(n), 0)
             assert all(0.0 <= v <= 1.0 for v in d.u)
             assert sum(d.u) <= 1.0 + 1e-12
             assert sorted(d.priority_order) == list(range(m))
@@ -386,18 +436,18 @@ class TestAllocateControl:
             w = random_weights(rng, 2, 2)
             scaled = CostWeights(Q=lam * w.Q, R=lam * w.R, x_ref=w.x_ref)
             x = rng.standard_normal(2)
-            assert allocate_control(model, w, x, 3, 11).u == \
-                allocate_control(model, scaled, x, 3, 11).u
+            assert MpcController(model, w, 3, 11).decide(x, 0).u == \
+                MpcController(model, scaled, 3, 11).decide(x, 0).u
 
     def test_priority_sorts_by_predicted_backlog(self):
         # Identity dynamics, no control effect: backlog order is just the
         # initial backlog order.
         model = StateSpaceModel(np.eye(4), np.zeros((4, 2)))
         w = CostWeights(Q=np.eye(4), R=np.eye(2), x_ref=np.zeros(4))
-        d = allocate_control(model, w, np.array([0.2, 0.9, 0.0, 0.0]), horizon=2, grid=5)
+        d = MpcController(model, w, 2, 5).decide(np.array([0.2, 0.9, 0.0, 0.0]), 0)
         assert d.priority_order == (1, 0)
         # ties broken by class index
-        d = allocate_control(model, w, np.array([0.4, 0.4, 0.0, 0.0]), horizon=2, grid=5)
+        d = MpcController(model, w, 2, 5).decide(np.array([0.4, 0.4, 0.0, 0.0]), 0)
         assert d.priority_order == (0, 1)
 
     def test_infeasible_control_set(self):
@@ -405,15 +455,15 @@ class TestAllocateControl:
         model = StateSpaceModel(np.eye(2), np.eye(2), control_bounds=bounds)
         w = CostWeights(Q=np.eye(2), R=np.eye(2), x_ref=np.zeros(2))
         with pytest.raises(InfeasibleControlSetError):
-            allocate_control(model, w, np.zeros(2), horizon=1, grid=11)
+            MpcController(model, w, 1, 11).decide(np.zeros(2), 0)
 
     def test_bad_arguments(self):
         model = StateSpaceModel(np.eye(2), np.eye(2))
         w = CostWeights(Q=np.eye(2), R=np.eye(2), x_ref=np.zeros(2))
         with pytest.raises(ValueError):
-            allocate_control(model, w, np.zeros(2), horizon=0, grid=11)
+            MpcController(model, w, 0, 11).decide(np.zeros(2), 0)
         with pytest.raises(ValueError):
-            allocate_control(model, w, np.zeros(2), horizon=1, grid=1)
+            MpcController(model, w, 1, 1).decide(np.zeros(2), 0)
         # fewer states than shares: no backlog state for the priority order
         narrow = StateSpaceModel(np.eye(1), np.ones((1, 2)))
         w1 = CostWeights(Q=np.eye(1), R=np.eye(2), x_ref=np.zeros(1))
@@ -552,12 +602,10 @@ def reference_decide(ctrl, x):
     return tuple(u.tolist()), tuple(order)
 
 
-def drain_model(m, coef=5 / 24):
-    """The s1 plant for m classes: a share u_i drains coef * u_i of class i's
+def drain_model(m):
+    """The s1 plant for m classes: a share u_i drains 5/24 * u_i of class i's
     backlog per epoch and is its next utilization."""
-    A = np.diag([1.0] * m + [0.0] * m)
-    B = np.vstack([-coef * np.eye(m), np.eye(m)])
-    return StateSpaceModel(A, B)
+    return structural_model(m, 5 / 24)
 
 
 def bit_identity_controllers():
