@@ -81,16 +81,6 @@ def read_xu_trace_csv(path, n: int, m: int):
     return pairs
 
 
-def write_xu_trace_csv(pairs, path) -> None:
-    n = len(pairs[0][0])
-    m = len(pairs[0][1])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)])
-        for x, u in pairs:
-            w.writerow(["%.17g" % v for v in list(x) + list(u)])
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg = cfg.with_overrides(seed=args.seed, mode=args.mode, output_dir=args.out,

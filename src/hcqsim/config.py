@@ -16,6 +16,8 @@ Each rule below is a ConfigError at the key's dotted path, such as
 - a value below a lower bound is "must be >= N, got <value>";
 - an object the values build (a LinkSpec, a SizeDistribution, ...) that
   refuses them reports its own message at the object's path.
+
+A refused value is echoed in at most _ECHO_CHARS characters.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .traffic import (
     TrafficProfile,
     ZoneClass,
     canonical_class_order,
+    check_burst_flows,
     check_flow_count,
 )
 
@@ -55,6 +58,8 @@ _SIZE_PARAMS = {
 }
 _REQUIRED = object()
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+# The most characters of a refused value that an error message echoes.
+_ECHO_CHARS = 60
 
 
 class ConfigError(ValueError):
@@ -67,6 +72,12 @@ def _finite(v, path: str) -> float:
     if not math.isfinite(v):
         raise ConfigError(path, f"must be a finite number, got {v!r}")
     return float(v)
+
+
+def _echo(v) -> str:
+    """repr(v), cut to _ECHO_CHARS characters, the last three "..."."""
+    text = repr(v)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS - 3] + "..."
 
 
 def _build(path: str, make, *args, **kwargs):
@@ -105,11 +116,11 @@ class _Node:
         if kind is not object:
             accepted = (int, float) if kind is float else kind
             if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
-                raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {v!r}")
+                raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {_echo(v)}")
         if kind is float:
             v = _finite(v, path)
         if choices is not None and v not in choices:
-            raise ConfigError(path, f"must be one of {list(choices)}, got {v!r}")
+            raise ConfigError(path, f"must be one of {list(choices)}, got {_echo(v)}")
         if at_least is not None and v < at_least:
             raise ConfigError(path, f"must be >= {at_least}, got {v}")
         return v
@@ -255,7 +266,12 @@ def _parse_traffic(root: _Node) -> TrafficProfile:
     return _build(f"{root.path}.traffic", TrafficProfile, tuple(profiles))
 
 
-def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
+def _parse_weights(node: _Node, n: int, m: int, horizon: int) -> CostWeights:
+    """The weights, refused at the node's path when their cost over
+    `horizon` steps is not finite. It is checked by its bound over states
+    and shares in the unit box, H * (sum |Q_ij| (1 + |x_ref_i|) (1 +
+    |x_ref_j|) + sum |R_ij|), summed in floats, where an overflow reads
+    inf."""
     q_diag = node.take("Q_diag", object, None)
     r_diag = node.take("R_diag", object, None)
     q_full = node.take("Q", object, None)
@@ -270,7 +286,15 @@ def _parse_weights(node: _Node, n: int, m: int) -> CostWeights:
         else _matrix(q_full, f"{node.path}.Q", n, n)
     R = np.diag(_number_list(r_diag, f"{node.path}.R_diag", m)) if r_diag is not None \
         else _matrix(r_full, f"{node.path}.R", m, m)
-    return _build(node.path, CostWeights, Q=Q, R=R, x_ref=np.array(x_ref))
+    weights = _build(node.path, CostWeights, Q=Q, R=R, x_ref=np.array(x_ref))
+    ref = [1.0 + abs(v) for v in x_ref]
+    bound = sum(abs(q) * a * b for row, a in zip(weights.Q.tolist(), ref)
+                for q, b in zip(row, ref))
+    bound += sum(abs(r) for row in weights.R.tolist() for r in row)
+    if not math.isfinite(horizon * bound):
+        raise ConfigError(node.path, f"the horizon cost of {horizon} steps is not finite: "
+                                     f"Q, R or x_ref too large")
+    return weights
 
 
 def _parse_controller(node: _Node, traffic: TrafficProfile, link: LinkSpec) -> ControllerConfig:
@@ -317,7 +341,7 @@ def _parse_controller(node: _Node, traffic: TrafficProfile, link: LinkSpec) -> C
         excitation_seed=excitation_seed,
         horizon=horizon,
         grid=grid,
-        weights=_parse_weights(node.child("weights"), n, m),
+        weights=_parse_weights(node.child("weights"), n, m, horizon),
         control_message_bytes=msg_bytes,
         control_bounds=control_bounds,
     )
@@ -365,13 +389,14 @@ def parse_config(data, source: str = "config") -> ScenarioConfig:
     link = _build(f"{source}.link", LinkSpec, **link_kwargs)
 
     traffic = _parse_traffic(root)
-    # generate_trace's bound on the expected flow count, at the class that
-    # brings the total over it.
+    # generate_trace's bounds on the expected flow count, at the class that
+    # brings the total over it, and on one burst's, at its class.
     rate = 0
     for i, cp in enumerate(traffic.classes):
         rate += cp.rate_per_s
         _build(f"{source}.traffic[{i}].rate_per_s", check_flow_count, rate,
                n_epochs * link.epoch_s)
+        _build(f"{source}.traffic[{i}]", check_burst_flows, cp, n_epochs * link.epoch_s)
 
     cnode = root.child("controller", required=False)
     controller = _parse_controller(cnode, traffic, link) if cnode is not None else None

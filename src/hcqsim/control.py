@@ -372,7 +372,8 @@ class MpcController:
     the feasible grid (u_i = level_i / (grid-1), lexicographic order), U
     (m x K, one column per candidate), 2U (doubling is exact), each
     candidate's constant k = u'P u - f' 2U, and one (m + n + 1) x n matrix
-    stacking [F; Y; y'].
+    stacking [F; Y; y']. A model and weights that make r, some k or some
+    entry of that matrix overflow are refused with ValueError.
 
     A decision makes one product z = [F; Y; y'] x, then the K costs less c,
     s = z[:m]' 2U + k, in place. c(x) = x' z[m:m+n] - 2 z[-1] + r serves
@@ -438,26 +439,31 @@ class MpcController:
         self._U2 = 2.0 * self._U  # 2 u' g(x) as one product; doubling is exact
 
         # Sums over h of the blocks of P, F = GQ E, Y = E'Qb E and of the
-        # G_h and A^h that f and y take.
+        # G_h and A^h that f and y take. An overflow is refused below, by
+        # the finiteness of what it reaches, not warned of here.
         A, B, Q = model.A, model.B, weights.Q
-        Ah, G = np.eye(n), np.zeros((n, m))  # A^h, G_h
-        P = horizon * weights.R
-        F, Y = np.zeros((m, n)), np.zeros((n, n))
-        A_sum, G_sum = np.zeros((n, n)), np.zeros((n, m))
-        for _ in range(horizon):
-            GQ = G.T @ Q
-            P = P + GQ @ G
-            F += GQ @ Ah
-            Y += Ah.T @ Q @ Ah
-            A_sum += Ah
-            G_sum += G
-            G = G + Ah @ B
-            Ah = A @ Ah
-        Qx_ref = Q @ weights.x_ref
-        quad = np.einsum("ik,ij,jk->k", self._U, P, self._U)
-        self._k = quad - (G_sum.T @ Qx_ref) @ self._U2  # u'P u - f' 2U
-        self._r = horizon * float(weights.x_ref @ Qx_ref)
-        self._stack = np.vstack([F, Y, A_sum.T @ Qx_ref])  # [F; Y; y'], (m + n + 1) x n
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ah, G = np.eye(n), np.zeros((n, m))  # A^h, G_h
+            P = horizon * weights.R
+            F, Y = np.zeros((m, n)), np.zeros((n, n))
+            A_sum, G_sum = np.zeros((n, n)), np.zeros((n, m))
+            for _ in range(horizon):
+                GQ = G.T @ Q
+                P = P + GQ @ G
+                F += GQ @ Ah
+                Y += Ah.T @ Q @ Ah
+                A_sum += Ah
+                G_sum += G
+                G = G + Ah @ B
+                Ah = A @ Ah
+            Qx_ref = Q @ weights.x_ref
+            quad = np.einsum("ik,ij,jk->k", self._U, P, self._U)
+            self._k = quad - (G_sum.T @ Qx_ref) @ self._U2  # u'P u - f' 2U
+            self._r = horizon * float(weights.x_ref @ Qx_ref)
+            self._stack = np.vstack([F, Y, A_sum.T @ Qx_ref])  # [F; Y; y'], (m + n + 1) x n
+        if not (math.isfinite(self._r) and np.all(np.isfinite(self._k))
+                and np.all(np.isfinite(self._stack))):
+            raise ValueError("the horizon cost of these weights and this model is not finite")
 
         # A decision's work arrays, written in place by every call: z with
         # its g and c views, the costs, the tie mask and the two states the

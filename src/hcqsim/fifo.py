@@ -10,14 +10,14 @@ core's work per event:
 
 - trace arrivals, from the cursor, in runs: every arrival before the next
   heap entry, the next completion with a callback and the horizon;
-- injected arrivals and query steps, from the heap, one at a time;
+- injected arrivals, from the heap, one at a time;
 - completions with a callback. A flow's departure is known when it is
   accepted and departures keep FIFO order, so a deque holds these flows in
   the order they fall due. No other completion is an event.
 
 Ties at one instant keep the event core's order: completion, epoch
-boundary, arrival, step, then seq. A cursor arrival and a heap entry at one
-instant are ordered by their (time, kind, seq) keys.
+boundary, arrival, then seq. A cursor arrival and a heap entry at one
+instant are ordered by their seqs.
 
 The drop test keeps a stale lower bound on the free space. Only when a flow
 does not fit under it does the pass complete the flows that depart by the
@@ -36,17 +36,16 @@ deque of the pass until its epoch has ended; then the epoch's four rows,
 the queued row worked out from the others, are written to the flat arrays
 of the metrics' epoch columns. The pass never reads a row back. A latency
 is appended when its flow is accepted if the flow departs before any
-callback or step can run, and otherwise when it departs.
+callback can run, and otherwise when it departs.
 
-A completion callback or a query step sees the simulator as the event core
-leaves it at that instant: `now` (the departure for a callback, which is
-called with the delivery a propagation delay later, or the step's time),
-the counters, the rows of the epochs that have ended (a departure on a
-boundary is taken before it, a step on a boundary after it), the latencies,
-the flows offered and completed, failed_flow_ids and max_flow_size, the
-cursor position, the queue, its queued bytes and the head's rem credited up
-to `now`. The pass reads the cursor and the heap again when the code
-returns, since it may add flows, inject flows or schedule steps.
+A completion callback sees the simulator as the event core leaves it at
+that instant: `now` (the departure; the callback is called with the
+delivery a propagation delay later), the counters, the rows of the epochs
+that have ended (a departure on a boundary is taken before it), the
+latencies, the flows offered and completed, failed_flow_ids and
+max_flow_size, the cursor position, the queue, its queued bytes and the
+head's rem credited up to `now`. The pass reads the cursor and the heap
+again when the callback returns, since it may add or inject flows.
 
 The simulator is left at the end boundary as the event core leaves it: the
 waiting flows in the queue, the head's plan credited to the boundary, the
@@ -66,8 +65,6 @@ from heapq import heappop
 from operator import add, sub
 
 import numpy as np
-
-from .netsim import FLOW_ARRIVAL, QUERY_STEP
 
 
 def _zero(rem: array, entries: array) -> None:
@@ -167,9 +164,9 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
             # have departed, and the boundary at t_due is still ahead.
             t, w, j = due.popleft()
             w += 1
-            fn, at, after_boundary = callbacks.pop(j), t + delay, False
-        elif t_next < t_heap or (t_next == t_heap < horizon and heap[0] > (
-                t_next, FLOW_ARRIVAL, seqs[pos - first])):
+            fn, at = callbacks.pop(j), t + delay
+        elif t_next < t_heap or (t_next == t_heap < horizon
+                                 and heap[0][1] > seqs[pos - first]):
             if t_next < horizon:
                 # The cursor's arrivals before the next event of another kind.
                 bound = t_due if t_due < t_heap else t_heap
@@ -187,21 +184,18 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                 offered += read - pos
                 pos = read
         elif t_heap < horizon:
-            t, kind, _, j = heappop(heap)
-            if kind == QUERY_STEP:
-                fn, at, after_boundary = j, t, True
-            else:
-                batch, injected = (j,), j
-                fifo_append(j)
-                bound = heap[0][0] if heap else inf
-                if t_due < bound:
-                    bound = t_due
-                if bound > horizon:
-                    bound = horizon
-                size0 = rem[j]
-                if size0 > largest:
-                    largest = size0
-                offered += 1
+            _, _, j = heappop(heap)
+            batch, injected = (j,), j
+            fifo_append(j)
+            bound = heap[0][0] if heap else inf
+            if t_due < bound:
+                bound = t_due
+            if bound > horizon:
+                bound = horizon
+            size0 = rem[j]
+            if size0 > largest:
+                largest = size0
+            offered += 1
         if batch is not None:
             # Latencies are appended on acceptance while none waits, for the
             # flows that depart before any code can run.
@@ -281,6 +275,11 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                     del callbacks[injected]
             continue
 
+        # The flows from w on wait at t: those after a callback's own, or
+        # those that depart after t; credit the head its served bytes at t.
+        # h and room are left to the next drop test.
+        top = base + len(ends)
+        got = 0
         if fn is None:
             # Nothing is taken before the horizon; a run until idle that has
             # drained ends at the boundary after its last event.
@@ -289,13 +288,6 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
                 n = (ea if ea > e else e) + 1
                 if n < n_epochs:
                     t = n * eps
-            after_boundary = True
-        # The flows from w on wait at t: those after a callback's own, or
-        # those that depart after t; credit the head its served bytes at t.
-        # h and room are left to the next drop test.
-        top = base + len(ends)
-        got = 0
-        if after_boundary:
             w = bisect_right(ends, t, h - base) + base
             if w < top:
                 head = fifo[w - base]
@@ -313,9 +305,9 @@ def fifo_pass(sim, n_epochs: int, until_idle: bool = False) -> None:
             lat_n = w if w < top else -1
         # Show the rows of the epochs that have ended by t.
         n = shown
-        if shown_by < t or (after_boundary and shown_by == t):
+        if shown_by < t or (fn is None and shown_by == t):
             n += 1
-            if after_boundary:
+            if fn is None:
                 while (n + 1) * eps <= t:
                     n += 1
             else:

@@ -203,7 +203,7 @@ def execute_local(plan: QueryPlan, corpus: Corpus, backends: BackendLatency) -> 
 
 class HybridQueryDriver:
     """Runs hybrid queries inside a link simulation, on its fetches'
-    completion callbacks alone: no query step.
+    completion callbacks alone.
 
     One client session: one query is in flight at a time, and the driver
     holds its state. start submits query 0 and offers its fetches at once,
@@ -325,10 +325,10 @@ def run_experiment(
     is checked before anything is simulated. The background is added first,
     then the driver is started at start_time: one query in flight at a time,
     each submitted from the completion callback that delivers the previous
-    one, with no query step. The simulation starts at epoch 0, so it takes
-    the FIFO pass (hcqsim.fifo), which runs the fetch callbacks as the event
-    core would, until idle; a query that fetches nothing does not extend the
-    run. Local results come from execute_local. Fetch bytes are reconciled
+    one. The simulation starts at epoch 0, so it takes the FIFO pass
+    (hcqsim.fifo), which runs the fetch callbacks as the event core would,
+    until idle; a query that fetches nothing does not extend the run. Local
+    results come from execute_local. Fetch bytes are reconciled
     against the link's per-class delivered counters and any dropped fetch
     byte is an error (size the queue above the largest article).
     """

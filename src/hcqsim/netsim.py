@@ -18,11 +18,11 @@ service plan serves `limit` bytes of the flow at the head of one queue
 from its `start`: by time t it has served min(limit - 1,
 floor(byte_rate * (t - start))) bytes, and the last one at its `end`. The
 count depends on t alone, not on the instants at which service was
-brought up to date, so service is advanced lazily: at completions, epoch
-boundaries and query steps, and at an arrival only when a drop or a
-preemption depends on it (the arrival joins the queue in service and may
-overflow it, or it preempts a lower-priority queue). A replan cuts the
-segment's sub-byte progress (the remainder stays queued).
+brought up to date, so service is advanced lazily: at completions and
+epoch boundaries, and at an arrival only when a drop or a preemption
+depends on it (the arrival joins the queue in service and may overflow it,
+or it preempts a lower-priority queue). A replan cuts the segment's
+sub-byte progress (the remainder stays queued).
 
 The run loop goes epoch by epoch. Epoch e begins at e * epoch_s, where
 closed mode observes the state, installs the controller's decision and
@@ -33,18 +33,17 @@ reads of the link and the classes (the bytes an epoch carries, the
 identity permutation a priority order must sort to, the control class's
 index) is worked out once, when the simulator is built. Each event is
 taken from the trace cursor, the event heap or the live plan's end,
-whichever comes first. Only injected flows and query steps enter the heap:
-trace arrivals are read from a cursor over the flow table (below), and
-service completions from the live plan's end. Ties at one instant are
+whichever comes first. Only injected flows enter the heap, as (time, seq,
+entry): trace arrivals are read from a cursor over the flow table (below),
+and service completions from the live plan's end. Ties at one instant are
 broken by kind (service completion, then epoch boundary, then flow
-arrival, then query step), then by seq. So a plan end on the end boundary
-is taken in the ending epoch: its bytes count in that epoch's row, and its
-callback runs while the epoch is still open. An arrival or a step on the
-boundary opens the next epoch. A cursor arrival and a heap entry at one
-instant are ordered by their (time, kind, seq) keys. A trace flow takes
-its seq when the trace is added, in trace order, so the merge breaks ties
-exactly as one heap holding every event would. The clock never goes back:
-a flow or step before `now` is refused.
+arrival), then by seq. So a plan end on the end boundary is taken in the
+ending epoch: its bytes count in that epoch's row, and its callback runs
+while the epoch is still open. An arrival on the boundary opens the next
+epoch. A cursor arrival and a heap entry at one instant are ordered by
+their seqs. A trace flow takes its seq when the trace is added, in trace
+order, so the merge breaks ties exactly as one heap holding every arrival
+would. The clock never goes back: a flow before `now` is refused.
 
 Every flow, trace or injected, is one entry of a flow table: typed
 columns of class index, bytes not yet served, arrival time and id. Queues,
@@ -73,23 +72,22 @@ size / rate.
   to it (see above).
 
 The loop is the one place a flow completes. Service short of a plan's
-end is credited by one method, _credit, for the drop test, a preemption, a
-query step and the boundary; the plan then ends after that instant, so
-this serves part of its flow and completes none.
+end is credited by one method, _credit, for the drop test, a preemption
+and the boundary; the plan then ends after that instant, so this serves
+part of its flow and completes none.
 
-Other code runs at two places only, and can change the run's state there:
-a completion callback and a query step. Around each the loop writes its
-locals back and reads them again. A completion serves its flow, runs the
-callback, then replans; a step brings service up to its time, runs, and
-replans an idle link.
+Other code runs at one place only, and can change the run's state there:
+a completion callback. Around it the loop writes its locals back and reads
+them again. A completion serves its flow, runs the callback, then
+replans.
 
 An open run serves one FIFO with no budget, so no preemption can meet it
 and a flow's departure is fixed when it is accepted. run_epochs and
 run_until_idle hand every open run that has not begun an epoch to the FIFO
-pass (hcqsim.fifo), whatever it holds: a trace, injected flows, completion
-callbacks and query steps. The pass takes the events in this loop's order,
-shows each callback and step the state this loop would show it, and leaves
-the simulator at the end boundary as this loop would. The route depends on
+pass (hcqsim.fifo), whatever it holds: a trace, injected flows and
+completion callbacks. The pass takes the events in this loop's order,
+shows each callback the state this loop would show it, and leaves the
+simulator at the end boundary as this loop would. The route depends on
 the mode and the epoch alone (_takes_pass). A closed run, or one that has
 begun, takes the event core, which is the pass's reference.
 
@@ -139,9 +137,6 @@ class FeedbackMode(Enum):
     OPEN = "open"
     CLOSED = "closed"
 
-
-# Heap event kinds, in tie-break order.
-FLOW_ARRIVAL, QUERY_STEP = range(2)
 
 # The most epochs one run may take, and run_until_idle's default cap. A
 # closed run keeps about 0.5 KB per epoch at nine classes (its epoch columns,
@@ -510,11 +505,11 @@ class LinkSimulator:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: int, payload) -> None:
+    def _push(self, time: float, entry: int) -> None:
         if not self.now <= time < math.inf:
             raise ValueError(f"event time {time} is not finite or before now={self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (time, kind, self._seq, payload))
+        heapq.heappush(self._heap, (time, self._seq, entry))
 
     def add_flows(self, flows) -> None:
         """Offer a Trace, or an iterable of FlowEvents through Trace.from_flows.
@@ -587,16 +582,13 @@ class LinkSimulator:
         """Append a flow of class index i arriving at time to the table, with
         the next injected id, and push its arrival; returns its entry."""
         j = len(self._cls)
-        self._push(time, FLOW_ARRIVAL, j)
+        self._push(time, j)
         self._cls.append(i)
         self._rem.append(size)
         self._arrival.append(time)
         self._fid.append(self._inject_id)
         self._inject_id -= 1
         return j
-
-    def schedule_at(self, time, fn) -> None:
-        self._push(time, QUERY_STEP, fn)
 
     # -- fluid service -----------------------------------------------------
 
@@ -636,8 +628,8 @@ class LinkSimulator:
         """Install shares and priority order for the upcoming epoch; closed
         mode's queue index is the class index. The run installs one at each
         boundary, and its event loop relies on budgets changing only
-        there, so a call while an epoch runs (from a query step or a flow
-        callback) is refused."""
+        there, so a call while an epoch runs (from a flow callback) is
+        refused."""
         if self.mode is not FeedbackMode.CLOSED:
             raise SimulationError("open mode takes no control decisions")
         if self._in_epoch:
@@ -700,10 +692,9 @@ class LinkSimulator:
         row.
 
         The inner loop holds the cursor, the live plan and the metrics'
-        counts in locals. It leaves them for a completion callback or a
-        query step, the only places other code runs, and for the boundary;
-        the outer loop writes them back, runs that code, and reads them
-        again.
+        counts in locals. It leaves them for a completion callback, the one
+        place other code runs, and for the boundary; the outer loop writes
+        them back, runs the callback, and reads them again.
         """
         e = self._epoch
         eps = self.link.epoch_s
@@ -726,7 +717,7 @@ class LinkSimulator:
             t_heap = heap[0][0] if heap else inf
             offered = completed = 0
             largest = m.max_flow_size
-            callback = step = None
+            callback = None
             replanned = True
             while True:
                 if replanned:  # bind the live plan, or mark the link idle
@@ -774,19 +765,16 @@ class LinkSimulator:
                         self._replan(end)
                         replanned = True
                     continue
-                if t_next < t_heap or (t_next == t_heap < t_end and heap[0] > (
-                        t_next, FLOW_ARRIVAL, seqs[pos - first])):
+                if t_next < t_heap or (t_next == t_heap < t_end
+                                       and heap[0][1] > seqs[pos - first]):
                     if t_next >= t_end:
                         break
                     flow, t = pos, t_next
                     pos += 1
                     t_next = arrival[pos] if pos < stop else inf
                 elif t_heap < t_end:
-                    t, kind, _, flow = heappop(heap)
+                    t, _, flow = heappop(heap)
                     t_heap = heap[0][0] if heap else inf
-                    if kind == QUERY_STEP:
-                        step = flow
-                        break
                 else:
                     break
                 # The arrival of entry `flow` at t.
@@ -826,26 +814,20 @@ class LinkSimulator:
                     self._replan(t)
                     replanned = True
             if plan is not None and callback is None:
-                # The plan outlives a step and the boundary: credit it up to
-                # either and write it back. After a callback it is replanned.
-                done = self._credit(q, j, start, limit, done, t_end if step is None else t)
+                # The plan outlives the boundary: credit it up to the
+                # boundary and write it back. After a callback it is replanned.
+                done = self._credit(q, j, start, limit, done, t_end)
                 plan.queue, plan.start, plan.end, plan.flow, plan.limit, plan.done = (
                     q, start, end, j, limit, done)
             self._pos = pos
             m.flows_offered += offered
             m.flows_completed += completed
             m.max_flow_size = largest
-            if callback is not None:
-                self.now = end
-                callback(self, end + delay)
-                self._replan(end)
-            elif step is not None:
-                self.now = t
-                step(self, t)
-                if self._plan is None:
-                    self._replan(t)
-            else:
+            if callback is None:
                 break
+            self.now = end
+            callback(self, end + delay)
+            self._replan(end)
         self.now = t_end
         self._finalize_epoch()
         self._epoch = e + 1
@@ -859,10 +841,10 @@ class LinkSimulator:
     def run_epochs(self, n_epochs: int) -> SimMetrics:
         """Run the next n_epochs control epochs, then stop.
 
-        Arrivals and steps at or after the horizon, the end boundary of the
-        last epoch run, wait for the next call; a completion on it is taken.
-        An open run that has not begun an epoch takes the FIFO pass, with
-        whatever it holds: a trace, injected flows, callbacks and steps.
+        Arrivals at or after the horizon, the end boundary of the last
+        epoch run, wait for the next call; a completion on it is taken. An
+        open run that has not begun an epoch takes the FIFO pass, with
+        whatever it holds: a trace, injected flows and callbacks.
         Every other run takes the event core, the pass's reference. Either
         leaves the same metrics and the same simulator to go on from.
         """

@@ -237,12 +237,25 @@ class Trace:
                 and array("q", self.ids) == array("q", other.ids))
 
 
+# The largest flow size: sizes are held as int64s, in a trace's size column
+# and in the simulator's flow table.
+MAX_FLOW_BYTES = 2**63 - 1
+
+
+def _check_fits(name: str, value: float) -> None:
+    """Refuse a size parameter that rounds to more than MAX_FLOW_BYTES."""
+    if round(value) > MAX_FLOW_BYTES:
+        raise ValueError(f"{name} must be at most {MAX_FLOW_BYTES:,} bytes, got {value:g}")
+
+
 @dataclass(frozen=True)
 class SizeDistribution:
     """Flow-size distribution descriptor (bytes).
 
     Families: fixed (size_bytes), uniform (low/high), exponential
-    (mean_bytes), lognormal (mean_bytes + log-space sigma).
+    (mean_bytes), lognormal (mean_bytes + log-space sigma). A fixed size or
+    a uniform high must fit MAX_FLOW_BYTES; an exponential or lognormal
+    size is checked as it is drawn.
     """
 
     family: str
@@ -259,9 +272,11 @@ class SizeDistribution:
         if self.family == "fixed":
             if self.size_bytes <= 0:
                 raise ValueError("fixed size distribution requires size_bytes > 0")
+            _check_fits("size_bytes", self.size_bytes)
         elif self.family == "uniform":
             if not (0 < self.low <= self.high):
                 raise ValueError("uniform size distribution requires 0 < low <= high")
+            _check_fits("high", self.high)
         elif self.family == "exponential":
             if self.mean_bytes <= 0:
                 raise ValueError("exponential size distribution requires mean_bytes > 0")
@@ -361,6 +376,17 @@ def check_flow_count(rate_per_s: float, duration_s: float) -> None:
         raise ValueError(f"sources of {rate_per_s:g} flows/s in all over {duration_s:g} s "
                          f"expect {expected:,.0f} flows, more than the {MAX_TRACE_FLOWS:,} a "
                          f"trace may hold")
+
+
+def check_burst_flows(cp: ClassProfile, duration_s: float) -> None:
+    """Refuse a source whose on-period rate, rate_per_s * (burst_s + idle_s)
+    / burst_s, times duration_s is more than MAX_TRACE_FLOWS: that is the
+    most flows one burst can expect, and a burst is drawn whole."""
+    on_rate = cp.rate_per_s * (cp.burst_s + cp.idle_s) / cp.burst_s
+    if on_rate * duration_s > MAX_TRACE_FLOWS:
+        raise ValueError(f"{cp.label} bursts at {on_rate:g} flows/s: one burst over "
+                         f"{duration_s:g} s may expect more than the {MAX_TRACE_FLOWS:,} flows "
+                         f"a trace may hold")
 
 
 def _class_arrivals(cp: ClassProfile, duration_s: float, rng: random.Random):
@@ -466,17 +492,24 @@ def generate_trace(profile: TrafficProfile, duration_s: float, seed: int) -> Tra
     Each class draws from its own substream derived from (seed, label), so
     adding a class never perturbs the others. Identical inputs produce a
     bit-identical trace. Simultaneous arrivals are ordered by class. Sources
-    that expect more than MAX_TRACE_FLOWS flows are refused before any is
-    drawn.
+    that expect more than MAX_TRACE_FLOWS flows, in all or in one burst, are
+    refused before any is drawn. A drawn size beyond MAX_FLOW_BYTES is a
+    ValueError that names its class.
     """
     if not 0.0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     check_flow_count(sum(cp.rate_per_s for cp in profile.classes), duration_s)
+    for cp in profile.classes:
+        check_burst_flows(cp, duration_s)
     time, size, endpoint = array("d"), array("q"), array("B")
     # Classes are joined in canonical order, so that a stable sort by time
     # alone breaks ties by class, and within a class by draw order.
     for cp in sorted(profile.classes, key=lambda cp: cp.label.sort_key()):
-        t, s, e = _class_arrivals(cp, duration_s, random.Random(f"{seed}/{cp.label}"))
+        try:
+            t, s, e = _class_arrivals(cp, duration_s, random.Random(f"{seed}/{cp.label}"))
+        except OverflowError:  # a size past the int64 column, or past a float
+            raise ValueError(f"{cp.label} drew a flow size of more than {MAX_FLOW_BYTES:,} "
+                             f"bytes") from None
         time.extend(t)
         size.extend(s)
         endpoint.extend(e)

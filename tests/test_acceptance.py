@@ -262,7 +262,8 @@ def _run_files(result, out_dir):
     for root, _, names in os.walk(out_dir):
         for fn in sorted(names):
             p = os.path.join(root, fn)
-            blobs[os.path.relpath(p, out_dir)] = open(p, "rb").read()
+            with open(p, "rb") as fh:
+                blobs[os.path.relpath(p, out_dir)] = fh.read()
     return blobs
 
 

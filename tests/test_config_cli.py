@@ -2,11 +2,12 @@ import copy
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
-from hcqsim.cli import main, read_xu_trace_csv, write_xu_trace_csv
+from hcqsim.cli import main, read_xu_trace_csv
 from hcqsim.config import ConfigError, load_config, parse_config
 from hcqsim.control import MAX_HORIZON, MpcController
 from hcqsim.hybriddb import CorpusSpec
@@ -176,12 +177,17 @@ class TestConfigParsing:
         assert (model.A.shape, model.B.shape) == ((6, 6), (6, 3))
 
     def test_matrix_model_refused(self):
+        # An old {A, B} model of nine classes, 2,600 characters as a repr,
+        # is echoed in its first 60.
         raw = structural_config()
-        raw["controller"]["model"] = {"A": np.eye(4).tolist(), "B": np.ones((4, 2)).tolist()}
+        raw["controller"]["model"] = {"A": np.eye(18).tolist(), "B": np.ones((18, 9)).tolist()}
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.path == "config.controller.model"
-        assert "'identify-from-warmup', 'structural'" in str(err.value)
+        assert str(err.value) == (
+            "config.controller.model: must be one of ['identify-from-warmup', 'structural'], "
+            "got {'A': [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,...")
+        assert len(str(err.value)) == 144
 
     @pytest.mark.parametrize("key", ["warmup_epochs", "excitation_seed"])
     @pytest.mark.parametrize("value", [30, None])
@@ -350,6 +356,24 @@ class TestConfigParsing:
          "expected a number, got None"),
         ([(("traffic", 1, "rate_per_s"), ...)], "config.traffic[1].rate_per_s",
          "missing required key"),
+        # a long value, echoed in its first 60 characters
+        ([(("link", "capacity_bps"), list(range(100)))], "config.link.capacity_bps",
+         "expected a number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16..."),
+        # bounds on one burst's flows, on sizes (int64) and on the horizon cost
+        ([(("traffic", 0, "idle_s"), 1e20)], "config.traffic[0]",
+         "A:Web bursts at 7.5e+20 flows/s: one burst over 20 s may expect more than the "
+         "10,000,000 flows a trace may hold"),
+        ([(("traffic", 0, "size"), {"family": "fixed", "size_bytes": 1e20})],
+         "config.traffic[0].size",
+         "size_bytes must be at most 9,223,372,036,854,775,807 bytes, got 1e+20"),
+        ([(("traffic", 1, "size"), {"family": "uniform", "low": 1.0, "high": 1e19})],
+         "config.traffic[1].size", "high must be at most 9,223,372,036,854,775,807 bytes, got 1e+19"),
+        ([(("controller", "weights", "x_ref"), [1e300, 0.0, 0.45, 0.3])],
+         "config.controller.weights",
+         "the horizon cost of 2 steps is not finite: Q, R or x_ref too large"),
+        ([(("controller", "weights", "Q_diag"), [2.0, 2.0, 1e306, 1e306]),
+          (("controller", "horizon"), 1000)], "config.controller.weights",
+         "the horizon cost of 1000 steps is not finite: Q, R or x_ref too large"),
     ])
     def test_single_fault_path_and_message(self, edits, path, message):
         # One broken key at a time: each fault keeps its exact path and text.
@@ -481,7 +505,8 @@ class TestCliRun:
             for root, _, names in os.walk(out):
                 for fn in sorted(names):
                     p = os.path.join(root, fn)
-                    files[os.path.relpath(p, out)] = open(p, "rb").read()
+                    with open(p, "rb") as fh:
+                        files[os.path.relpath(p, out)] = fh.read()
             blobs.append(files)
         assert blobs[0].keys() == blobs[1].keys()
         for k in blobs[0]:
@@ -526,11 +551,38 @@ class TestCliRun:
             f'config error: controller: mode "{mode}" requires a controller section\n')
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys, value", [
+        (("traffic", 0, "idle_s"), 1e20),
+        (("traffic", 0, "size"), {"family": "fixed", "size_bytes": 1e20}),
+        (("controller", "weights", "x_ref"), [1e300, 0.0, 0.45, 0.3]),
+    ])
+    def test_a_config_past_the_bounds_exits_1_at_once(self, tmp_path, capsys, keys, value):
+        # Unrefused, these hung trace generation, ended in an OverflowError
+        # traceback, and ran closed choosing shares (0, 0) every epoch.
+        raw = minimal_config()
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        t0 = time.perf_counter()
+        code = main(["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o")])
+        assert code == 1 and time.perf_counter() - t0 < 5
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_config_file_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["run"]) == 1  # --config is required
+
+
+def write_xu_csv(pairs, path):
+    """The (x, u) pairs as the CSV `hcqsim identify --trace` reads: a header
+    x0..x{n-1},u0..u{m-1}, then one row of "%.17g" values per pair."""
+    n, m = len(pairs[0][0]), len(pairs[0][1])
+    lines = [",".join([f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)])]
+    lines += [",".join("%.17g" % v for v in [*x, *u]) for x, u in pairs]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestCliIdentify:
@@ -547,7 +599,7 @@ class TestCliIdentify:
             if noise:
                 x += rng.normal(0, noise, 2)
         path = tmp_path / "xu.csv"
-        write_xu_trace_csv(pairs, path)
+        write_xu_csv(pairs, path)
         return path, A, B
 
     def test_identify_round_trip(self, tmp_path, capsys):
@@ -583,7 +635,7 @@ class TestCliIdentify:
     def test_identify_rank_deficient_exit_2(self, tmp_path, capsys):
         pairs = [(np.zeros(2), np.zeros(1))] * 30
         path = tmp_path / "zero.csv"
-        write_xu_trace_csv(pairs, path)
+        write_xu_csv(pairs, path)
         code = main(["identify", "--trace", str(path), "--n", "2", "--m", "1"])
         assert code == 2
         assert "rank deficient" in capsys.readouterr().err

@@ -964,6 +964,19 @@ class TestFeasibleLevels:
                                                  f"{MAX_HORIZON:,} steps"):
                 MpcController(model, weights, horizon=horizon, grid=5)
 
+    @pytest.mark.parametrize("A, x_ref0", [(np.eye(4), 1e300), (1e100 * np.eye(4), 0.0)])
+    def test_controller_refuses_a_horizon_cost_past_a_float(self, A, x_ref0):
+        # x_ref[0] = 1e300 makes r overflow, and A = 1e100 I makes A^3 do;
+        # either is refused, with no RuntimeWarning on the way. Unrefused,
+        # s1 with x_ref[0] = 1e300 tied every candidate and chose shares
+        # (0, 0) every epoch.
+        model = StateSpaceModel(A, np.vstack([-0.5 * np.eye(2), np.eye(2)]))
+        weights = CostWeights(Q=np.eye(4), R=0.01 * np.eye(2),
+                              x_ref=np.array([x_ref0, 0.0, 0.475, 0.475]))
+        with pytest.raises(ValueError, match="the horizon cost of these weights and this "
+                                             "model is not finite"):
+            MpcController(model, weights, horizon=4, grid=5)
+
     def test_on_grid_bounds_keep_their_level(self):
         bounds = ControlBounds((0.1, 0.2), (0.3, 0.7))
         levels = _feasible_levels(bounds, 11)

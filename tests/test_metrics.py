@@ -189,7 +189,8 @@ class TestExport:
         p2 = export_report(rep, d2)
         assert [p.split("/")[-1] for p in p1] == ["report.csv", "histogram.csv", "hist.svg"]
         for a, b in zip(p1, p2):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()
 
     def test_report_csv_round_trip(self, tmp_path):
         rep = self.make_report()

@@ -31,9 +31,7 @@ from hcqsim.control import (
 )
 from hcqsim.netsim import (
     CONTROL_LABEL,
-    FLOW_ARRIVAL,
     MAX_EPOCHS,
-    QUERY_STEP,
     EPOCH_CSV_HEADER,
     FeedbackMode,
     LinkSimulator,
@@ -490,22 +488,29 @@ class TestApplyDecision:
     @pytest.mark.parametrize("via", ["query step", "flow callback"])
     def test_refused_while_an_epoch_runs(self, via):
         # Five 100 B B:File flows and one 100 B A:Web flow at 1000 B/s under
-        # shares (0, 1). A decision giving A:Web half the link at 0.05 s
-        # would change budgets mid-epoch, which the event loop assumes
-        # never happens: unchecked, it left A:Web waiting until 0.6 s
-        # instead of 0.2 s.
+        # shares (0, 1), with a 50 B B:File flow whose completion callback
+        # makes a decision giving A:Web half the link. A query takes its next
+        # step on its fetch's completion callback (hcqsim.hybriddb): as that
+        # fetch, the flow is injected before the trace and is served first,
+        # at 0.05 s; as a plain flow callback, it is injected after the trace
+        # and is served last, at 0.55 s. The decision would change budgets
+        # mid-epoch, which the event loop assumes never happens: unchecked,
+        # it left A:Web waiting until 0.6 s instead of 0.2 s.
         sim = LinkSimulator(LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000),
                             [A_WEB, B_FILE], FeedbackMode.CLOSED,
                             controller=FixedShareController((0.0, 1.0)))
+        half = ControlDecision(u=(0.5, 0.5), priority_order=(0, 1))
+
+        def decide(s, t):
+            s.apply_decision(half)
+
+        if via == "query step":
+            sim.inject_flow(0.0, 50, B_FILE, callback=decide)
         sim.add_flows([make_flow(j, 0.0, 100, B_FILE) for j in range(5)]
                       + [make_flow(5, 0.0, 100, A_WEB)])
-        half = ControlDecision(u=(0.5, 0.5), priority_order=(0, 1))
-        if via == "query step":
-            sim.schedule_at(0.05, lambda s, t: s.apply_decision(half))
-            at = "0.05"
-        else:
-            sim.inject_flow(0.0, 50, B_FILE, callback=lambda s, t: s.apply_decision(half))
-            at = "0.55"
+        if via == "flow callback":
+            sim.inject_flow(0.0, 50, B_FILE, callback=decide)
+        at = "0.05" if via == "query step" else "0.55"
         with pytest.raises(SimulationError, match=f"decision at t={at} inside epoch 0"):
             sim.run_epochs(1)
 
@@ -846,32 +851,33 @@ class TestEventOrdering:
 
 
 class TestClock:
-    """The clock never goes back: a flow or step before `now`, or at a
-    non-finite time, is refused at every entry point."""
+    """The clock never goes back: a flow before `now`, or at a non-finite
+    time, is refused at every entry point."""
 
     def test_inject_flow_before_now_rejected(self):
-        # A query step at t = 3.2 that injects a flow at t = 0.1.
+        # The completion callback of a 200 B flow injected at t = 3.0, which
+        # runs at t = 3.2, injects a flow at t = 0.1.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)  # 1000 B/s
         sim = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.CLOSED,
                             controller=FixedShareController((0.5, 0.5), (1, 0)))
-        sim.schedule_at(3.2, lambda s, t: s.inject_flow(0.1, 400, B_FILE))
-        with pytest.raises(ValueError, match="before now=3.2"):
+        sim.inject_flow(3.0, 200, A_WEB, callback=lambda s, t: s.inject_flow(0.1, 400, B_FILE))
+        with pytest.raises(ValueError, match="event time 0.1 is not finite or before now=3.2"):
             sim.run_epochs(5)
-        for t in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="not finite"):
+        for t in (3.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite or before now=3.2"):
                 sim.inject_flow(t, 400, B_FILE)
 
-    def test_schedule_at_before_now_rejected(self):
-        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)
+    def test_inject_flow_after_a_run_refuses_before_now(self):
+        link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)  # 1000 B/s
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.OPEN)
         sim.run_epochs(2)
         for t in (1.0, -math.inf, math.inf, math.nan):
             with pytest.raises(ValueError, match="not finite or before now=2.0"):
-                sim.schedule_at(t, lambda s, now: None)
-        steps = []
-        sim.schedule_at(2.0, lambda s, now: steps.append(now))  # at now: accepted
+                sim.inject_flow(t, 100, A_WEB)
+        served = []
+        sim.inject_flow(2.0, 100, A_WEB, callback=lambda s, t: served.append(t))  # at now
         sim.run_epochs(1)
-        assert steps == [2.0]
+        assert served == [2.1]
 
     def test_add_flows_before_now_names_the_first_flow(self):
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10**4)
@@ -1015,15 +1021,15 @@ class TestStall:
         assert sim.metrics.delivered == [(0, 256), (0, 256)]
 
     def test_an_idle_epoch_is_not_a_stall(self):
-        # Only a query step: the epoch delivers nothing and the state stays
-        # zero, but nothing is held, so the run ends.
+        # The callback of a flow served in epoch 0 injects one at t = 3.5:
+        # epochs 1 and 2 deliver nothing, hold nothing and end with the same
+        # state, but an arrival is pending, so the run goes on.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**6)
         sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
                             controller=FixedShareController((0.5,)))
-        steps = []
-        sim.schedule_at(0.5, lambda s, t: steps.append(t))
-        assert sim.run_until_idle().n_epochs == 1
-        assert steps == [0.5]
+        sim.inject_flow(0.5, 100, A_WEB, callback=lambda s, t: s.inject_flow(3.5, 100, A_WEB))
+        m = sim.run_until_idle()
+        assert m.delivered == [(100,), (0,), (0,), (100,)]
 
     def test_slow_share_still_drains(self):
         # 1 B per epoch is slow, not stalled.
@@ -1039,8 +1045,7 @@ class _RecordingSim(LinkSimulator):
     """Logs epoch finalize and every flow offered, in the order offered,
     with its arrival time: a flow is offered when it joins its queue, or
     when it is dropped whole and its id joins failed_flow_ids. Completion
-    callbacks and query steps log through the flows and steps a test
-    offers."""
+    callbacks log through the flows a test offers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1081,8 +1086,7 @@ class TestTraceCursor:
     def test_tie_rule_at_one_instant(self):
         # At t = 1.0 meet: epoch boundary 1, the service completion of a flow
         # injected at t = 0 (1e6 B at 1e6 B/s), a flow injected before the
-        # trace was added, a trace flow, a flow injected after it, and a
-        # query step.
+        # trace was added, a trace flow, and a flow injected after it.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
         sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
         sim.inject_flow(0.0, 10**6, A_WEB,
@@ -1090,14 +1094,12 @@ class TestTraceCursor:
         sim.inject_flow(1.0, 10, A_WEB)  # id -2
         sim.add_flows([make_flow(7, 1.0, 10)])
         sim.inject_flow(1.0, 10, A_WEB)  # id -3
-        sim.schedule_at(1.0, lambda s, t: s.log.append((t, "query")))
         m = sim.run_epochs(2)
         assert [what for t, what in sim.log if t == 1.0] == [
             "served -1", "epoch 0",  # the boundary brings service up to t first
             "arrival -2",            # injected before add_flows: smaller seq
             "arrival 7",             # the trace flow
             "arrival -3",            # injected after add_flows
-            "query",
         ]
         assert m.delivered[0] == (10**6,)  # service ending on the boundary
         assert m.arrived[1] == (30,)
@@ -1115,18 +1117,18 @@ class TestTraceCursor:
 
     def test_arrival_runs_stop_at_heap_events(self):
         # The link is busy over [0, 0.5); trace flows arrive every 0.1 s
-        # around an injected flow and a query step. The recorder logs each
-        # arrival as it joins the queue, so the log is the order of offer:
-        # the heap events come between the trace flows in time order.
+        # around two injected flows. The recorder logs each arrival as it
+        # joins the queue, so the log is the order of offer: the heap
+        # entries come between the trace flows in time order.
         link = LinkSpec(capacity_bps=8e6, queue_capacity_bytes=10**7, epoch_s=1.0)
         sim = _RecordingSim(link, [A_WEB], FeedbackMode.OPEN)
         sim.inject_flow(0.0, 500_000, A_WEB)  # id -1
         sim.add_flows([make_flow(j, j / 10, 10) for j in range(1, 5)])
         sim.inject_flow(0.25, 10, A_WEB)  # id -2
-        sim.schedule_at(0.35, lambda s, t: s.log.append((t, "query")))
+        sim.inject_flow(0.35, 10, A_WEB)  # id -3
         sim.run_epochs(1)
         assert [what for _, what in sim.log] == [
-            "arrival -1", "arrival 1", "arrival 2", "arrival -2", "arrival 3", "query",
+            "arrival -1", "arrival 1", "arrival 2", "arrival -2", "arrival 3", "arrival -3",
             "arrival 4", "epoch 0"]
 
     def test_each_epoch_ends_at_a_budget_limited_serve(self):
@@ -1178,11 +1180,11 @@ class TestTraceCursor:
         assert m.totals[B_FILE].dropped > 0
 
     def test_trace_flows_never_enter_the_heap(self, monkeypatch):
-        pushed_kinds = []
+        pushed = []
         heappush = heapq.heappush
 
         def recording_push(heap, item):
-            pushed_kinds.append(item[1])
+            pushed.append(item)
             heappush(heap, item)
 
         monkeypatch.setattr(heapq, "heappush", recording_push)
@@ -1192,13 +1194,14 @@ class TestTraceCursor:
         sim.add_flows(flows)
         heap_sizes = []
         for t in (0.5, 10.5, 40.5):
-            sim.schedule_at(t, lambda s, now: heap_sizes.append(len(s._heap)))
+            sim.inject_flow(t, 10, A_WEB, callback=lambda s, now: heap_sizes.append(len(s._heap)))
         m = sim.run_epochs(50)
-        assert m.flows_offered == len(flows) > 4000
-        # only the pending query steps: boundaries and completions are
-        # never pushed
-        assert max(heap_sizes) <= 2
-        assert set(pushed_kinds) <= {FLOW_ARRIVAL, QUERY_STEP}
+        n = len(flows)
+        assert m.flows_offered == n + 3 and n > 4000
+        # Only the injected flows, as (time, seq, entry), each until it
+        # arrives: trace flows, boundaries and completions are never pushed.
+        assert pushed == [(0.5, n + 1, n), (10.5, n + 2, n + 1), (40.5, n + 3, n + 2)]
+        assert heap_sizes == [2, 1, 0]
 
     def test_unread_trace_keeps_run_until_idle_going(self):
         # The link is idle at boundaries 1..3; the flow at t = 3.25 is
@@ -1210,10 +1213,9 @@ class TestTraceCursor:
         assert m.n_epochs == 4
 
     def test_add_flows_mid_run_merges_with_the_cursor(self):
-        # The late flows are added mid-run by a query step at t = 2.0, or by
-        # the completion callback of a 10 B flow injected at t = 1.6, which
-        # runs inside an epoch; the run given every flow up front injects
-        # the same flow.
+        # The late flows are added mid-run by the completion callback of a
+        # 10 B flow injected at t = 1.6, which runs inside an epoch; the run
+        # given every flow up front injects the same flow.
         link = LinkSpec(capacity_bps=8e4, queue_capacity_bytes=20_000, epoch_s=0.5)
         early = regular_flows(A_WEB, 7.0, 900, 6.0)
         late = regular_flows(B_FILE, 5.0, 1100, 6.0, start=2.01, fid0=1000)
@@ -1223,18 +1225,14 @@ class TestTraceCursor:
             added.append(t)
             s.add_flows(late)
 
-        for by_callback in (False, True):
-            whole = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-            whole.add_flows(sorted(early + late, key=lambda f: f.arrival_time))
-            split = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
-            split.add_flows(early)
-            if by_callback:
-                whole.inject_flow(1.6, 10, A_WEB)
-                split.inject_flow(1.6, 10, A_WEB, callback=add_late)
-            else:
-                split.schedule_at(2.0, add_late)
-            assert _outcome(whole.run_epochs(12)) == _outcome(split.run_epochs(12))
-        assert added[0] == 2.0 and 1.6 < added[1] < 2.0
+        whole = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        whole.add_flows(sorted(early + late, key=lambda f: f.arrival_time))
+        whole.inject_flow(1.6, 10, A_WEB)
+        split = LinkSimulator(link, [A_WEB, B_FILE], FeedbackMode.OPEN)
+        split.add_flows(early)
+        split.inject_flow(1.6, 10, A_WEB, callback=add_late)
+        assert _outcome(whole.run_epochs(12)) == _outcome(split.run_epochs(12))
+        assert len(added) == 1 and 1.6 < added[0] < 2.0
 
     def test_trace_added_in_parts_takes_one_entry_per_flow(self):
         # Each part is merged with the unread rest of the cursor; the rest's
@@ -1300,16 +1298,17 @@ class TestPathSelection:
         m = run_open(cfg, build_trace(cfg), cfg.classes())
         assert m.flows_offered > 1000 and core_calls == []
 
-    def test_an_open_run_with_callbacks_and_steps_takes_the_pass(self, core_calls):
-        def fetch(sim):  # a callback that chains a fetch, adds a flow and schedules a step
+    def test_an_open_run_with_callbacks_takes_the_pass(self, core_calls):
+        def fetch(sim):  # a callback that adds a flow and chains two fetches
             def served(s, t):
                 s.add_flows([make_flow(5000, t + 0.25, 400)])
-                s.schedule_at(t, lambda s2, t2: s2.inject_flow(t2, 300, B_FILE))
+                s.inject_flow(t, 300, B_FILE,
+                              callback=lambda s2, t2: s2.inject_flow(t2, 300, B_FILE))
             sim.inject_flow(1.0, 500, A_WEB, callback=served)
 
         for until_idle in (False, True):
             assert self.calls(core_calls, lambda sim: None, until_idle=until_idle) == 0
-            assert self.calls(core_calls, lambda sim: sim.schedule_at(3.0, lambda s, t: None),
+            assert self.calls(core_calls, lambda sim: sim.inject_flow(3.0, 100, A_WEB),
                               until_idle=until_idle) == 0
             assert self.calls(core_calls, fetch, until_idle=until_idle) == 0
 
@@ -1427,65 +1426,112 @@ class TestPropertyThreeInputs:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def _run_with_steps(link, labels, controller, check, batches, n_epochs, steps):
-    """Run n_epochs, or until idle when None, with a no-op query step at
-    each of `steps`; each step brings service up to its time before it runs.
-    With `check`, the run takes the event core and byte conservation is
-    checked after every serve and arrival; without it, an open run takes the
-    FIFO pass."""
+def _run_with_credits(link, labels, controller, check, batches, n_epochs, instants):
+    """Run n_epochs, or until idle when None, on the event core; before each
+    credit the run makes, credit the live plan at each of the rising
+    `instants` between its start and that credit's time. With `check`, byte
+    conservation is checked after every credit, replan and epoch."""
     mode = FeedbackMode.OPEN if controller is None else FeedbackMode.CLOSED
     sim = LinkSimulator(link, labels, mode, controller=controller)
-    if check:
-        conservation_checked(sim)
+    (conservation_checked if check else on_event_core)(sim)
+    credit = sim._credit
+
+    def credit_at_instants(q, j, start, limit, done, t):
+        for u in instants:
+            if start <= u < t:
+                done = credit(q, j, start, limit, done, u)
+        return credit(q, j, start, limit, done, t)
+
+    sim._credit = credit_at_instants
     for batch in batches:
         sim.add_flows(batch)
-    for t in steps:
-        sim.schedule_at(t, lambda s, now: None)
     return _outcome(sim.run_until_idle() if n_epochs is None else sim.run_epochs(n_epochs))
 
 
 def _instants(seed, end):
-    """Up to 30 random instants in [0, end)."""
+    """Up to 30 random instants in [0, end), rising."""
     rng = random.Random(seed)
-    return [end * rng.random() for _ in range(rng.randint(1, 30))]
+    return sorted(end * rng.random() for _ in range(rng.randint(1, 30)))
+
+
+def _live_plan(rate, size, budget, control):
+    """A closed simulator whose one queue holds one flow of `size` bytes,
+    under `budget`, with the link at `rate` B/s; and the flow's entry."""
+    link = LinkSpec(capacity_bps=8.0 * rate, queue_capacity_bytes=size)
+    sim = LinkSimulator(link, [A_WEB], FeedbackMode.CLOSED,
+                        controller=FixedShareController((1.0,)))
+    j = sim._inject(0.0, 0, size)
+    if control:
+        sim._control.add(j)
+    sim._budget[0], sim._queued_bytes[0] = budget, size
+    c = sim.counters[0]
+    c.arrived = c.queued = size
+    return sim, j
+
+
+def _credited(rate, size, budget, control, start, limit, instants):
+    """What crediting a live plan of `limit` bytes from `start` at each of
+    `instants` in turn leaves: the count, rem, queued bytes, budget and
+    counters."""
+    sim, j = _live_plan(rate, size, budget, control)
+    done = 0
+    for t in instants:
+        done = sim._credit(0, j, start, limit, done, t)
+    return (done, sim._rem[j], sim._queued_bytes[0], sim._budget[0],
+            dataclasses.astuple(sim.counters[0]))
 
 
 class TestPropertyPathIndependence:
-    """Served bytes depend on the time alone, so advancing service at extra
-    instants changes no output."""
+    """Served bytes depend on the time alone: crediting a live plan at any
+    rising run of instants leaves what one credit at the last instant
+    leaves, so bringing service up to date at extra instants changes no
+    output of a run."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.sampled_from([1000.0, 1_234_567.89, 987.654321, 3125.5]),
+                     st.floats(1.0, 1e9)),
+           st.integers(1, 10**12), st.integers(0, 10**12), st.floats(0.0, 1e6),
+           st.lists(st.floats(-0.1, 1.0, exclude_max=True), min_size=1, max_size=30),
+           st.booleans(), st.data())
+    def test_credit_at_rising_instants(self, rate, size, extra, start, fractions, control,
+                                       data):
+        limit = data.draw(st.integers(1, size))
+        end = start + limit / rate
+        instants = sorted(start + f * (end - start) for f in fractions)
+        args = (rate, size, limit + extra, control, start, limit)
+        one = _credited(*args, instants[-1:])
+        assert _credited(*args, instants) == one
+        done = one[0]
+        assert done == max(0, min(limit - 1, int(rate * (instants[-1] - start))))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lattice_runs(), st.integers(0, 2**32 - 1), st.booleans())
     def test_lattice_runs(self, case, seed, check):
         link, labels, n_epochs, trace, controller = case
-        steps = _instants(seed, n_epochs * link.epoch_s)
-        outcomes = [_run_with_steps(link, labels, controller, check, [trace], n_epochs, s)
-                    for s in ([], steps)]
+        instants = _instants(seed, n_epochs * link.epoch_s)
+        outcomes = [_run_with_credits(link, labels, controller, check, [trace], n_epochs, i)
+                    for i in ([], instants)]
         assert outcomes[0] == outcomes[1]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(three_inputs(), st.integers(0, 2**32 - 1), st.booleans())
     def test_three_inputs(self, case, seed, check):
         link, labels, n_epochs, idle, controller, trace, shuffled, parts = case
-        if idle:
-            # Steps before the last arrival keep no idle run going longer.
-            steps = _instants(seed, trace.time[-1]) if len(trace) else []
-        else:
-            steps = _instants(seed, n_epochs * link.epoch_s)
-        outcomes = [_run_with_steps(link, labels, controller, check, list(parts),
-                                    None if idle else n_epochs, s)
-                    for s in ([], steps)]
+        instants = _instants(seed, n_epochs * link.epoch_s)
+        outcomes = [_run_with_credits(link, labels, controller, check, list(parts),
+                                      None if idle else n_epochs, i)
+                    for i in ([], instants)]
         assert outcomes[0] == outcomes[1]
 
     def test_long_flow_at_an_odd_rate(self):
-        # 10^8 B at 1,234,567.89 B/s spans 81 epochs; bringing its service
-        # up to 30 random instants leaves every epoch row as it was.
+        # 10^8 B at 1,234,567.89 B/s spans 81 epochs; crediting its service
+        # at 30 random instants too leaves every epoch row as it was.
         link = LinkSpec(capacity_bps=8 * 1_234_567.89, queue_capacity_bytes=2 * 10**8)
         flow = [make_flow(0, 0.1, 10**8)]
-        steps = sorted(random.Random(5).uniform(0.0, 90.0) for _ in range(30))
-        plain, stepped = (_run_with_steps(link, [A_WEB], None, False, [flow], 90, s)
-                          for s in ([], steps))
-        assert plain == stepped
+        instants = sorted(random.Random(5).uniform(0.0, 90.0) for _ in range(30))
+        plain, credited = (_run_with_credits(link, [A_WEB], None, False, [flow], 90, i)
+                           for i in ([], instants))
+        assert plain == credited
         assert plain[1][A_WEB].delivered == 10**8
 
 
@@ -1498,14 +1544,14 @@ def event_core_run(seed, core=True):
 
     Times sit on a 1/8 s lattice and most sizes last a whole number of
     lattice steps at the link's rate, so plan ends, trace arrivals,
-    injected flows, query steps and epoch boundaries often meet at one
-    instant. Queues are small enough to drop; closed runs take zero
-    shares, shares summing to 1, random priority orders, changing shares
-    (excitation) and control messages. Injected flows carry callbacks that
-    chain further fetches, and query steps record the ledger, inject flows
-    and add trace flows mid-run. Returns the metrics and the log of what
-    the callbacks and steps saw. With `core` the run is kept on the event
-    core; without it, an open run takes the FIFO pass.
+    injected flows and epoch boundaries often meet at one instant. Queues
+    are small enough to drop; closed runs take zero shares, shares summing
+    to 1, random priority orders, changing shares (excitation) and control
+    messages. Injected flows carry callbacks: fetches chain further
+    fetches, and probes record the ledger, inject flows and add trace flows
+    mid-run. Returns the metrics and the log of what the callbacks saw.
+    With `core` the run is kept on the event core; without it, an open run
+    takes the FIFO pass.
     """
     rng = random.Random(f"event-core/{seed}")
     b_db = TrafficClassLabel(ZoneClass.B, AppKind.DATABASE)
@@ -1558,31 +1604,34 @@ def event_core_run(seed, core=True):
                 fetch(when + rng.choice([0.0, 0.125]), depth + 1)
         sim.inject_flow(t, size(), rng.choice(labels), callback=delivered)
 
-    def step(s, t):
-        log.append(("step", t, s.now, tuple(c.queued for c in s.counters),
+    def probed(s, when):
+        log.append(("probe", when, s.now, tuple(c.queued for c in s.counters),
                     tuple(c.delivered for c in s.counters)))
         r = rng.random()
         if r < 0.3:
-            s.inject_flow(t, size(), rng.choice(labels))
+            s.inject_flow(s.now, size(), rng.choice(labels))
         elif r < 0.5:
-            s.add_flows([make_flow(5000 + len(log), t + rng.randrange(4) / 8, size(),
+            s.add_flows([make_flow(5000 + len(log), s.now + rng.randrange(4) / 8, size(),
                                    rng.choice(labels))])
+
+    def probe(t):
+        sim.inject_flow(t, size(), rng.choice(labels), callback=probed)
 
     trace = flows(n_flows, 0)
     if rng.random() < 0.5:
         # A flow that, served alone, ends at t; a trace flow, an injected
-        # flow and a query step at t too.
+        # flow and a probe at t too.
         t = instant(2)
         sim.inject_flow(t - 0.25, rate // 4, rng.choice(labels))
         trace = sorted([*trace, make_flow(900, t, size(), rng.choice(labels))],
                        key=lambda f: f.arrival_time)
         sim.inject_flow(t, size(), rng.choice(labels))
-        sim.schedule_at(t, step)
+        probe(t)
     sim.add_flows(trace)
     for _ in range(rng.randint(0, 4)):
         fetch(instant(), 0)
     for _ in range(rng.randint(0, 5)):
-        sim.schedule_at(instant(), step)
+        probe(instant())
     if controller is None or (kind == "fixed" and min(controller.u) >= 0.2 and not message):
         m = sim.run_until_idle(max_epochs=1000)
     else:
@@ -1598,7 +1647,7 @@ def event_core_run(seed, core=True):
 def metrics_digest(m, log) -> str:
     """SHA-256 over every epoch column, the per-class totals and latencies,
     failed_flow_ids, the counts, the observed states and decisions, and a
-    log of callbacks and steps."""
+    log of callbacks."""
     blob = repr((
         (m.arrived, m.delivered, m.dropped, m.queued, m.shares, m.ranks),
         [dataclasses.astuple(m.totals[label]) for label in m.classes],

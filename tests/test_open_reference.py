@@ -10,8 +10,8 @@ arrival at t.
 
 An open run from epoch 0 takes the FIFO pass; the same run kept on the
 event core takes the event core. Both are compared with the reference, and
-with each other on every output, on what each completion callback and query
-step sees, and on the state the pass hands over.
+with each other on every output, on what each completion callback sees, and
+on the state the pass hands over.
 """
 
 import dataclasses
@@ -234,15 +234,16 @@ class TestFifoPass:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(open_cases(), st.data())
     def test_the_event_core_goes_on_from_the_pass(self, case, data):
-        # The pass runs j epochs; then a flow with a callback and a step that
-        # reads the ledger are offered, and the event core runs on. The run
-        # held on the event core from the start must see and give the same.
+        # The pass runs j epochs; then a flow with a callback and a 1 B flow
+        # whose callback reads the ledger are offered, and the event core
+        # runs on. The run held on the event core from the start must see
+        # and give the same.
         link, labels, batches, n_epochs = case
         eps = link.epoch_s
         j = data.draw(st.integers(1, n_epochs))
         rest = n_epochs + 1 - j
         lattice = st.integers(0, int(8 * rest * eps) - 1).map(lambda q: j * eps + q / 8)
-        t_flow, t_step = data.draw(lattice), data.draw(lattice)
+        t_flow, t_probe = data.draw(lattice), data.draw(lattice)
         size = data.draw(st.integers(1, 3000))
         label = data.draw(st.sampled_from(labels))
         runs = []
@@ -254,8 +255,8 @@ class TestFifoPass:
             log = []
             sim.inject_flow(t_flow, size, label,
                             callback=lambda s, t: log.append(("served", t, s.now)))
-            sim.schedule_at(t_step, lambda s, t: log.append(
-                ("step", t, [dataclasses.astuple(c) for c in s.counters])))
+            sim.inject_flow(t_probe, 1, label, callback=lambda s, t: log.append(
+                ("probe", t, [dataclasses.astuple(c) for c in s.counters])))
             runs.append((every_field(sim.run_epochs(rest)), log))
         assert runs[0] == runs[1]
 
@@ -269,64 +270,53 @@ def flow(fid, t, size, label) -> FlowEvent:
 @st.composite
 def driven_runs(draw):
     """An open_cases run with code running inside it: flows injected up front
-    with callbacks, query steps, and a script of what each callback or step
-    does when it runs (inject a flow with a callback, schedule a step, add a
-    trace flow, or nothing). Times sit on the 1/8 s lattice and many sizes
-    last whole lattice steps, so departures, arrivals, steps and boundaries
-    meet; sizes reach twice the queue, so that callback flows are dropped in
-    part or whole. Half the runs go until idle."""
+    with callbacks, and a script of what each callback does when it runs
+    (inject a flow with a callback, add a trace flow, or nothing). Times sit
+    on the 1/8 s lattice and many sizes last whole lattice steps, so
+    departures, arrivals and boundaries meet; sizes reach twice the queue,
+    so that callback flows are dropped in part or whole. Half the runs go
+    until idle."""
     link, labels, batches, n_epochs = draw(open_cases())
     rate, cap = int(link.byte_rate), link.queue_capacity_bytes
     end = int(8 * n_epochs * link.epoch_s)
     size = st.one_of(st.integers(1, 3).map(lambda q: max(1, q * rate // 8)),
                      st.integers(1, 2 * cap))
     label = st.sampled_from(labels)
-    flows = draw(st.lists(st.tuples(st.integers(0, end), size, label), max_size=6))
-    steps = draw(st.lists(st.integers(0, end), max_size=4))
-    script = draw(st.lists(st.tuples(st.sampled_from(["inject", "step", "add", "none"]),
+    flows = draw(st.lists(st.tuples(st.integers(0, end), size, label), max_size=8))
+    script = draw(st.lists(st.tuples(st.sampled_from(["inject", "add", "none"]),
                                      st.integers(0, 8), size, label), max_size=12))
-    return link, labels, batches, n_epochs, flows, steps, script, draw(st.booleans())
+    return link, labels, batches, n_epochs, flows, script, draw(st.booleans())
 
 
 def driven(case, core):
     """Every SimMetrics field of a driven_runs case, on the event core or the
-    FIFO pass, and a log of what each callback and step saw: the clock, the
-    cursor, the epochs, the queue, its bytes, the head's rem and every
-    SimMetrics field."""
-    link, labels, batches, n_epochs, flows, steps, script, until_idle = case
+    FIFO pass, and a log of what each callback saw: the clock, the cursor,
+    the epochs, the queue, its bytes, the head's rem and every SimMetrics
+    field."""
+    link, labels, batches, n_epochs, flows, script, until_idle = case
     sim = open_sim(link, labels, batches)
     if core:
         on_event_core(sim)
     todo, log = iter(script), []
 
-    def run(kind, s, t):
+    def served(s, t):
         q = s._queues[0]
-        log.append((kind, t, s.now, s._pos, s.metrics.n_epochs, list(q), s._queued_bytes[0],
+        log.append((t, s.now, s._pos, s.metrics.n_epochs, list(q), s._queued_bytes[0],
                     s._rem[q[0]] if q else None, every_field(s.metrics)))
         what, dt, size, label = next(todo, ("none", 0, 0, None))
         if what == "inject":
             s.inject_flow(t + dt / 8, size, label, callback=served)
-        elif what == "step":
-            s.schedule_at(t + dt / 8, stepped)
         elif what == "add":
             s.add_flows([flow(9000 + len(log), t + dt / 8, size, label)])
 
-    def served(s, t):
-        run("served", s, t)
-
-    def stepped(s, t):
-        run("step", s, t)
-
     for q, size, label in flows:
         sim.inject_flow(q / 8, size, label, callback=served)
-    for q in steps:
-        sim.schedule_at(q / 8, stepped)
     m = sim.run_until_idle() if until_idle else sim.run_epochs(n_epochs)
     return every_field(m), log
 
 
 class TestFifoPassDriven:
-    """The FIFO pass against the event core on runs with callbacks and steps."""
+    """The FIFO pass against the event core on runs with callbacks."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(driven_runs())
@@ -355,9 +345,9 @@ class TestFifoPassDriven:
         assert runs[0] == runs[1]
 
     def test_a_run_that_never_drains_exceeds_max_epochs(self):
-        # A step that schedules itself 0.75 s later keeps the run going for
-        # ever; boundary max_epochs + 1 is an error on either path, and each
-        # leaves the same simulator.
+        # A 1 B flow whose callback injects the next one 0.75 s later keeps
+        # the run going for ever; boundary max_epochs + 1 is an error on
+        # either path, and each leaves the same simulator.
         link = LinkSpec(capacity_bps=8e3, queue_capacity_bytes=10_000, epoch_s=0.5)
         runs = []
         for core in (True, False):
@@ -366,9 +356,9 @@ class TestFifoPassDriven:
                 on_event_core(sim)
 
             def again(s, t):
-                s.schedule_at(t + 0.75, again)
+                s.inject_flow(t + 0.75, 1, A_WEB, callback=again)
 
-            sim.schedule_at(0.0, again)
+            sim.inject_flow(0.0, 1, A_WEB, callback=again)
             with pytest.raises(SimulationError, match="exceeded max_epochs=20 without draining"):
                 sim.run_until_idle(max_epochs=20)
             runs.append((every_field(sim.metrics), sim.now, sim._epoch, sim._heap[0][0]))

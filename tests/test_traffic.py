@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from array import array
 from operator import itemgetter
 
@@ -270,6 +271,28 @@ class TestGenerateTrace:
                                              r"10,000,002 flows, more than the 10,000,000"):
             generate_trace(profile(2_500_001.0), 2.0, seed=0)
         assert len(drawn) == 2
+
+    def test_a_burst_over_the_flow_budget_is_refused_before_drawing(self, monkeypatch):
+        # One flow/s in 1 s bursts with idle gaps of I s bursts at 1 + I
+        # flows/s, so one burst over 2 s may expect 2 (1 + I) flows: I =
+        # 4,999,999 is the most the budget allows. An idle gap of 1e20 s made
+        # the first burst draw without end; it is refused before any source
+        # draws, as is one whose on-period rate overflows.
+        drawn = []
+        monkeypatch.setattr(traffic, "_class_arrivals",
+                            lambda cp, duration_s, rng: drawn.append(cp) or ([], [], []))
+        fixed = SizeDistribution(family="fixed", size_bytes=1.0)
+
+        def profile(idle_s, burst_s=1.0):
+            return TrafficProfile((ClassProfile(B_FILE, 1.0, fixed, burst_s, idle_s),))
+        assert len(generate_trace(profile(4_999_999.0), 2.0, seed=0)) == 0 and len(drawn) == 1
+        for idle_s, burst_s, rate in ((5_000_000.0, 1.0, "5e+06"), (1e20, 1.0, "1e+20"),
+                                      (1e308, 1e-10, "inf")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"B:File bursts at {rate} flows/s: one burst over 2 s may expect more than "
+                    f"the 10,000,000 flows a trace may hold")):
+                generate_trace(profile(idle_s, burst_s), 2.0, seed=0)
+        assert len(drawn) == 1
 
     def test_empirical_rate_converges(self):
         # On/off modulated source: long-run rate should still match.
@@ -542,6 +565,32 @@ class TestAgainstReference:
         want = reference_trace(profile, duration, seed)
         for col in ("time", "size", "endpoint"):
             assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+
+
+class TestSizesPastInt64:
+    """Sizes are int64s: a fixed size or a uniform high past int64 is
+    refused when its distribution is made, and a drawn size past it is a
+    ValueError that names its class, not an OverflowError."""
+
+    @pytest.mark.parametrize("family, field, value", [
+        ("fixed", "size_bytes", 1e20), ("uniform", "high", 2.0**63)])
+    def test_refused_when_made(self, family, field, value):
+        args = dict(size_bytes=100.0, low=10.0, high=100.0)
+        args[field] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be at most 9,223,372,036,854,775,807 bytes, got {value:g}")):
+            SizeDistribution(family=family, **args)
+        args[field] = 2.0**63 - 1024  # the largest double below 2**63
+        SizeDistribution(family=family, **args)
+
+    @pytest.mark.parametrize("size", [
+        SizeDistribution(family="exponential", mean_bytes=1e19),
+        SizeDistribution(family="lognormal", mean_bytes=1e300, sigma=0.8)])
+    def test_a_drawn_size_past_int64_names_its_class(self, size):
+        profile = TrafficProfile((ClassProfile(B_FILE, 5.0, size),))
+        with pytest.raises(ValueError, match=r"^B:File drew a flow size of more than "
+                                             r"9,223,372,036,854,775,807 bytes$"):
+            generate_trace(profile, 10.0, seed=1)
 
 
 class TestNonFiniteInputs:
